@@ -38,7 +38,6 @@
 
 use std::collections::{HashMap, HashSet};
 
-use taskpoint_runtime::TaskTypeId;
 use taskpoint_stats::{Confidence, StreamingMoments};
 use taskpoint_telemetry::{FidelityAction, SimEvent, Sink, Telemetry};
 use tasksim::{ExecMode, ModeController, SimMode, TaskReport, TaskStart};
@@ -264,7 +263,9 @@ impl AccuracyReport {
 #[derive(Debug)]
 pub struct AdaptiveController {
     config: AdaptiveConfig,
-    clusters: HashMap<TaskTypeId, ClusterState>,
+    /// State per observed cluster, indexed by the dense unit id (`None`
+    /// until the unit's first instance starts).
+    clusters: Vec<Option<ClusterState>>,
     /// Detailed completions per worker during initial warmup.
     warmup_done: Vec<u64>,
     /// Completions per worker since one last touched an unconverged
@@ -292,7 +293,7 @@ impl AdaptiveController {
         Self {
             warmup_complete: config.warmup_instances == 0,
             config,
-            clusters: HashMap::new(),
+            clusters: Vec::new(),
             warmup_done: Vec::new(),
             since_unconverged: Vec::new(),
             workers_known: false,
@@ -327,12 +328,14 @@ impl AdaptiveController {
 
     /// The per-cluster accuracy picture at this point of the run.
     pub fn report(&self) -> AccuracyReport {
-        let mut clusters: Vec<ClusterAccuracy> = self
+        let clusters = self
             .clusters
             .iter()
-            .map(|(unit, st)| st.accuracy(unit.0, self.config.params.confidence))
+            .enumerate()
+            .filter_map(|(unit, st)| {
+                st.as_ref().map(|st| st.accuracy(unit as u32, self.config.params.confidence))
+            })
             .collect();
-        clusters.sort_by_key(|c| c.unit);
         AccuracyReport { config: PolicyConfig::Adaptive(self.config), clusters, allocated: None }
     }
 
@@ -362,15 +365,11 @@ impl AdaptiveController {
         self.since_unconverged.iter().all(|&c| c >= self.config.rare_cluster_cutoff)
     }
 
-    /// Force-converges every cluster that has any estimate at all.
-    /// Clusters are visited in unit-id order so the emitted telemetry is
-    /// independent of hash-map iteration order (the per-cluster updates
-    /// commute, so the order is otherwise unobservable).
+    /// Force-converges every cluster that has any estimate at all, in
+    /// unit-id order (the order of the emitted telemetry).
     fn force_converge_rare(&mut self, now: u64) {
-        let mut units: Vec<TaskTypeId> = self.clusters.keys().copied().collect();
-        units.sort_unstable();
-        for unit in units {
-            let st = self.clusters.get_mut(&unit).expect("listed cluster exists");
+        for (unit, st) in self.clusters.iter_mut().enumerate() {
+            let Some(st) = st else { continue };
             if !st.converged && st.ipc().is_some() {
                 st.converged = true;
                 st.forced = true;
@@ -378,7 +377,7 @@ impl AdaptiveController {
                 self.stats.rare_forced += 1;
                 self.telemetry.event(SimEvent::Fidelity {
                     tick: now,
-                    unit: unit.0,
+                    unit: unit as u32,
                     action: FidelityAction::RareConverged,
                     samples: st.valid.count(),
                     rel_ci: relative_ci_half_width(&st.valid, self.config.params.confidence),
@@ -400,7 +399,11 @@ impl AdaptiveController {
 impl ModeController for AdaptiveController {
     fn mode_for_task(&mut self, start: &TaskStart) -> ExecMode {
         self.ensure_workers(start.total_workers);
-        let state = self.clusters.entry(start.type_id).or_default();
+        let unit = start.type_id.0 as usize;
+        if unit >= self.clusters.len() {
+            self.clusters.resize_with(unit + 1, || None);
+        }
+        let state = self.clusters[unit].get_or_insert_with(ClusterState::default);
         state.seen += 1;
         if state.seen == 1 {
             self.telemetry.event(SimEvent::Fidelity {
@@ -468,9 +471,8 @@ impl ModeController for AdaptiveController {
                 if !self.warmup_complete {
                     self.warmup_done[w] += 1;
                     if usable {
-                        let state = self
-                            .clusters
-                            .get_mut(&report.type_id)
+                        let state = self.clusters[report.type_id.0 as usize]
+                            .as_mut()
                             .expect("completed task of unregistered cluster");
                         state.all.add(ipc);
                     }
@@ -480,9 +482,8 @@ impl ModeController for AdaptiveController {
                     }
                     return;
                 }
-                let state = self
-                    .clusters
-                    .get_mut(&report.type_id)
+                let state = self.clusters[report.type_id.0 as usize]
+                    .as_mut()
                     .expect("completed task of unregistered cluster");
                 if state.converged {
                     // A straggler that started detailed before its cluster
@@ -597,7 +598,7 @@ impl ModeController for ClusteredAdaptiveController {
 mod tests {
     use super::*;
     use crate::config::AdaptiveParams;
-    use taskpoint_runtime::{TaskInstanceId, WorkerId};
+    use taskpoint_runtime::{TaskInstanceId, TaskTypeId, WorkerId};
 
     fn start(task: u64, type_id: u32, worker: u32, time: u64) -> TaskStart {
         TaskStart {

@@ -29,7 +29,6 @@
 use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
-use taskpoint_runtime::TaskTypeId;
 use tasksim::{ExecMode, ModeController, SimMode, TaskReport, TaskStart};
 
 use crate::config::{SamplingPolicy, TaskPointConfig};
@@ -90,7 +89,9 @@ impl SamplingStats {
 pub struct TaskPointController {
     config: TaskPointConfig,
     phase: Phase,
-    types: HashMap<TaskTypeId, TypeHistories>,
+    /// Histories per observed type, indexed by the dense type id (`None`
+    /// until the type's first instance starts).
+    types: Vec<Option<TypeHistories>>,
     /// Detailed completions per worker since the current warmup began.
     warmup_done: Vec<u64>,
     warmup_target: u64,
@@ -135,7 +136,7 @@ impl TaskPointController {
         let mut controller = Self {
             config,
             phase: Phase::InitialWarmup,
-            types: HashMap::new(),
+            types: Vec::new(),
             warmup_done: Vec::new(),
             warmup_target,
             since_unfilled: Vec::new(),
@@ -183,7 +184,7 @@ impl TaskPointController {
     const CONC_ALPHA: f64 = 1.0 / 64.0;
 
     fn resample(&mut self, time: u64, cause: ResampleCause) {
-        for h in self.types.values_mut() {
+        for h in self.types.iter_mut().flatten() {
             h.valid.clear();
         }
         for w in &mut self.warmup_done {
@@ -223,7 +224,7 @@ impl TaskPointController {
     /// True when every observed type's valid history is full (transition
     /// condition 1 of §III-B).
     fn all_types_sampled(&self) -> bool {
-        self.types.values().all(|h| h.valid.is_full())
+        self.types.iter().flatten().all(|h| h.valid.is_full())
     }
 
     /// True when the rare-type cutoff expired (transition condition 2).
@@ -235,9 +236,13 @@ impl TaskPointController {
 impl ModeController for TaskPointController {
     fn mode_for_task(&mut self, start: &TaskStart) -> ExecMode {
         self.ensure_workers(start.total_workers);
+        let ty = start.type_id.0 as usize;
+        if ty >= self.types.len() {
+            self.types.resize_with(ty + 1, || None);
+        }
+        let is_new_type = self.types[ty].is_none();
         let h = self.config.history_size;
-        let is_new_type = !self.types.contains_key(&start.type_id);
-        let histories = self.types.entry(start.type_id).or_insert_with(|| TypeHistories::new(h));
+        let histories = self.types[ty].get_or_insert_with(|| TypeHistories::new(h));
         histories.seen += 1;
 
         // Track the smoothed concurrency level at every task start.
@@ -266,7 +271,7 @@ impl ModeController for TaskPointController {
             self.resample(start.time, ResampleCause::ConcurrencyChange);
             return ExecMode::Detailed;
         }
-        let Some(ipc) = self.types[&start.type_id].fast_forward_ipc() else {
+        let Some(ipc) = self.types[ty].as_ref().and_then(TypeHistories::fast_forward_ipc) else {
             self.resample(start.time, ResampleCause::EmptyHistories);
             return ExecMode::Detailed;
         };
@@ -295,9 +300,8 @@ impl ModeController for TaskPointController {
                 } else {
                     return;
                 };
-                let histories = self
-                    .types
-                    .get_mut(&report.type_id)
+                let histories = self.types[report.type_id.0 as usize]
+                    .as_mut()
                     .expect("completed task of unregistered type");
                 histories.all.push(ipc);
                 let w = report.worker.index();
@@ -338,7 +342,7 @@ impl ModeController for TaskPointController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use taskpoint_runtime::{TaskInstanceId, WorkerId};
+    use taskpoint_runtime::{TaskInstanceId, TaskTypeId, WorkerId};
 
     fn start(
         task: u64,
@@ -532,14 +536,14 @@ mod tests {
     fn valid_histories_cleared_on_resample() {
         let mut ctrl = TaskPointController::new(TaskPointConfig::lazy());
         drive_to_fast(&mut ctrl);
-        assert!(ctrl.types[&TaskTypeId(0)].valid.is_full());
+        fn type0(ctrl: &TaskPointController) -> &TypeHistories {
+            ctrl.types[0].as_ref().expect("type 0 seen")
+        }
+        assert!(type0(&ctrl).valid.is_full());
         let s = start(500, 1, 0, 50_000, 1, 1);
         ctrl.mode_for_task(&s);
-        assert!(ctrl.types[&TaskTypeId(0)].valid.is_empty());
-        assert!(
-            !ctrl.types[&TaskTypeId(0)].all.is_empty(),
-            "all-samples history survives resampling"
-        );
+        assert!(type0(&ctrl).valid.is_empty());
+        assert!(!type0(&ctrl).all.is_empty(), "all-samples history survives resampling");
     }
 
     #[test]

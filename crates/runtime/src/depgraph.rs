@@ -219,27 +219,30 @@ impl ReadySet {
         self.pending == 0
     }
 
-    /// Marks `id` complete and returns the successors that became ready,
-    /// in creation order.
+    /// Marks `id` complete and hands each successor that became ready to
+    /// `on_ready`, in creation order.
     ///
     /// # Panics
     ///
     /// Panics if `id` completes twice or completes while predecessors are
     /// still outstanding (both indicate a scheduler bug).
-    pub fn complete(&mut self, graph: &DependenceGraph, id: TaskInstanceId) -> Vec<TaskInstanceId> {
+    pub fn complete(
+        &mut self,
+        graph: &DependenceGraph,
+        id: TaskInstanceId,
+        mut on_ready: impl FnMut(TaskInstanceId),
+    ) {
         assert!(!self.completed[id.index()], "task {id} completed twice");
         assert_eq!(self.remaining[id.index()], 0, "task {id} completed before its inputs");
         self.completed[id.index()] = true;
         self.pending -= 1;
-        let mut newly_ready = Vec::new();
         for &s in graph.successors(id) {
             let r = &mut self.remaining[s.index()];
             *r -= 1;
             if *r == 0 {
-                newly_ready.push(s);
+                on_ready(s);
             }
         }
-        newly_ready
     }
 }
 
@@ -351,12 +354,16 @@ mod tests {
         assert_eq!(g.roots(), vec![TaskInstanceId(0)]);
         assert!(rs.is_ready(TaskInstanceId(0)));
         assert!(!rs.is_ready(TaskInstanceId(3)));
-        let ready = rs.complete(&g, TaskInstanceId(0));
-        assert_eq!(ready, vec![TaskInstanceId(1), TaskInstanceId(2)]);
-        assert!(rs.complete(&g, TaskInstanceId(1)).is_empty());
-        assert_eq!(rs.complete(&g, TaskInstanceId(2)), vec![TaskInstanceId(3)]);
+        fn complete(rs: &mut ReadySet, g: &DependenceGraph, id: u64) -> Vec<TaskInstanceId> {
+            let mut ready = Vec::new();
+            rs.complete(g, TaskInstanceId(id), |t| ready.push(t));
+            ready
+        }
+        assert_eq!(complete(&mut rs, &g, 0), vec![TaskInstanceId(1), TaskInstanceId(2)]);
+        assert!(complete(&mut rs, &g, 1).is_empty());
+        assert_eq!(complete(&mut rs, &g, 2), vec![TaskInstanceId(3)]);
         assert_eq!(rs.pending(), 1);
-        assert!(rs.complete(&g, TaskInstanceId(3)).is_empty());
+        assert!(complete(&mut rs, &g, 3).is_empty());
         assert!(rs.all_done());
     }
 
@@ -365,8 +372,8 @@ mod tests {
     fn double_completion_panics() {
         let g = graph(&[vec![]]);
         let mut rs = g.ready_set();
-        rs.complete(&g, TaskInstanceId(0));
-        rs.complete(&g, TaskInstanceId(0));
+        rs.complete(&g, TaskInstanceId(0), |_| {});
+        rs.complete(&g, TaskInstanceId(0), |_| {});
     }
 
     #[test]
@@ -375,7 +382,7 @@ mod tests {
         let g =
             graph(&[vec![RegionAccess::output(region(1))], vec![RegionAccess::input(region(1))]]);
         let mut rs = g.ready_set();
-        rs.complete(&g, TaskInstanceId(1));
+        rs.complete(&g, TaskInstanceId(1), |_| {});
     }
 
     #[test]

@@ -5,11 +5,14 @@
 //! spec and region annotations) and the dependence DAG derived from the
 //! annotations.
 
+use std::collections::HashSet;
+use std::sync::OnceLock;
+
 use crate::depgraph::{DependenceGraph, DependenceGraphBuilder};
 use crate::regions::RegionAccess;
 use crate::task::{TaskInstance, TaskInstanceId, TaskType, TaskTypeId};
 use serde::{Deserialize, Serialize};
-use taskpoint_trace::TraceSpec;
+use taskpoint_trace::{MemRegion, TraceSpec};
 
 /// An immutable task-based program.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -18,6 +21,8 @@ pub struct Program {
     types: Vec<TaskType>,
     instances: Vec<TaskInstance>,
     graph: DependenceGraph,
+    /// [`data_regions`](Self::data_regions), computed on first use.
+    data_regions: OnceLock<Vec<MemRegion>>,
 }
 
 impl Program {
@@ -74,6 +79,31 @@ impl Program {
     /// Total dynamic instruction count over all instances.
     pub fn total_instructions(&self) -> u64 {
         self.instances.iter().map(TaskInstance::instructions).sum()
+    }
+
+    /// The distinct non-empty data regions of the program's trace specs
+    /// (each instance's footprint, then its shared region), newest
+    /// instance first, each region listed once at its newest use.
+    ///
+    /// This is the order an initialization phase leaves data resident in
+    /// (the most recently initialized data last touched), which the
+    /// simulator's last-level-cache prewarm replays. Computed on first use
+    /// and kept, so runs sharing one program walk its instances once.
+    pub fn data_regions(&self) -> &[MemRegion] {
+        self.data_regions.get_or_init(|| {
+            let mut seen = HashSet::new();
+            let mut regions = Vec::new();
+            for inst in self.instances.iter().rev() {
+                for region in [inst.trace().footprint(), inst.trace().shared()] {
+                    if !region.is_empty() && seen.insert(region) {
+                        regions.push(region);
+                    }
+                }
+            }
+            // The list lives as long as the program: drop the growth slack.
+            regions.shrink_to_fit();
+            regions
+        })
     }
 
     /// Instances per type, indexed by `TaskTypeId`.
@@ -151,6 +181,7 @@ impl ProgramBuilder {
             types: self.types,
             instances: self.instances,
             graph: self.graph.build(),
+            data_regions: OnceLock::new(),
         };
         for (i, count) in program.instances_per_type().iter().enumerate() {
             assert!(*count > 0, "task type {} ({}) has no instances", i, program.types[i].name());
@@ -163,7 +194,6 @@ impl ProgramBuilder {
 mod tests {
     use super::*;
     use crate::regions::RegionAccess;
-    use taskpoint_trace::MemRegion;
 
     fn trace(n: u64) -> TraceSpec {
         TraceSpec::synthetic(0, n)
@@ -207,6 +237,22 @@ mod tests {
         let p = b.build();
         assert_eq!(p.graph().predecessors(second), &[first]);
         assert_eq!(p.graph().len(), 2);
+    }
+
+    #[test]
+    fn data_regions_are_distinct_newest_first() {
+        let spec = |footprint: MemRegion, shared: MemRegion| {
+            TraceSpec::builder().instructions(10).footprint(footprint).shared(shared).build()
+        };
+        let (a, b, c) = (MemRegion::new(0, 64), MemRegion::new(64, 64), MemRegion::new(128, 64));
+        let mut builder = Program::builder("p");
+        let t = builder.add_type("w");
+        builder.add_task(t, spec(a, b), vec![]);
+        builder.add_task(t, spec(c, MemRegion::empty()), vec![]);
+        builder.add_task(t, spec(b, a), vec![]);
+        let p = builder.build();
+        assert_eq!(p.data_regions(), &[b, a, c]);
+        assert!(std::ptr::eq(p.data_regions(), p.data_regions()), "computed once");
     }
 
     #[test]

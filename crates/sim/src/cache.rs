@@ -158,15 +158,36 @@ impl SetAssocCache {
         self.misses = 0;
     }
 
-    /// Zeroes the hit/miss counters while keeping contents (used after
-    /// pre-warming so statistics cover only the measured region).
-    pub fn reset_counters(&mut self) {
-        self.hits = 0;
-        self.misses = 0;
+    /// Fills a cold cache from line touches listed most recent first,
+    /// leaving exactly the tags that replaying the touches oldest first
+    /// through [`access`](Self::access) would leave.
+    ///
+    /// Under LRU a set ends up holding its `assoc` most recently touched
+    /// distinct lines, MRU first. Walking the touches newest first, a
+    /// line's first appearance is its last touch, so each line goes into
+    /// the set's first empty way unless it is already there or the set is
+    /// full (every later appearance is older). No rotations and no hit or
+    /// miss counts. Filled ways stay contiguous from the front, so one scan
+    /// that stops at the line or at the first empty way decides both.
+    ///
+    /// The cache must be cold (fresh or [`reset`](Self::reset)): lines
+    /// already resident would count as newer than every touch.
+    pub fn fill_recent_first(&mut self, lines: impl IntoIterator<Item = u64>) {
+        for line in lines {
+            for way in self.ways_mut(line) {
+                if *way == line {
+                    break;
+                }
+                if *way == EMPTY {
+                    *way = line;
+                    break;
+                }
+            }
+        }
     }
 
-    /// Installs `line` without touching the hit/miss counters (prefetch or
-    /// prewarm fill). No-op if already present; evicts LRU when full.
+    /// Installs `line` without touching the hit/miss counters (prefetch
+    /// fill). No-op if already present; evicts LRU when full.
     pub fn install(&mut self, line: u64) {
         let ways = self.ways_mut(line);
         if ways.contains(&line) {
@@ -210,6 +231,7 @@ impl SetAssocCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn small() -> SetAssocCache {
         // 4 sets x 2 ways x 64B lines = 512 B
@@ -298,6 +320,31 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn non_power_of_two_line_rejected() {
         SetAssocCache::new(512, 2, 48);
+    }
+
+    proptest! {
+        /// The most-recent-first fill leaves the tags a sequential `access`
+        /// replay leaves, on small geometries (1–8 sets, 1–5 ways) and
+        /// touch streams built from runs of consecutive lines. Runs may
+        /// overlap, repeat lines and overflow a set many times over.
+        #[test]
+        fn recent_first_fill_equals_access_replay(
+            log2_sets in 0u32..4,
+            assoc in 1u32..6,
+            runs in prop::collection::vec((0u64..48, 1u64..24), 0..12),
+        ) {
+            let size = (1u64 << log2_sets) * assoc as u64 * 64;
+            let touches: Vec<u64> =
+                runs.iter().flat_map(|&(first, len)| first..first + len).collect();
+            let mut replayed = SetAssocCache::new(size, assoc, 64);
+            for &line in &touches {
+                replayed.access(line);
+            }
+            let mut filled = SetAssocCache::new(size, assoc, 64);
+            filled.fill_recent_first(touches.iter().rev().copied());
+            prop_assert_eq!(&filled.tags, &replayed.tags);
+            prop_assert_eq!((filled.hits(), filled.misses()), (0, 0));
+        }
     }
 
     #[test]

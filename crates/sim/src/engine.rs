@@ -37,9 +37,10 @@
 use std::time::Instant;
 
 use taskpoint_runtime::{FifoScheduler, Program, ReadySet, Scheduler, TaskInstanceId, WorkerId};
+use taskpoint_stats::percentile::percentile_sorted_by;
 use taskpoint_stats::rng::{mix_seed, Xoshiro256pp};
 use taskpoint_telemetry::{NopSink, SimEvent, Sink, Telemetry};
-use taskpoint_trace::{InstBlock, TraceSource, BLOCK_CAPACITY};
+use taskpoint_trace::{InstBlock, MemRegion, TraceSource, BLOCK_CAPACITY};
 
 use crate::burst::burst_duration;
 use crate::config::MachineConfig;
@@ -370,11 +371,11 @@ impl<'p, S: Sink> Engine<'p, S> {
             // Tick the component with split borrows of the shared fabric,
             // then re-schedule it from its own next_tick — components
             // never touch the event heap directly.
-            let completions = {
+            let completion = {
                 let mut ctx =
                     EventCtx::new(t, id, &mut self.mem, self.program, self.noise.as_ref());
                 self.components[id.index()].tick(&mut ctx);
-                ctx.into_completions()
+                ctx.into_completion()
             };
             if let Some(next) = self.components[id.index()].next_tick() {
                 self.sched.schedule(next, id);
@@ -382,7 +383,7 @@ impl<'p, S: Sink> Engine<'p, S> {
             // Completion effects run synchronously, inside this event:
             // deferring them to a same-tick follow-up event would batch
             // completions and change observable concurrency values.
-            for report in completions {
+            if let Some(report) = completion {
                 self.complete(report, controller);
             }
         }
@@ -436,13 +437,12 @@ impl<'p, S: Sink> Engine<'p, S> {
             let r = &mut self.ready_at[succ.index()];
             *r = (*r).max(report.end);
         }
-        let newly = self.ready_set.complete(self.program.graph(), report.task);
-        for t in newly {
-            self.scheduler.task_ready(t);
-        }
+        let scheduler = &mut self.scheduler;
+        self.ready_set.complete(self.program.graph(), report.task, |t| scheduler.task_ready(t));
         self.components[w as usize].local_time = report.end;
-        self.idle.push(w);
-        self.idle.sort_unstable_by(|a, b| b.cmp(a));
+        // `idle` is sorted descending; `w` is not in it.
+        let at = self.idle.partition_point(|&i| i > w);
+        self.idle.insert(at, w);
         self.assign_ready_tasks(controller, report.end);
     }
 
@@ -596,18 +596,21 @@ impl<'p, S: Sink> Engine<'p, S> {
         }
     }
 
-    /// Exact task-latency percentiles over every completed task.
-    fn latency_percentiles(&self) -> LatencyPercentiles {
+    /// Exact task-latency percentiles over every completed task. Sorts the
+    /// durations in place and converts only the ranks read: `u64 → f64`
+    /// preserves order, so this equals sorting the converted values.
+    fn latency_percentiles(&mut self) -> LatencyPercentiles {
         if self.latencies.is_empty() {
             return LatencyPercentiles::default();
         }
-        let mut sorted: Vec<f64> = self.latencies.iter().map(|&d| d as f64).collect();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("durations are finite"));
+        self.latencies.sort_unstable();
+        let sorted = &self.latencies;
+        let at = |p| percentile_sorted_by(sorted.len(), p, |i| sorted[i] as f64);
         LatencyPercentiles {
             count: sorted.len() as u64,
-            p50: taskpoint_stats::percentile::percentile_sorted(&sorted, 50.0),
-            p99: taskpoint_stats::percentile::percentile_sorted(&sorted, 99.0),
-            p999: taskpoint_stats::percentile::percentile_sorted(&sorted, 99.9),
+            p50: at(50.0),
+            p99: at(99.0),
+            p999: at(99.9),
         }
     }
 
@@ -665,20 +668,14 @@ fn prewarm_memory(mem: &mut MemorySystem, program: &Program, line_size: u32) {
     if capacity == 0 {
         return;
     }
-    // Deduplicate regions first: tiled programs annotate the same block in
-    // thousands of instances, and re-touching resident lines would spend
-    // the entire prewarm budget on LRU churn.
-    let mut seen = std::collections::HashSet::new();
-    let mut regions = Vec::new();
-    // Reverse creation order: the "most recently initialized" data (what an
-    // init phase leaves resident) wins the capacity race.
-    for inst in program.instances().iter().rev() {
-        for region in [inst.trace().footprint(), inst.trace().shared()] {
-            if !region.is_empty() && seen.insert((region.base, region.len)) {
-                regions.push(region);
-            }
-        }
-    }
+    // The init walk touches the program's distinct regions newest instance
+    // first, so the "most recently initialized" data (what an init phase
+    // leaves resident) wins the capacity race. Deduplicating regions keeps
+    // tiled programs, which annotate the same block in thousands of
+    // instances, from spending the budget on LRU churn.
+    let regions = program.data_regions();
+    let shift = line_size.trailing_zeros();
+    let lines = |r: &MemRegion| (r.base >> shift)..=((r.end() - 1) >> shift);
     // All-or-nothing: if the program's distinct data exceeds the last
     // level, partial prewarming would split instances of one task type into
     // a fast (resident) and a slow (DRAM) class that does not exist in
@@ -688,22 +685,15 @@ fn prewarm_memory(mem: &mut MemorySystem, program: &Program, line_size: u32) {
     let total_lines: u64 = regions
         .iter()
         .map(|r| {
-            let first = r.base >> line_size.trailing_zeros();
-            let last = (r.end() - 1) >> line_size.trailing_zeros();
-            last - first + 1
+            let l = lines(r);
+            l.end() - l.start() + 1
         })
         .sum();
     if total_lines > capacity as u64 {
         return;
     }
-    for region in regions {
-        let first = region.base >> line_size.trailing_zeros();
-        let last = (region.end() - 1) >> line_size.trailing_zeros();
-        for line in first..=last {
-            mem.prewarm_line(line);
-        }
-    }
-    mem.reset_stats();
+    // The walk's touches newest first: last region, last line first.
+    mem.prewarm_shared(regions.iter().rev().flat_map(|r| lines(r).rev()));
 }
 
 /// Per-run counters.

@@ -20,10 +20,10 @@
 //!   `tests/event_determinism.rs`).
 //! * [`EventCtx`] — what a component may see while ticking: the global
 //!   time, the shared memory fabric, the program and the noise model. A
-//!   component hands completed tasks back through the context; the engine
-//!   processes them *synchronously, in the same event* — deferring them
-//!   to a same-tick follow-up event would batch completions and change
-//!   observable concurrency values.
+//!   component hands the task a tick completed back through the context;
+//!   the engine processes it *synchronously, in the same event* —
+//!   deferring it to a same-tick follow-up event would batch completions
+//!   and change observable concurrency values.
 //!
 //! # Time base
 //!
@@ -103,7 +103,9 @@ pub struct EventCtx<'a> {
     /// The system-noise model, if enabled — a passive [`Component`]
     /// consulted at task completion.
     pub noise: Option<&'a NoiseModel>,
-    completions: Vec<TaskReport>,
+    /// The task this tick completed: a core runs one task at a time, so a
+    /// tick finishes at most one.
+    completion: Option<TaskReport>,
 }
 
 impl<'a> EventCtx<'a> {
@@ -115,7 +117,7 @@ impl<'a> EventCtx<'a> {
         program: &'a Program,
         noise: Option<&'a NoiseModel>,
     ) -> Self {
-        Self { now, id, mem, program, noise, completions: Vec::new() }
+        Self { now, id, mem, program, noise, completion: None }
     }
 
     /// The global tick this event fires at.
@@ -128,16 +130,22 @@ impl<'a> EventCtx<'a> {
         self.id
     }
 
-    /// Reports a completed task. The engine drains these synchronously
-    /// after the tick — completion effects (successor readiness, worker
-    /// release, re-assignment) happen before any other event fires.
+    /// Reports the task this tick completed. The engine processes it
+    /// synchronously after the tick — completion effects (successor
+    /// readiness, worker release, re-assignment) happen before any other
+    /// event fires.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tick already reported a completion.
     pub fn complete(&mut self, report: TaskReport) {
-        self.completions.push(report);
+        assert!(self.completion.is_none(), "a tick completes at most one task");
+        self.completion = Some(report);
     }
 
-    /// Consumes the context, yielding the completions in report order.
-    pub fn into_completions(self) -> Vec<TaskReport> {
-        self.completions
+    /// Consumes the context, yielding the task the tick completed, if any.
+    pub fn into_completion(self) -> Option<TaskReport> {
+        self.completion
     }
 }
 

@@ -340,41 +340,24 @@ impl MemorySystem {
         addr >> self.line_shift
     }
 
-    /// Installs `line` in every shared level without cost — used to model
-    /// application data that was initialized before the simulated region of
-    /// interest (trace-driven simulators start with the OS/init phase
-    /// already executed, so main memory structures are LLC-warm). Private
-    /// levels stay cold; TaskPoint's warmup exists to heat those.
+    /// Fills every shared level, without cost or statistics, with the
+    /// lines an initialization walk touched, listed most recent first (see
+    /// [`SetAssocCache::fill_recent_first`]). Models application data that
+    /// was initialized before the simulated region of interest
+    /// (trace-driven simulators start with the OS/init phase already
+    /// executed, so main memory structures are LLC-warm). Private levels
+    /// stay cold; TaskPoint's warmup exists to heat those.
     ///
-    /// Returns `true` if the line was newly installed in the last shared
-    /// level (false if it was already present), so callers can budget by
-    /// distinct lines.
-    pub fn prewarm_line(&mut self, line: u64) -> bool {
-        let mut newly = false;
+    /// Must run on a fresh memory system, before any access.
+    pub fn prewarm_shared<I>(&mut self, lines_recent_first: I)
+    where
+        I: IntoIterator<Item = u64>,
+        I::IntoIter: Clone,
+    {
+        let lines = lines_recent_first.into_iter();
         for (cache, _) in &mut self.shared {
-            newly = cache.access(line) == AccessOutcome::Miss;
+            cache.fill_recent_first(lines.clone());
         }
-        newly
-    }
-
-    /// Clears statistics counters while keeping contents (used after
-    /// prewarming so reported hit/miss numbers only cover the measured
-    /// region).
-    pub fn reset_stats(&mut self) {
-        for (c, _) in &mut self.shared {
-            c.reset_counters();
-        }
-        for caches in &mut self.private {
-            for c in caches.iter_mut() {
-                c.reset_counters();
-            }
-        }
-        self.invalidations = 0;
-        self.dram_accesses = 0;
-        self.prefetches = 0;
-        self.queue_delay_cycles = 0;
-        self.contended_accesses = 0;
-        self.access_latency = Histogram::new();
     }
 
     /// Total capacity of the last shared level in lines (0 when none).

@@ -41,21 +41,33 @@ pub fn percentile(samples: &[f64], p: f64) -> Option<f64> {
 ///
 /// # Panics
 ///
-/// Panics if `p` is outside `0.0..=100.0`. An empty slice panics via index.
+/// Panics if `p` is outside `0.0..=100.0` or `sorted` is empty.
 pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
+    percentile_sorted_by(sorted.len(), p, |i| sorted[i])
+}
+
+/// Like [`percentile_sorted`] over `n` ascending values read through
+/// `value(rank)`, which is called only for the (at most two) ranks the
+/// interpolation needs — so callers holding the data in another ascending
+/// form (e.g. sorted integers) convert two values instead of all `n`.
+///
+/// # Panics
+///
+/// Panics if `p` is outside `0.0..=100.0` or `n == 0`.
+pub fn percentile_sorted_by(n: usize, p: f64, value: impl Fn(usize) -> f64) -> f64 {
     assert!((0.0..=100.0).contains(&p), "percentile {p} out of range");
-    let n = sorted.len();
+    assert!(n > 0, "percentile of no values");
     if n == 1 {
-        return sorted[0];
+        return value(0);
     }
     let rank = p / 100.0 * (n - 1) as f64;
     let lo = rank.floor() as usize;
     let hi = rank.ceil() as usize;
     if lo == hi {
-        sorted[lo]
+        value(lo)
     } else {
         let frac = rank - lo as f64;
-        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+        value(lo) * (1.0 - frac) + value(hi) * frac
     }
 }
 

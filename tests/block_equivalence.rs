@@ -418,3 +418,70 @@ fn recorded_traces_reproduce_the_procedural_run() {
         .run(&mut DetailedOnly);
     assert_identical(&replayed, &procedural, "recorded vs procedural");
 }
+
+/// Full-scale lazy-sampled goldens on the high-performance machine with 8
+/// workers, captured from the engine that prewarmed the last level by
+/// replaying every line through `access` and recomputed the distinct data
+/// regions on every run. Cholesky and n-body fit the last level (prewarm
+/// does its full work: every shared-level access hits), vector-operation
+/// does not (nothing is prewarmed, every shared access misses). The cells
+/// pin cycles, task and instruction counts, per-level cache counters and
+/// the task-latency percentiles.
+#[test]
+fn full_scale_sampled_runs_match_goldens() {
+    use taskpoint_repro::taskpoint::{TaskPointConfig, TaskPointController};
+    struct Golden {
+        bench: Benchmark,
+        cycles: u64,
+        /// (detailed tasks, fast tasks, detailed instructions, fast instructions)
+        work: (u64, u64, u64, u64),
+        invalidations: u64,
+        dram: u64,
+        /// (hits, misses) of each private level, then of each shared level.
+        private: [(u64, u64); 2],
+        shared: [(u64, u64); 1],
+        /// (count, p50, p99, p999) task latency in cycles.
+        latency: (u64, f64, f64, f64),
+    }
+    #[rustfmt::skip]
+    let goldens = [
+        Golden {
+            bench: Benchmark::Cholesky, cycles: 2_038_907,
+            work: (104, 19_496, 146_702, 28_845_745), invalidations: 0, dram: 0,
+            private: [(22_650, 1627), (0, 1627)], shared: [(1627, 0)],
+            latency: (19_600, 836.0, 849.0, 849.0),
+        },
+        Golden {
+            bench: Benchmark::Vecop, cycles: 4_581_780,
+            work: (46, 16_354, 68_540, 24_367_460), invalidations: 0, dram: 2209,
+            private: [(32_199, 2209), (0, 2209)], shared: [(0, 2209)],
+            latency: (16_400, 2235.0, 2235.0, 2235.0),
+        },
+        Golden {
+            bench: Benchmark::Nbody, cycles: 3_138_890,
+            work: (128, 24_872, 101_160, 23_898_201), invalidations: 161, dram: 0,
+            private: [(25_270, 11_918), (22, 11_896)], shared: [(11_896, 0)],
+            latency: (25_000, 931.5, 1854.0, 1856.0),
+        },
+    ];
+    let counters = |levels: &[taskpoint_repro::sim::LevelStats]| -> Vec<(u64, u64)> {
+        levels.iter().map(|s| (s.hits, s.misses)).collect()
+    };
+    for g in goldens {
+        let program = g.bench.generate(&ScaleConfig::new());
+        let r = Simulation::builder(&program, MachineConfig::high_performance())
+            .workers(8)
+            .build()
+            .run(&mut TaskPointController::new(TaskPointConfig::lazy()));
+        let what = format!("{}/full/high-perf/8t lazy", g.bench);
+        assert_eq!(r.total_cycles, g.cycles, "{what}: total_cycles");
+        let work = (r.detailed_tasks, r.fast_tasks, r.detailed_instructions, r.fast_instructions);
+        assert_eq!(work, g.work, "{what}: task and instruction counts");
+        assert_eq!(r.invalidations, g.invalidations, "{what}: invalidations");
+        assert_eq!(r.dram_accesses, g.dram, "{what}: dram_accesses");
+        assert_eq!(counters(&r.private_cache), g.private, "{what}: private cache counters");
+        assert_eq!(counters(&r.shared_cache), g.shared, "{what}: shared cache counters");
+        let l = &r.task_latency;
+        assert_eq!((l.count, l.p50, l.p99, l.p999), g.latency, "{what}: latency percentiles");
+    }
+}

@@ -210,7 +210,7 @@ proptest! {
         let mut queue: Vec<TaskInstanceId> = p.graph().roots();
         let mut done = 0;
         while let Some(t) = queue.pop() {
-            queue.extend(rs.complete(p.graph(), t));
+            rs.complete(p.graph(), t, |ready| queue.push(ready));
             done += 1;
         }
         prop_assert_eq!(done, p.num_instances());
