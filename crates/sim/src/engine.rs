@@ -1005,7 +1005,7 @@ impl<'p> SimulationBuilder<'p> {
         self
     }
 
-    /// Installs a trace provider (default: [`ProceduralTraces`], which
+    /// Installs a trace provider (default: [`struct@ProceduralTraces`], which
     /// regenerates every stream from its
     /// [`TraceSpec`](taskpoint_trace::TraceSpec)). Pass a
     /// [`RecordedTraces`](crate::traces::RecordedTraces) bundle to drive

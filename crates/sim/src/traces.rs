@@ -9,8 +9,10 @@
 //!
 //! Two providers ship:
 //!
-//! * [`ProceduralTraces`] (the default) — regenerates each stream from the
-//!   instance's [`TraceSpec`], the repository's stand-in for trace files;
+//! * [`ProceduralTraces`](struct@ProceduralTraces) (the default) —
+//!   regenerates each stream from the instance's [`TraceSpec`], the
+//!   repository's stand-in for trace files, drawing each task type's kind
+//!   sequence once per run;
 //! * [`RecordedTraces`] — replays pre-recorded streams in the
 //!   [`taskpoint_trace::encode`] binary format, falling back to
 //!   the procedural generator for tasks without a recording. This is how
@@ -25,7 +27,7 @@ use std::path::Path;
 use bytes::Bytes;
 use taskpoint_runtime::{Program, TaskInstanceId};
 use taskpoint_trace::encode::DecodeError;
-use taskpoint_trace::{encode, RecordedTrace, TraceSource, TraceSpec};
+use taskpoint_trace::{encode, KindColumns, RecordedTrace, TraceSource, TraceSpec};
 
 /// Hands the engine a [`TraceSource`] for each task instance it simulates
 /// in detail.
@@ -52,12 +54,26 @@ pub trait TraceProvider {
 
 /// The default provider: every stream is regenerated procedurally from the
 /// instance's [`TraceSpec`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ProceduralTraces;
+///
+/// The provider owns the run's [`KindColumns`]: the instances of a task
+/// type execute the same kind sequence, so it is drawn once per provider
+/// and every detailed instance copies its kinds from it. Install a fresh
+/// provider per simulation — the [`ProceduralTraces`](const@ProceduralTraces)
+/// constant is one — so the columns live and die with the run.
+#[derive(Debug, Default)]
+pub struct ProceduralTraces {
+    columns: KindColumns,
+}
+
+/// A fresh [`ProceduralTraces`](struct@ProceduralTraces) with no columns
+/// drawn yet. It shares the type's name, so `Box::new(ProceduralTraces)`
+/// installs a new provider, and with it a new column map, on every use.
+#[allow(non_upper_case_globals, clippy::declare_interior_mutable_const)]
+pub const ProceduralTraces: ProceduralTraces = ProceduralTraces { columns: KindColumns::new() };
 
 impl TraceProvider for ProceduralTraces {
     fn source(&self, _task: TaskInstanceId, spec: &TraceSpec) -> Box<dyn TraceSource> {
-        Box::new(spec.source())
+        Box::new(self.columns.source(spec))
     }
 
     fn source_send(
@@ -65,7 +81,7 @@ impl TraceProvider for ProceduralTraces {
         _task: TaskInstanceId,
         spec: &TraceSpec,
     ) -> Option<Box<dyn TraceSource + Send>> {
-        Some(Box::new(spec.source()))
+        Some(Box::new(self.columns.source(spec)))
     }
 }
 
@@ -113,14 +129,25 @@ const BUNDLE_MAGIC: &[u8; 8] = b"TPTRACE1";
 /// Streams are stored in the [`encode`] record format, validated on
 /// insertion, and keyed by task-instance id. Tasks without a recording
 /// fall back to the procedural generator, so partial recordings (e.g. only
-/// the hot task type) work. The bundle persists to a simple
+/// the hot task type) work; like [`struct@ProceduralTraces`], the fallback
+/// draws each task type's kinds once. The bundle persists to a simple
 /// length-prefixed container ([`RecordedTraces::write_to`]).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct RecordedTraces {
     /// Validated recordings, keyed by task id (ordered, so the on-disk
     /// layout is deterministic). Validation happens once here — handing a
     /// source to the engine is a clone, not a re-scan.
     per_task: BTreeMap<u64, RecordedTrace>,
+    /// Kind columns of the procedural fallback.
+    fallback: KindColumns,
+}
+
+/// A clone shares the recorded streams and starts with no fallback
+/// columns, so a bundle cloned per simulation keeps one column map per run.
+impl Clone for RecordedTraces {
+    fn clone(&self) -> Self {
+        Self { per_task: self.per_task.clone(), fallback: KindColumns::new() }
+    }
 }
 
 impl RecordedTraces {
@@ -277,7 +304,7 @@ impl TraceProvider for RecordedTraces {
             // Validated once at insert/load; handing out a source is a
             // clone of the pre-validated trace, not a re-scan.
             Some(trace) => Box::new(trace.clone()),
-            None => Box::new(spec.source()),
+            None => Box::new(self.fallback.source(spec)),
         }
     }
 
@@ -288,7 +315,7 @@ impl TraceProvider for RecordedTraces {
     ) -> Option<Box<dyn TraceSource + Send>> {
         match self.per_task.get(&task.0) {
             Some(trace) => Some(Box::new(trace.clone())),
-            None => Some(Box::new(spec.source())),
+            None => Some(Box::new(self.fallback.source(spec))),
         }
     }
 }
@@ -323,11 +350,24 @@ mod tests {
         let recorded = RecordedTraces::record_program(&p);
         assert_eq!(recorded.len(), 4);
         recorded.verify_against(&p).unwrap();
+        let procedural = ProceduralTraces;
         for inst in p.instances() {
             let from_recording = drain(recorded.source(inst.id(), inst.trace()));
-            let from_spec = drain(ProceduralTraces.source(inst.id(), inst.trace()));
+            let from_spec = drain(procedural.source(inst.id(), inst.trace()));
             assert_eq!(from_recording, from_spec, "task {}", inst.id());
         }
+        // All four instances share one type's code: one column served them.
+        assert_eq!(procedural.columns.len(), 1);
+    }
+
+    #[test]
+    fn bundle_clones_start_without_fallback_columns() {
+        let p = tiny_program(2);
+        let bundle = RecordedTraces::new();
+        let inst = &p.instances()[0];
+        drain(bundle.source(inst.id(), inst.trace()));
+        assert_eq!(bundle.fallback.len(), 1);
+        assert!(bundle.clone().fallback.is_empty());
     }
 
     #[test]

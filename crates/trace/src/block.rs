@@ -26,9 +26,9 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use crate::column::{self, SharedKindColumn};
 use crate::encode::DecodeError;
 use crate::inst::{InstKind, Instruction};
-use crate::mix::InstructionMix;
 use crate::pattern::AddressStream;
 use bytes::Bytes;
 use taskpoint_stats::rng::Xoshiro256pp;
@@ -215,29 +215,35 @@ pub trait TraceSource {
 /// The procedural trace generator behind a [`TraceSpec`](crate::TraceSpec),
 /// in batched form.
 ///
-/// Draws instruction kinds from the code RNG and addresses from the data
-/// RNG in exactly the per-instruction order the legacy iterator used, so a
-/// `SpecSource` and `spec.iter()` produce bit-identical streams.
+/// Copies instruction kinds out of a [`KindColumn`](crate::KindColumn) —
+/// the kind sequence all instances of the task type share, drawn from the
+/// code RNG — and draws addresses from the data RNG in exactly the
+/// per-instruction order the legacy iterator used, so a `SpecSource` and
+/// `spec.iter()` produce bit-identical streams. The column is private to the source when it
+/// comes from [`TraceSpec::source`](crate::TraceSpec::source) and shared
+/// with the type's other instances when it comes from
+/// [`KindColumns::source`](crate::KindColumns::source); the stream is the
+/// same either way.
 #[derive(Debug, Clone)]
 pub struct SpecSource {
     remaining: u64,
-    /// Drives the kind sequence — identical for all instances of a type.
-    code_rng: Xoshiro256pp,
+    /// The type's kind sequence (its "machine code").
+    kinds: SharedKindColumn,
+    /// Index of the next kind to copy out of `kinds`.
+    next_kind: usize,
     /// Drives data-dependent choices (addresses).
     data_rng: Xoshiro256pp,
     addresses: Option<AddressStream>,
-    mix: InstructionMix,
 }
 
 impl SpecSource {
     pub(crate) fn new(
         remaining: u64,
-        code_rng: Xoshiro256pp,
+        kinds: SharedKindColumn,
         data_rng: Xoshiro256pp,
         addresses: Option<AddressStream>,
-        mix: InstructionMix,
     ) -> Self {
-        Self { remaining, code_rng, data_rng, addresses, mix }
+        Self { remaining, kinds, next_kind: 0, data_rng, addresses }
     }
 
     /// Instructions left in the stream.
@@ -250,11 +256,9 @@ impl TraceSource for SpecSource {
     fn fill(&mut self, block: &mut InstBlock) -> usize {
         block.clear();
         let n = (block.capacity() as u64).min(self.remaining) as usize;
-        // Phase 1: the kind column (code RNG only — the "machine code"
-        // shared by all instances of the task type).
-        for _ in 0..n {
-            block.kinds.push(self.mix.sample(&mut self.code_rng));
-        }
+        // Phase 1: the kind column (code RNG only, drawn once per column).
+        column::lock(&self.kinds).copy_into(self.next_kind, n, &mut block.kinds);
+        self.next_kind += n;
         // Phase 2: the address/size columns (data RNG only). The phases
         // consume disjoint RNG streams, so splitting them preserves each
         // stream's draw order and the block equals the per-instruction
@@ -388,6 +392,7 @@ impl TraceSource for RecordedTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::column::KindColumns;
     use crate::encode::encode;
     use crate::mix::InstructionMix;
     use crate::pattern::{AccessPattern, ACCESS_SIZE};
@@ -505,22 +510,142 @@ mod tests {
             AccessPattern::PointerChase,
             AccessPattern::Stencil { planes: 3, plane_stride: 1024 },
         ];
+        // A power-of-two slot count and one that is not (the pointer
+        // chase reduces its hash by mask or by `%`).
+        let footprints =
+            [MemRegion::new(0x4000_0000, 1 << 16), MemRegion::new(0x4000_0000, 49_160)];
         for (i, pattern) in patterns.into_iter().enumerate() {
             for mix in [InstructionMix::balanced(), InstructionMix::atomic_heavy()] {
                 for shared in [MemRegion::empty(), MemRegion::new(0x9000_0000, 2048)] {
-                    let s = TraceSpec::builder()
-                        .seed(1000 + i as u64)
-                        .code_seed(7)
-                        .instructions(4000)
-                        .mix(mix.clone())
-                        .pattern(pattern)
-                        .footprint(MemRegion::new(0x4000_0000, 1 << 16))
-                        .shared(shared)
-                        .build();
-                    let got = drain(&mut s.source(), 100);
-                    assert_eq!(got, naive_stream(&s), "pattern {pattern:?} shared {shared:?}");
+                    for footprint in footprints {
+                        let s = TraceSpec::builder()
+                            .seed(1000 + i as u64)
+                            .code_seed(7)
+                            .instructions(4000)
+                            .mix(mix.clone())
+                            .pattern(pattern)
+                            .footprint(footprint)
+                            .shared(shared)
+                            .build();
+                        let got = drain(&mut s.source(), 100);
+                        assert_eq!(
+                            got,
+                            naive_stream(&s),
+                            "pattern {pattern:?} shared {shared:?} footprint {footprint:?}"
+                        );
+                    }
                 }
             }
+        }
+    }
+
+    /// Specs of one task type: same code seed and mix, different data
+    /// seeds, patterns and lengths.
+    fn one_type(code_seed: u64, mix: &InstructionMix) -> Vec<TraceSpec> {
+        let patterns =
+            [AccessPattern::PointerChase, AccessPattern::Random, AccessPattern::sequential(8)];
+        (0..3u64)
+            .map(|i| {
+                TraceSpec::builder()
+                    .seed(500 + i)
+                    .code_seed(code_seed)
+                    .instructions(900 + 650 * i)
+                    .mix(mix.clone())
+                    .pattern(patterns[i as usize])
+                    .footprint(MemRegion::new(0x4000_0000, 1 << 16))
+                    .build()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sources_sharing_a_column_match_per_instruction_algorithm_in_any_fill_order() {
+        let specs = one_type(11, &InstructionMix::irregular_int());
+        // Round-robin, reversed, and one source drained before the others.
+        let orders: [&[usize]; 3] = [&[0, 1, 2], &[2, 1, 0], &[1, 1, 1, 1, 1, 1, 1, 0, 2]];
+        for capacity in [1, 7, BLOCK_CAPACITY] {
+            for order in orders {
+                let columns = KindColumns::new();
+                let mut sources: Vec<SpecSource> =
+                    specs.iter().map(|s| columns.source(s)).collect();
+                let mut got = vec![Vec::new(); specs.len()];
+                let mut block = InstBlock::with_capacity(capacity);
+                while sources.iter().any(|s| s.remaining() > 0) {
+                    for &i in order {
+                        if sources[i].fill(&mut block) > 0 {
+                            got[i].extend(block.iter());
+                        }
+                    }
+                }
+                assert_eq!(columns.len(), 1, "one task type, one column");
+                for (s, stream) in specs.iter().zip(&got) {
+                    assert_eq!(*stream, naive_stream(s), "capacity {capacity}, order {order:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn specs_differing_in_code_seed_or_mix_never_share_a_column() {
+        let columns = KindColumns::new();
+        let mut specs = one_type(1, &InstructionMix::balanced());
+        specs.extend(one_type(2, &InstructionMix::balanced()));
+        specs.extend(one_type(1, &InstructionMix::irregular_int()));
+        for s in &specs {
+            assert_eq!(drain(&mut columns.source(s), 64), naive_stream(s));
+        }
+        assert_eq!(columns.len(), 3);
+        // Interleaving types does not mix their columns up either.
+        let interleaved = KindColumns::new();
+        let mut sources: Vec<SpecSource> =
+            specs.iter().rev().map(|s| interleaved.source(s)).collect();
+        let mut block = InstBlock::with_capacity(7);
+        let mut got = vec![Vec::new(); specs.len()];
+        while sources.iter().any(|s| s.remaining() > 0) {
+            for (i, src) in sources.iter_mut().enumerate() {
+                src.fill(&mut block);
+                got[i].extend(block.iter());
+            }
+        }
+        for (s, stream) in specs.iter().rev().zip(&got) {
+            assert_eq!(*stream, naive_stream(s));
+        }
+        assert_eq!(interleaved.len(), 3);
+    }
+
+    #[test]
+    fn standalone_spec_source_yields_the_pinned_streams() {
+        // FNV-1a of the encoded streams, captured before kinds were drawn
+        // into columns: a private column must not move a bit.
+        let fnv = |bytes: &[u8]| {
+            bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+            })
+        };
+        let cases = [
+            (AccessPattern::PointerChase, InstructionMix::irregular_int(), 0xd252_1129_91f9_8fd6),
+            (
+                AccessPattern::Gather { hot_probability: 0.7, hot_fraction: 0.05 },
+                InstructionMix::compute_bound(),
+                0x633d_1660_3f4d_6e1a,
+            ),
+            (AccessPattern::sequential(8), InstructionMix::atomic_heavy(), 0x9848_2ac6_a369_8eca),
+        ];
+        for (i, (pattern, mix, golden)) in cases.into_iter().enumerate() {
+            let shared =
+                if i == 2 { MemRegion::new(0x9000_0000, 4096) } else { MemRegion::empty() };
+            let s = TraceSpec::builder()
+                .seed(0xC0FFEE + i as u64)
+                .code_seed(0xBEEF)
+                .instructions(20_000)
+                .mix(mix)
+                .pattern(pattern)
+                .footprint(MemRegion::new(0x4000_0000, 1 << 20))
+                .shared(shared)
+                .build();
+            let stream = drain(&mut s.source(), BLOCK_CAPACITY);
+            assert_eq!(stream, naive_stream(&s), "{pattern:?}");
+            assert_eq!(fnv(encode(stream).as_ref()), golden, "{pattern:?}");
         }
     }
 

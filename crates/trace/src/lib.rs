@@ -12,7 +12,10 @@
 //! * [`TraceSpec::source`] regenerates the *identical* concrete instruction
 //!   stream on every call (seeded xoshiro256++), which is exactly the
 //!   property a trace file has: the detailed simulation and the sampled
-//!   simulation of the same program observe the same instructions.
+//!   simulation of the same program observe the same instructions;
+//! * a [`KindColumns`] map draws the kind sequence every instance of a
+//!   task type shares once per `(code_seed, mix)` ([`mod@column`]), and hands
+//!   out sources that copy their kinds from it.
 //!
 //! Streams are produced in batches: a [`TraceSource`] refills a
 //! structure-of-arrays [`InstBlock`] ([`block`]), which the simulator's
@@ -50,6 +53,7 @@
 #![warn(missing_docs)]
 
 pub mod block;
+pub mod column;
 pub mod encode;
 pub mod ingest;
 pub mod inst;
@@ -59,6 +63,7 @@ pub mod region;
 pub mod spec;
 
 pub use block::{InstBlock, RecordedTrace, SpecSource, TraceSource, BLOCK_CAPACITY};
+pub use column::{KindColumn, KindColumns};
 pub use ingest::{IngestError, IngestedTask, IngestedTrace, IngestedType};
 pub use inst::{InstKind, Instruction};
 pub use mix::InstructionMix;

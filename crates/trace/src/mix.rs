@@ -56,6 +56,12 @@ impl InstructionMix {
             + self.probability(InstKind::Atomic)
     }
 
+    /// The cumulative distribution's bit patterns. Mixes with equal bits
+    /// draw identical kind sequences from identical RNG streams.
+    pub(crate) fn cumulative_bits(&self) -> [u64; 11] {
+        self.cumulative.map(f64::to_bits)
+    }
+
     /// Draws one instruction kind.
     pub fn sample(&self, rng: &mut Xoshiro256pp) -> InstKind {
         let x = rng.next_f64();

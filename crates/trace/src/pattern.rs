@@ -223,8 +223,34 @@ impl AddressStream {
                     }
                 }
             }
-            // Multi-stream and stateful walks: per-access generation, but
-            // the pattern dispatch still happens once per block.
+            AccessPattern::Gather { hot_probability, hot_fraction } => {
+                let (hot_slots, all_slots) = self.gather_slots(hot_fraction);
+                let p = hot_probability.clamp(0.0, 1.0);
+                let base = self.footprint.base;
+                for &kind in kinds {
+                    if kind.is_memory() {
+                        // `next_bool(p)`, then a slot of the chosen range.
+                        let slots = if rng.next_f64() < p { hot_slots } else { all_slots };
+                        addrs.push(base + rng.next_below(slots) * ACCESS_SIZE as u64);
+                        sizes.push(ACCESS_SIZE);
+                    } else {
+                        addrs.push(0);
+                        sizes.push(0);
+                    }
+                }
+            }
+            AccessPattern::PointerChase => {
+                let slots = (self.footprint.len / ACCESS_SIZE as u64).max(1);
+                // A power-of-two slot count (freqmine's tree) reduces the
+                // hash with a mask, which equals `%` for those counts.
+                if slots.is_power_of_two() {
+                    self.chase(kinds, addrs, sizes, |h| h & (slots - 1));
+                } else {
+                    self.chase(kinds, addrs, sizes, |h| h % slots);
+                }
+            }
+            // Multi-stream walks: per-access generation, but the pattern
+            // dispatch still happens once per block.
             _ => {
                 for &kind in kinds {
                     if kind.is_memory() {
@@ -237,6 +263,47 @@ impl AddressStream {
                 }
             }
         }
+    }
+
+    /// Slot counts of a gather's hot subset and of the whole footprint.
+    fn gather_slots(&self, hot_fraction: f64) -> (u64, u64) {
+        let hot_len = ((self.footprint.len as f64 * hot_fraction) as u64)
+            .clamp(ACCESS_SIZE as u64, self.footprint.len);
+        let slots = |len: u64| (len / ACCESS_SIZE as u64).max(1);
+        (slots(hot_len), slots(self.footprint.len))
+    }
+
+    /// The next slot of a pointer chase after `cursor`, before reduction
+    /// to the slot count.
+    fn chase_hash(cursor: u64) -> u64 {
+        // Mix the previous cursor into the next slot index: a
+        // deterministic dependent chain with no spatial locality.
+        let mut st = cursor ^ 0xA076_1D64_78BD_642F;
+        taskpoint_stats::rng::splitmix64(&mut st)
+    }
+
+    /// The pointer-chase walk over a kind column, reducing each hash to a
+    /// slot with `reduce`.
+    fn chase(
+        &mut self,
+        kinds: &[InstKind],
+        addrs: &mut Vec<u64>,
+        sizes: &mut Vec<u8>,
+        reduce: impl Fn(u64) -> u64,
+    ) {
+        let base = self.footprint.base;
+        let mut cursor = self.offsets[0];
+        for &kind in kinds {
+            if kind.is_memory() {
+                cursor = reduce(Self::chase_hash(cursor));
+                addrs.push(base + cursor * ACCESS_SIZE as u64);
+                sizes.push(ACCESS_SIZE);
+            } else {
+                addrs.push(0);
+                sizes.push(0);
+            }
+        }
+        self.offsets[0] = cursor;
     }
 
     /// Produces the next effective address for an instruction of `kind`.
@@ -269,19 +336,13 @@ impl AddressStream {
                 self.footprint.base + rng.next_below(slots) * ACCESS_SIZE as u64
             }
             AccessPattern::Gather { hot_probability, hot_fraction } => {
-                let hot_len = ((self.footprint.len as f64 * hot_fraction) as u64)
-                    .clamp(ACCESS_SIZE as u64, self.footprint.len);
-                let region_len =
-                    if rng.next_bool(hot_probability) { hot_len } else { self.footprint.len };
-                let slots = (region_len / ACCESS_SIZE as u64).max(1);
+                let (hot_slots, all_slots) = self.gather_slots(hot_fraction);
+                let slots = if rng.next_bool(hot_probability) { hot_slots } else { all_slots };
                 self.footprint.base + rng.next_below(slots) * ACCESS_SIZE as u64
             }
             AccessPattern::PointerChase => {
-                // Mix the previous cursor into the next slot index: a
-                // deterministic dependent chain with no spatial locality.
                 let slots = (self.footprint.len / ACCESS_SIZE as u64).max(1);
-                let mut st = self.offsets[0] ^ 0xA076_1D64_78BD_642F;
-                let next = taskpoint_stats::rng::splitmix64(&mut st) % slots;
+                let next = Self::chase_hash(self.offsets[0]) % slots;
                 self.offsets[0] = next;
                 self.footprint.base + next * ACCESS_SIZE as u64
             }

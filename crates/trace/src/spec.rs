@@ -1,6 +1,7 @@
 //! Trace specifications — the procedural stand-in for recorded task traces.
 
 use crate::block::{InstBlock, SpecSource, TraceSource};
+use crate::column::{KindColumn, SharedKindColumn};
 use crate::inst::Instruction;
 use crate::mix::InstructionMix;
 use crate::pattern::{AccessPattern, AddressStream};
@@ -136,18 +137,23 @@ impl TraceSpec {
     /// stream — the batched producer the simulator's detailed hot path
     /// consumes. Each call restarts from the beginning and yields the
     /// identical sequence.
+    ///
+    /// The source draws its kinds into a column of its own, which holds
+    /// one byte per instruction read. Sources of many instances of a type
+    /// should come from one [`KindColumns`](crate::KindColumns) map
+    /// instead, which draws the type's kinds once for all of them.
     pub fn source(&self) -> SpecSource {
+        self.source_over(KindColumn::shared(self))
+    }
+
+    /// A fresh source whose kinds come from `kinds`, which must be a
+    /// column over this spec's code seed and mix.
+    pub(crate) fn source_over(&self, kinds: SharedKindColumn) -> SpecSource {
         // Pure-compute specs may have an empty footprint; they never emit
         // memory instructions (enforced in `build`), so no stream is needed.
         let addresses = (!self.footprint.is_empty())
             .then(|| AddressStream::new(self.pattern, self.footprint, self.shared, self.seed));
-        SpecSource::new(
-            self.instructions,
-            Xoshiro256pp::seed_from_u64(self.code_seed),
-            Xoshiro256pp::seed_from_u64(self.seed),
-            addresses,
-            self.mix.clone(),
-        )
+        SpecSource::new(self.instructions, kinds, Xoshiro256pp::seed_from_u64(self.seed), addresses)
     }
 
     /// Iterates the concrete instruction stream. Each call restarts from the

@@ -253,12 +253,13 @@ impl TraceSource for BlockingSource {
 }
 
 struct BlockingProvider {
+    inner: ProceduralTraces,
     state: Arc<OverlapProbe>,
 }
 
 impl TraceProvider for BlockingProvider {
     fn source(&self, task: TaskInstanceId, spec: &TraceSpec) -> Box<dyn TraceSource> {
-        ProceduralTraces.source(task, spec)
+        self.inner.source(task, spec)
     }
 
     fn source_send(
@@ -267,7 +268,7 @@ impl TraceProvider for BlockingProvider {
         spec: &TraceSpec,
     ) -> Option<Box<dyn TraceSource + Send>> {
         Some(Box::new(BlockingSource {
-            inner: ProceduralTraces.source_send(task, spec)?,
+            inner: self.inner.source_send(task, spec)?,
             state: Arc::clone(&self.state),
             waited: false,
         }))
@@ -285,7 +286,7 @@ fn speculative_wave_members_overlap_on_host_threads() {
         .detail_threads(2)
         .parallel_min_task_instructions(500)
         .collect_reports(true)
-        .traces(Box::new(BlockingProvider { state: Arc::clone(&state) }))
+        .traces(Box::new(BlockingProvider { inner: ProceduralTraces, state: Arc::clone(&state) }))
         .build()
         .run(&mut DetailedOnly);
     assert!(
