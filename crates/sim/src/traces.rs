@@ -59,7 +59,9 @@ pub trait TraceProvider {
 /// type execute the same kind sequence, so it is drawn once per provider
 /// and every detailed instance copies its kinds from it. Install a fresh
 /// provider per simulation — the [`ProceduralTraces`](const@ProceduralTraces)
-/// constant is one — so the columns live and die with the run.
+/// constant is one — so the columns live and die with the run. Its memory
+/// grows with the number of distinct `(code_seed, mix)` pairs run in
+/// detail (see [`KindColumns`]).
 #[derive(Debug, Default)]
 pub struct ProceduralTraces {
     columns: KindColumns,
@@ -129,25 +131,14 @@ const BUNDLE_MAGIC: &[u8; 8] = b"TPTRACE1";
 /// Streams are stored in the [`encode`] record format, validated on
 /// insertion, and keyed by task-instance id. Tasks without a recording
 /// fall back to the procedural generator, so partial recordings (e.g. only
-/// the hot task type) work; like [`struct@ProceduralTraces`], the fallback
-/// draws each task type's kinds once. The bundle persists to a simple
+/// the hot task type) work. The bundle persists to a simple
 /// length-prefixed container ([`RecordedTraces::write_to`]).
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct RecordedTraces {
     /// Validated recordings, keyed by task id (ordered, so the on-disk
     /// layout is deterministic). Validation happens once here — handing a
     /// source to the engine is a clone, not a re-scan.
     per_task: BTreeMap<u64, RecordedTrace>,
-    /// Kind columns of the procedural fallback.
-    fallback: KindColumns,
-}
-
-/// A clone shares the recorded streams and starts with no fallback
-/// columns, so a bundle cloned per simulation keeps one column map per run.
-impl Clone for RecordedTraces {
-    fn clone(&self) -> Self {
-        Self { per_task: self.per_task.clone(), fallback: KindColumns::new() }
-    }
 }
 
 impl RecordedTraces {
@@ -304,7 +295,7 @@ impl TraceProvider for RecordedTraces {
             // Validated once at insert/load; handing out a source is a
             // clone of the pre-validated trace, not a re-scan.
             Some(trace) => Box::new(trace.clone()),
-            None => Box::new(self.fallback.source(spec)),
+            None => Box::new(spec.source()),
         }
     }
 
@@ -315,7 +306,7 @@ impl TraceProvider for RecordedTraces {
     ) -> Option<Box<dyn TraceSource + Send>> {
         match self.per_task.get(&task.0) {
             Some(trace) => Some(Box::new(trace.clone())),
-            None => Some(Box::new(self.fallback.source(spec))),
+            None => Some(Box::new(spec.source())),
         }
     }
 }
@@ -358,16 +349,6 @@ mod tests {
         }
         // All four instances share one type's code: one column served them.
         assert_eq!(procedural.columns.len(), 1);
-    }
-
-    #[test]
-    fn bundle_clones_start_without_fallback_columns() {
-        let p = tiny_program(2);
-        let bundle = RecordedTraces::new();
-        let inst = &p.instances()[0];
-        drain(bundle.source(inst.id(), inst.trace()));
-        assert_eq!(bundle.fallback.len(), 1);
-        assert!(bundle.clone().fallback.is_empty());
     }
 
     #[test]

@@ -86,7 +86,11 @@ pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// Columns are created when the first source of their type is asked for,
 /// never up front, and live as long as the map: a trace provider owns one
 /// map per run, so the kinds drawn for a run are dropped with it. A column
-/// holds one byte per kind of the longest stream read from it.
+/// holds one byte per kind of the longest stream read from it, and no
+/// column is dropped before the map: the map's memory grows with the
+/// number of distinct `(code_seed, mix)` pairs read from it. A program
+/// that gives every instance its own code seed shares nothing and keeps
+/// the kinds of every stream read for the whole run.
 #[derive(Default)]
 pub struct KindColumns {
     columns: Mutex<BTreeMap<(u64, [u64; 11]), SharedKindColumn>>,

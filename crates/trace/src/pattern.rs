@@ -225,12 +225,11 @@ impl AddressStream {
             }
             AccessPattern::Gather { hot_probability, hot_fraction } => {
                 let (hot_slots, all_slots) = self.gather_slots(hot_fraction);
-                let p = hot_probability.clamp(0.0, 1.0);
                 let base = self.footprint.base;
                 for &kind in kinds {
                     if kind.is_memory() {
-                        // `next_bool(p)`, then a slot of the chosen range.
-                        let slots = if rng.next_f64() < p { hot_slots } else { all_slots };
+                        let slots =
+                            if rng.next_bool(hot_probability) { hot_slots } else { all_slots };
                         addrs.push(base + rng.next_below(slots) * ACCESS_SIZE as u64);
                         sizes.push(ACCESS_SIZE);
                     } else {

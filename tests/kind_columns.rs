@@ -20,9 +20,8 @@ use taskpoint_repro::taskpoint::{TaskPointConfig, TaskPointController};
 use taskpoint_repro::trace::{InstructionMix, KindColumn};
 use taskpoint_repro::workloads::{Benchmark, ScaleConfig};
 
-/// Runs `program` on the high-performance machine with 8 workers and
-/// reports on; returns the result and the kinds the
-/// run drew.
+/// Runs `program` on the high-performance machine with 8 workers, with task
+/// reports on; returns the result and the number of kinds the run drew.
 fn run_counting<C: ModeController>(program: &Program, controller: &mut C) -> (SimResult, u64) {
     let before = KindColumn::kinds_drawn();
     let result = Simulation::builder(program, MachineConfig::high_performance())
