@@ -19,7 +19,7 @@
 //! list ([`StratifiedController::prime`]), so the allocator sees exact
 //! `N_h` values and unit ids are assigned in instance-creation order —
 //! independent of execution interleaving, which keeps reports
-//! byte-identical across worker and detail-thread counts.
+//! byte-identical across worker counts.
 //!
 //! Convergence is concurrency-banded exactly like the adaptive
 //! controller's: a converged stratum whose live concurrency shifts into a

@@ -17,7 +17,7 @@
 //!
 //! Top-level keys, all present unless noted: `schema_version` (2), `id`,
 //! `date` (UTC civil date), `change` (only with `--note`), `method`,
-//! `bench`, `workers`, `detail_threads`, `scale`, `scale_seed`,
+//! `bench`, `workers`, `detail_threads` (always 1), `scale`, `scale_seed`,
 //! `probe_detailed_throughput_minstr_per_sec` (`{runs, min, median,
 //! max}`, aggregates omitted when no run produced detailed
 //! instructions), and `sampled` (`{lazy, periodic}`, each
@@ -146,10 +146,6 @@ fn main() {
     let args = parse_args();
     let ProbeArgs { bench, workers, runs, .. } = args;
     let scale = RunScale::from_env_or_exit();
-    // The reference runs below go through `run_reference`, which applies
-    // this same env override; read it here so the record says how the
-    // numbers were produced.
-    let detail_threads = tasksim::detail_threads_from_env();
     let h = Harness::new(scale.scale_config());
     let machine = MachineConfig::high_performance();
     let t0 = std::time::Instant::now();
@@ -168,21 +164,12 @@ fn main() {
     }
     let reference = reference.expect("at least one reference run");
     println!(
-        "{bench} @{workers}t reference ({detail_threads} detail thread{}): {} cycles, \
-         {:.2}s wall, {} tasks, {:.1}M instr",
-        if detail_threads == 1 { "" } else { "s" },
+        "{bench} @{workers}t reference: {} cycles, {:.2}s wall, {} tasks, {:.1}M instr",
         reference.total_cycles,
         reference.wall_seconds,
         reference.detailed_tasks,
         reference.total_instructions() as f64 / 1e6
     );
-    let epochs = reference.parallel_epochs;
-    if epochs.committed + epochs.aborted > 0 {
-        println!(
-            "  speculative epochs: {} committed / {} aborted",
-            epochs.committed, epochs.aborted
-        );
-    }
     if throughputs_minstr.is_empty() {
         println!("  detailed-mode throughput: n/a");
     } else {
@@ -233,16 +220,16 @@ fn main() {
         doc.set(
             "method",
             Value::Str(format!(
-                "TASKPOINT_SCALE={} TASKPOINT_DETAIL_THREADS={detail_threads} cargo run \
-                 --release -p taskpoint-bench --bin probe -- {bench} {workers} --runs {runs} \
-                 (high-performance machine, fresh reference simulations; cached cells never \
-                 feed the throughput spread)",
+                "TASKPOINT_SCALE={} cargo run --release -p taskpoint-bench --bin probe -- \
+                 {bench} {workers} --runs {runs} (high-performance machine, fresh reference \
+                 simulations; cached cells never feed the throughput spread)",
                 scale.name()
             )),
         );
         doc.set("bench", Value::Str(bench.name().to_string()));
         doc.set("workers", Value::Num(f64::from(workers)));
-        doc.set("detail_threads", Value::Num(detail_threads as f64));
+        // Detailed execution is sequential; the closed schema keeps the key.
+        doc.set("detail_threads", Value::Num(1.0));
         doc.set("scale", Value::Str(scale.name().to_string()));
         doc.set("scale_seed", Value::Num(h.scale().seed as f64));
         let mut tp = Object::new();

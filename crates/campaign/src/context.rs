@@ -118,7 +118,6 @@ fn reference_result_from_stored(stored: &StoredCell, workers: u32) -> SimResult 
         shared_cache: Vec::new(),
         workers,
         groups,
-        parallel_epochs: Default::default(),
         // Stall attribution is not reconstructible from the flat summed
         // keys; the stub carries no accounts (callers treat that as "no
         // accounting data", same as a pre-v5 record).
@@ -417,7 +416,6 @@ impl Context {
                 let program = self.program(spec.bench, &spec.scale);
                 let mut builder = Simulation::builder(&program, spec.machine.clone())
                     .workers(spec.workers)
-                    .detail_threads(tasksim::detail_threads_from_env())
                     .collect_reports(true)
                     .telemetry(telemetry.clone());
                 builder = builder.traces(self.provider(spec.bench));

@@ -97,7 +97,6 @@ pub fn run_adaptive_observed(
         AdaptiveController::new(adaptive_config(&config)).with_telemetry(telemetry.clone());
     let result = Simulation::builder(program, machine)
         .workers(workers)
-        .detail_threads(tasksim::detail_threads_from_env())
         .traces(traces)
         .telemetry(telemetry)
         .build()
@@ -163,7 +162,6 @@ pub fn run_clustered_adaptive_observed(
     controller.set_telemetry(telemetry.clone());
     let result = Simulation::builder(program, machine)
         .workers(workers)
-        .detail_threads(tasksim::detail_threads_from_env())
         .traces(traces)
         .telemetry(telemetry)
         .build()

@@ -170,7 +170,6 @@ pub fn run_clustered_observed(
     let mut controller = ClusteredController::new(config, granularity);
     let result = tasksim::Simulation::builder(program, machine)
         .workers(workers)
-        .detail_threads(tasksim::detail_threads_from_env())
         .traces(traces)
         .telemetry(telemetry)
         .build()

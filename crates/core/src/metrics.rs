@@ -67,7 +67,6 @@ mod tests {
             shared_cache: vec![],
             workers: 1,
             groups: vec![],
-            parallel_epochs: Default::default(),
             cycle_accounts: vec![],
             task_latency: Default::default(),
         }

@@ -51,7 +51,6 @@ pub fn run_reference_observed(
 ) -> SimResult {
     Simulation::builder(program, machine)
         .workers(workers)
-        .detail_threads(tasksim::detail_threads_from_env())
         .traces(traces)
         .telemetry(telemetry)
         .build()
@@ -113,7 +112,6 @@ pub fn run_sampled_observed(
     let mut controller = TaskPointController::new(config);
     let result = Simulation::builder(program, machine)
         .workers(workers)
-        .detail_threads(tasksim::detail_threads_from_env())
         .traces(traces)
         .telemetry(telemetry)
         .build()

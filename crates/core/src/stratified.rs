@@ -15,8 +15,7 @@
 //!
 //! The controller is primed with the program's instance list before the
 //! run, so stratum ids and sizes are fixed in instance-creation order and
-//! the resulting [`AccuracyReport`] is identical across worker and
-//! detail-thread counts.
+//! the resulting [`AccuracyReport`] is identical across worker counts.
 
 use taskpoint_accuracy::{AccuracyReport, StratifiedController};
 use taskpoint_runtime::Program;
@@ -109,7 +108,6 @@ pub fn run_stratified_observed(
     controller.prime(program.instances().iter().map(|i| (i.type_id(), i.instructions())));
     let result = Simulation::builder(program, machine)
         .workers(workers)
-        .detail_threads(tasksim::detail_threads_from_env())
         .traces(traces)
         .telemetry(telemetry)
         .build()

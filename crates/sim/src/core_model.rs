@@ -16,14 +16,13 @@
 //! * **in-order commit** — at most `commit_width` instructions commit per
 //!   cycle, in program order, after completing execution.
 //!
-//! Loads get their completion latency from the
-//! [`MemorySystem`](crate::hierarchy::MemorySystem); everything
-//! else uses the configured latency table. The model keeps fractional-cycle
-//! bookkeeping with integer *ticks* (`1 tick = 1/width` cycles) so it is
-//! exact and fast.
+//! Loads get their completion latency from the [`MemorySystem`];
+//! everything else uses the configured latency table. The model keeps
+//! fractional-cycle bookkeeping with integer *ticks* (`1 tick = 1/width`
+//! cycles) so it is exact and fast.
 
 use crate::config::CoreConfig;
-use crate::hierarchy::MemPort;
+use crate::hierarchy::MemorySystem;
 use taskpoint_stats::rng::Xoshiro256pp;
 use taskpoint_trace::{InstBlock, InstKind, Instruction};
 
@@ -198,8 +197,7 @@ impl RobCore {
 
     /// Drains the pipeline and restarts the clocks at `start` — called at
     /// every task boundary (tasks never share pipeline state; caches, which
-    /// live in the [`MemorySystem`](crate::hierarchy::MemorySystem), do
-    /// persist across tasks).
+    /// live in the [`MemorySystem`], do persist across tasks).
     pub fn reset(&mut self, start: u64) {
         self.commit_ring.fill(start);
         self.class_ring.fill(SLOT_COMPUTE);
@@ -255,12 +253,12 @@ impl RobCore {
     /// Executes one trace instruction on core `core_id`; returns its commit
     /// cycle. `rng` must be the task instance's private stream so replays
     /// are identical in every simulation mode.
-    pub fn execute<M: MemPort>(
+    pub fn execute(
         &mut self,
         core_id: u32,
         inst: &Instruction,
         params: TaskParams,
-        mem: &mut M,
+        mem: &mut MemorySystem,
         data_rng: &mut Xoshiro256pp,
         code_rng: &mut Xoshiro256pp,
     ) -> u64 {
@@ -290,14 +288,14 @@ impl RobCore {
     // them into a context struct would just move the argument count into
     // every caller.
     #[allow(clippy::too_many_arguments)]
-    pub fn execute_block<M: MemPort>(
+    pub fn execute_block(
         &mut self,
         core_id: u32,
         block: &InstBlock,
         from: usize,
         chunk_end: u64,
         params: TaskParams,
-        mem: &mut M,
+        mem: &mut MemorySystem,
         data_rng: &mut Xoshiro256pp,
         code_rng: &mut Xoshiro256pp,
     ) -> usize {
@@ -330,14 +328,19 @@ impl RobCore {
     /// commit cycle and whether dispatch *jumped* (a stall moved the
     /// dispatch clock by more than its own issue slot) — the signal the
     /// block walk uses to re-derive its chunk-boundary run length.
+    ///
+    /// Forced inline: with two callers LLVM keeps it out of line, and a
+    /// call per instruction cost about 9% of detailed throughput
+    /// (full-scale cholesky reference, 2-vCPU x86-64 host).
     #[allow(clippy::too_many_arguments)] // see execute_block
-    fn step<M: MemPort>(
+    #[inline(always)]
+    fn step(
         &mut self,
         core_id: u32,
         kind: InstKind,
         addr: u64,
         params: TaskParams,
-        mem: &mut M,
+        mem: &mut MemorySystem,
         data_rng: &mut Xoshiro256pp,
         code_rng: &mut Xoshiro256pp,
     ) -> (u64, bool) {

@@ -60,29 +60,6 @@ use crate::traces::{ProceduralTraces, TraceProvider};
 /// identical in every run and mode.
 pub(crate) const PIPELINE_RNG_SALT: u64 = 0xC0DE_0001;
 
-/// Default floor (in instructions) below which a detailed task is not worth
-/// speculating on a parallel worker: shard forking and replay validation
-/// cost more than simply executing it in line.
-pub(crate) const PARALLEL_MIN_TASK_INSTRUCTIONS: u64 = 20_000;
-
-/// Reads the `TASKPOINT_DETAIL_THREADS` environment override for
-/// [`SimulationBuilder::detail_threads`]; returns 1 (the sequential
-/// engine) when unset.
-///
-/// # Panics
-///
-/// Panics on a value that is not an integer in `1..=64` — a misspelled
-/// override silently running sequentially would invalidate benchmarks.
-pub fn detail_threads_from_env() -> usize {
-    match std::env::var("TASKPOINT_DETAIL_THREADS") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) if (1..=64).contains(&n) => n,
-            _ => panic!("TASKPOINT_DETAIL_THREADS must be an integer in 1..=64, got {v:?}"),
-        },
-        Err(_) => 1,
-    }
-}
-
 /// A configured simulation, ready to [`run`](Simulation::run).
 pub struct Simulation<'p> {
     program: &'p Program,
@@ -95,8 +72,6 @@ pub struct Simulation<'p> {
     traces: Box<dyn TraceProvider>,
     block_capacity: usize,
     telemetry: Telemetry,
-    detail_threads: usize,
-    parallel_min_task_instructions: u64,
 }
 
 /// Builder for [`Simulation`].
@@ -111,8 +86,6 @@ pub struct SimulationBuilder<'p> {
     traces: Option<Box<dyn TraceProvider>>,
     block_capacity: usize,
     telemetry: Telemetry,
-    detail_threads: usize,
-    parallel_min_task_instructions: u64,
 }
 
 impl<'p> Simulation<'p> {
@@ -129,8 +102,6 @@ impl<'p> Simulation<'p> {
             traces: None,
             block_capacity: BLOCK_CAPACITY,
             telemetry: Telemetry::disabled(),
-            detail_threads: 1,
-            parallel_min_task_instructions: PARALLEL_MIN_TASK_INSTRUCTIONS,
         }
     }
 
@@ -166,14 +137,7 @@ impl<'p> Simulation<'p> {
             traces,
             block_capacity,
             telemetry: _,
-            detail_threads,
-            parallel_min_task_instructions,
         } = self;
-        let parallel = crate::parallel::ParallelState::new(
-            detail_threads,
-            parallel_min_task_instructions,
-            &machine,
-        );
         let wall_start = Instant::now();
         let mut mem = MemorySystem::new(&machine, num_workers);
         if prewarm {
@@ -266,8 +230,6 @@ impl<'p> Simulation<'p> {
             cycle_accounts,
             latencies: Vec::new(),
             sink,
-            completed: vec![false; program.num_instances()],
-            parallel,
         };
         if engine.sink.enabled() {
             for ty in program.types() {
@@ -309,10 +271,6 @@ impl<'p> Simulation<'p> {
                 .collect(),
             workers: num_workers,
             groups: engine.group_stats,
-            parallel_epochs: crate::report::ParallelEpochs {
-                committed: engine.parallel.epochs_committed,
-                aborted: engine.parallel.epochs_aborted,
-            },
             cycle_accounts: engine.cycle_accounts,
             task_latency,
         }
@@ -320,48 +278,41 @@ impl<'p> Simulation<'p> {
 }
 
 /// Live state of a run (separated from `Simulation` so borrows stay local).
-/// Crate-visible so the [`parallel`](crate::parallel) module can implement
-/// the speculative-epoch logic on it.
-pub(crate) struct Engine<'p, S: Sink> {
-    pub(crate) program: &'p Program,
-    pub(crate) mem: MemorySystem,
-    pub(crate) components: Vec<CoreComponent>,
-    pub(crate) scheduler: Box<dyn Scheduler>,
-    pub(crate) ready_set: ReadySet,
+struct Engine<'p, S: Sink> {
+    program: &'p Program,
+    mem: MemorySystem,
+    components: Vec<CoreComponent>,
+    scheduler: Box<dyn Scheduler>,
+    ready_set: ReadySet,
     /// Earliest start cycle of each task: the maximum completion time of
     /// its predecessors. Completions are processed in *event* order, which
     /// can differ from end-time order when a task's commit tail extends
     /// past its final chunk — without this, a successor could start before
     /// a predecessor's actual end.
-    pub(crate) ready_at: Vec<u64>,
-    pub(crate) sched: EventScheduler,
+    ready_at: Vec<u64>,
+    sched: EventScheduler,
     /// Idle worker ids, kept sorted descending so `pop` yields lowest id.
-    pub(crate) idle: Vec<u32>,
-    pub(crate) running_count: u32,
-    pub(crate) num_workers: u32,
-    pub(crate) noise: Option<NoiseModel>,
-    pub(crate) collect_reports: bool,
-    pub(crate) traces: Box<dyn TraceProvider>,
-    pub(crate) block_capacity: usize,
-    pub(crate) stats: RunStats,
-    pub(crate) reports: Vec<TaskReport>,
+    idle: Vec<u32>,
+    running_count: u32,
+    num_workers: u32,
+    noise: Option<NoiseModel>,
+    collect_reports: bool,
+    traces: Box<dyn TraceProvider>,
+    block_capacity: usize,
+    stats: RunStats,
+    reports: Vec<TaskReport>,
     /// Per-group accumulators, in machine group order (empty for
     /// homogeneous machines).
-    pub(crate) group_stats: Vec<GroupStats>,
+    group_stats: Vec<GroupStats>,
     /// Cycle-accounting buckets, in machine group order (one synthetic
     /// `all` entry for homogeneous machines). Global base-clock ticks.
-    pub(crate) cycle_accounts: Vec<CycleAccount>,
+    cycle_accounts: Vec<CycleAccount>,
     /// Duration of every completed task, for exact latency percentiles
     /// (one u64 per task — always on, unlike `reports`).
-    pub(crate) latencies: Vec<u64>,
+    latencies: Vec<u64>,
     /// Telemetry receiver — [`NopSink`] unless the simulation was built
     /// with a recording [`Telemetry`] handle.
-    pub(crate) sink: S,
-    /// Completion flags per task instance, used by the parallel detail
-    /// layer's dependency-closure check.
-    pub(crate) completed: Vec<bool>,
-    /// Intra-run parallelism configuration and counters.
-    pub(crate) parallel: crate::parallel::ParallelState,
+    sink: S,
 }
 
 impl<'p, S: Sink> Engine<'p, S> {
@@ -428,7 +379,6 @@ impl<'p, S: Sink> Engine<'p, S> {
         self.latencies.push(report.end - report.start);
         self.sink.observe("task.latency", 0, report.end - report.start);
         self.running_count -= 1;
-        self.completed[report.task.index()] = true;
         controller.on_task_complete(&report);
         if self.collect_reports {
             self.reports.push(report);
@@ -449,7 +399,6 @@ impl<'p, S: Sink> Engine<'p, S> {
     /// Hands ready tasks to idle workers (lowest id first), starting them
     /// no earlier than `now`.
     fn assign_ready_tasks<C: ModeController>(&mut self, controller: &mut C, now: u64) {
-        let prev_running = self.running_count;
         while self.scheduler.ready_count() > 0 {
             let Some(w) = self.idle.pop() else { break };
             let Some(task) = self.scheduler.pick(WorkerId(w)) else {
@@ -539,13 +488,6 @@ impl<'p, S: Sink> Engine<'p, S> {
             running: self.running_count,
         });
         self.sink.observe("sched.ready_depth", 0, self.scheduler.ready_count() as u64);
-        // A fully fresh batch (no task mid-flight, no work left queued) is
-        // a candidate epoch for the speculative parallel detail layer: all
-        // running tasks start now, so their executions can be raced ahead
-        // on host threads and validated for commit.
-        if prev_running == 0 && self.running_count >= 2 && self.scheduler.ready_count() == 0 {
-            self.maybe_parallel_epoch();
-        }
     }
 
     /// Folds one finished task into its group's [`CycleAccount`].
@@ -698,12 +640,12 @@ fn prewarm_memory(mem: &mut MemorySystem, program: &Program, line_size: u32) {
 
 /// Per-run counters.
 #[derive(Debug, Default)]
-pub(crate) struct RunStats {
-    pub(crate) detailed_tasks: u64,
-    pub(crate) fast_tasks: u64,
-    pub(crate) detailed_instructions: u64,
-    pub(crate) fast_instructions: u64,
-    pub(crate) max_end: u64,
+struct RunStats {
+    detailed_tasks: u64,
+    fast_tasks: u64,
+    detailed_instructions: u64,
+    fast_instructions: u64,
+    max_end: u64,
 }
 
 /// What a worker core is currently doing.
@@ -712,7 +654,7 @@ pub(crate) struct RunStats {
 /// block and two RNGs), but there is exactly one `Running` per worker, so
 /// boxing it would only add a pointer chase on the hot path.
 #[allow(clippy::large_enum_variant)]
-pub(crate) enum Running {
+enum Running {
     Detailed {
         task: TaskInstanceId,
         /// Producer of the task's instruction stream (procedural or
@@ -735,24 +677,13 @@ pub(crate) enum Running {
         instructions: u64,
         concurrency: u32,
     },
-    /// A detailed task whose execution was already performed (and
-    /// validated) by the parallel detail layer. The worker's heap entry
-    /// forwards itself to `finish_tick` — the exact event tick the task's
-    /// final chunk would have occupied sequentially — and completes there,
-    /// so completion processing order matches the sequential engine.
-    Committed {
-        report: TaskReport,
-        finish_tick: u64,
-    },
 }
 
 /// One bounded time chunk of detailed execution: refills `block` from
 /// `source` as needed and advances `core` until the chunk boundary or the
 /// end of the stream. Returns `true` when the task's stream is exhausted.
-/// Shared verbatim by the sequential component tick and the speculative
-/// parallel executor so both walk identical instruction/chunk sequences.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_detailed_chunk<M: crate::hierarchy::MemPort>(
+fn run_detailed_chunk(
     core: &mut RobCore,
     worker: u32,
     divider: u64,
@@ -763,7 +694,7 @@ pub(crate) fn run_detailed_chunk<M: crate::hierarchy::MemPort>(
     cursor: &mut usize,
     executed: &mut u64,
     params: TaskParams,
-    mem: &mut M,
+    mem: &mut MemorySystem,
     data_rng: &mut Xoshiro256pp,
     code_rng: &mut Xoshiro256pp,
 ) -> bool {
@@ -795,7 +726,7 @@ pub(crate) fn run_detailed_chunk<M: crate::hierarchy::MemPort>(
 /// End time of a finished detailed task on the global timeline: the final
 /// commit, floored to one cycle after start, with the noise model's
 /// per-task duration factor applied when present.
-pub(crate) fn detailed_end(
+fn detailed_end(
     core: &RobCore,
     divider: u64,
     start: u64,
@@ -817,28 +748,28 @@ pub(crate) fn detailed_end(
 ///
 /// Owns the pipeline model, the group membership and the clock divider;
 /// everything shared (caches, DRAM, the program, noise) arrives through
-/// the [`EventCtx`]. All fields the engine coordinates through
-/// (`running`, `local_time`, `next_tick`, `spare_block`) are crate-private
+/// the [`EventCtx`]. The fields the engine coordinates through
+/// (`running`, `local_time`, `next_tick`, `spare_block`) are private
 /// plumbing, not part of the component contract.
-pub(crate) struct CoreComponent {
+struct CoreComponent {
     /// Worker id — also the component's [`ComponentId`] and the scheduler
     /// tie-breaker.
-    pub(crate) id: u32,
-    pub(crate) core: RobCore,
+    id: u32,
+    core: RobCore,
     /// Clock divider of the core's group (1 for homogeneous machines).
-    pub(crate) divider: u64,
+    divider: u64,
     /// Index into the machine's `core_groups` (0 for homogeneous).
-    pub(crate) group: u32,
-    pub(crate) chunk_cycles: u64,
+    group: u32,
+    chunk_cycles: u64,
     /// The core's notion of "now" on the global timeline, used when the
     /// next task is assigned.
-    pub(crate) local_time: u64,
-    pub(crate) running: Option<Running>,
+    local_time: u64,
+    running: Option<Running>,
     /// Cleared instruction block recycled across this worker's detailed
     /// tasks.
-    pub(crate) spare_block: Option<InstBlock>,
+    spare_block: Option<InstBlock>,
     /// When this core next needs the event scheduler (`None` while idle).
-    pub(crate) next_tick: Option<u64>,
+    next_tick: Option<u64>,
 }
 
 impl CoreComponent {
@@ -953,18 +884,6 @@ impl Component for CoreComponent {
                 self.next_tick = None;
                 ctx.complete(report);
             }
-            Running::Committed { report, finish_tick } => {
-                if ctx.now() < finish_tick {
-                    // The start-of-task event was already in the heap when
-                    // the epoch committed; forward to the completion tick.
-                    self.running = Some(Running::Committed { report, finish_tick });
-                    self.next_tick = Some(finish_tick);
-                } else {
-                    debug_assert_eq!(ctx.now(), finish_tick);
-                    self.next_tick = None;
-                    ctx.complete(report);
-                }
-            }
         }
     }
 }
@@ -1025,28 +944,15 @@ impl<'p> SimulationBuilder<'p> {
         self
     }
 
-    /// Sets the number of host threads the detailed-mode executor may use
-    /// (default 1 = the plain sequential engine; max 64). Results are
-    /// bit-identical at any value: independent ready detailed tasks are
-    /// executed speculatively on a scoped thread pool, validated against
-    /// the authoritative memory state in deterministic order, and any
-    /// interaction aborts the speculation back to the sequential path
-    /// (pinned by `tests/parallel_determinism.rs`). Honors nothing from
-    /// the environment by itself — callers wanting the
-    /// `TASKPOINT_DETAIL_THREADS` override pass
-    /// [`detail_threads_from_env`].
-    pub fn detail_threads(mut self, n: usize) -> Self {
-        self.detail_threads = n;
-        self
-    }
-
-    /// Sets the instruction floor below which a detailed task is not
-    /// offered to the parallel executor (default
-    /// `PARALLEL_MIN_TASK_INSTRUCTIONS`). Exposed for tests that need
-    /// tiny workloads to engage the parallel path; timing results are
-    /// independent of this value.
-    pub fn parallel_min_task_instructions(mut self, n: u64) -> Self {
-        self.parallel_min_task_instructions = n;
+    /// Accepts only `n == 1`: detailed execution is sequential. Kept so
+    /// that existing `.detail_threads(1)` callers still build; it stores
+    /// nothing and goes away when the repository benchmark is next revised.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n != 1`.
+    pub fn detail_threads(self, n: usize) -> Self {
+        assert_eq!(n, 1, "detailed execution is sequential; detail_threads must be 1");
         self
     }
 
@@ -1074,7 +980,6 @@ impl<'p> SimulationBuilder<'p> {
     pub fn build(self) -> Simulation<'p> {
         assert!(self.workers >= 1 && self.workers <= 64, "1..=64 workers");
         assert!(self.block_capacity >= 1, "instruction block needs capacity >= 1");
-        assert!(self.detail_threads >= 1 && self.detail_threads <= 64, "1..=64 detail threads");
         self.machine.validate();
         if let Some(total) = self.machine.total_group_cores() {
             assert_eq!(
@@ -1094,8 +999,6 @@ impl<'p> SimulationBuilder<'p> {
             traces: self.traces.unwrap_or_else(|| Box::new(ProceduralTraces)),
             block_capacity: self.block_capacity,
             telemetry: self.telemetry,
-            detail_threads: self.detail_threads,
-            parallel_min_task_instructions: self.parallel_min_task_instructions,
         }
     }
 }

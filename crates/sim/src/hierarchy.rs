@@ -42,55 +42,6 @@ pub struct MemAccessResult {
     pub queue_delay: u64,
 }
 
-/// A core-facing memory port: where the detailed pipeline sends its
-/// accesses. The core model is generic over this so the same monomorphized
-/// hot loop drives both the plain [`MemorySystem`] and the recording
-/// wrapper the parallel detail layer uses for speculative execution.
-pub trait MemPort {
-    /// Performs one access; see [`MemorySystem::access`].
-    fn access(&mut self, core: u32, addr: u64, write: bool, now: u64) -> MemAccessResult;
-}
-
-impl MemPort for MemorySystem {
-    #[inline]
-    fn access(&mut self, core: u32, addr: u64, write: bool, now: u64) -> MemAccessResult {
-        MemorySystem::access(self, core, addr, write, now)
-    }
-}
-
-/// Observer of the shared-fabric operations one access performs, used by
-/// the parallel detail layer to log speculative executions for replay
-/// validation. The no-op impl ([`NoRecord`]) keeps the sequential hot path
-/// monomorphized free of any recording overhead.
-pub(crate) trait AccessRecorder {
-    /// A shared-level/DRAM lookup after all private levels missed:
-    /// which shared level hit (`u8::MAX` = none, went to DRAM) and the
-    /// accumulated service-queue delay.
-    fn lookup(&mut self, line: u64, now: u64, hit_level: u8, queue_delay: u64);
-    /// A prefetch installed `line` into the last shared level.
-    fn install(&mut self, line: u64);
-    /// A read registered in the snoop filter.
-    fn snoop_read(&mut self, line: u64);
-    /// A write claimed exclusivity; `had_others` is whether any remote
-    /// copies were invalidated (the only part of the mask that feeds the
-    /// writer's latency).
-    fn snoop_write(&mut self, line: u64, had_others: bool);
-}
-
-/// Recorder that records nothing (the plain sequential path).
-pub(crate) struct NoRecord;
-
-impl AccessRecorder for NoRecord {
-    #[inline]
-    fn lookup(&mut self, _line: u64, _now: u64, _hit_level: u8, _queue_delay: u64) {}
-    #[inline]
-    fn install(&mut self, _line: u64) {}
-    #[inline]
-    fn snoop_read(&mut self, _line: u64) {}
-    #[inline]
-    fn snoop_write(&mut self, _line: u64, _had_others: bool) {}
-}
-
 /// Aggregate cache statistics for reports.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct LevelStats {
@@ -263,8 +214,6 @@ pub struct MemorySystem {
     contended_accesses: u64,
     /// Always-on log₂ distribution of demand-access latencies (loads,
     /// stores, atomics — everything through [`MemorySystem::access`]).
-    /// Speculation shards start empty and are merged back at commit, so
-    /// the distribution is identical at any `detail_threads` count.
     access_latency: Histogram,
 }
 
@@ -373,58 +322,6 @@ impl MemorySystem {
     /// ignore their latency (write buffers); atomics add their own
     /// serialization cost in the core model.
     pub fn access(&mut self, core: u32, addr: u64, write: bool, now: u64) -> MemAccessResult {
-        self.access_impl(core, addr, write, now, &mut NoRecord)
-    }
-
-    /// Shared-fabric half of a private-miss lookup: walks the shared levels
-    /// (charging bandwidth queueing) and falls through to DRAM. Returns
-    /// `(hit_level, queue_delay)` with `hit_level == u8::MAX` meaning DRAM.
-    /// Updates the contention counters exactly as the live path does — the
-    /// replay validation pass reuses it so the merged state carries true
-    /// counter values.
-    fn shared_lookup(&mut self, line: u64, now: u64) -> (u8, u64) {
-        let mut queue_delay = 0u64;
-        let mut hit_level = u8::MAX;
-        for (i, (cache, queue)) in self.shared.iter_mut().enumerate() {
-            queue_delay += queue.delay(now);
-            if cache.access(line) == AccessOutcome::Hit {
-                hit_level = i as u8;
-                break;
-            }
-        }
-        if hit_level == u8::MAX {
-            self.dram_accesses += 1;
-            let ch = (line % self.dram_queues.len() as u64) as usize;
-            queue_delay += self.dram_queues[ch].delay(now);
-        }
-        if queue_delay > 0 {
-            self.queue_delay_cycles += queue_delay;
-            self.contended_accesses += 1;
-        }
-        (hit_level, queue_delay)
-    }
-
-    /// Latency implied by a [`Self::shared_lookup`] outcome: the stopping
-    /// level's lookup latency (the deepest level's on a full miss, plus the
-    /// DRAM latency) plus the accumulated queue delay.
-    #[inline]
-    fn shared_latency_of(&self, hit_level: u8, queue_delay: u64) -> u64 {
-        if hit_level == u8::MAX {
-            let deepest = self.shared_latency.last().map(|&l| l as u64).unwrap_or(0);
-            deepest + self.dram_latency as u64 + queue_delay
-        } else {
-            self.shared_latency[hit_level as usize] as u64 + queue_delay
-        }
-    }
-
-    pub(crate) fn access_impl<R: AccessRecorder>(
-        &mut self,
-        core: u32,
-        addr: u64,
-        write: bool,
-        now: u64,
-        rec: &mut R,
-    ) -> MemAccessResult {
         let line = self.line_of(addr);
         let c = core as usize;
 
@@ -446,17 +343,10 @@ impl MemorySystem {
             }
         }
 
-        let mut dram = false;
-        let mut queued = 0u64;
-        let latency = if let Some(lat) = hit_latency {
-            lat
-        } else {
-            // 2.–3. Shared levels with bandwidth queueing, then DRAM.
-            let (hit_level, queue_delay) = self.shared_lookup(line, now);
-            dram = hit_level == u8::MAX;
-            queued = queue_delay;
-            rec.lookup(line, now, hit_level, queue_delay);
-            self.shared_latency_of(hit_level, queue_delay)
+        // 2.–3. Shared levels with bandwidth queueing, then DRAM.
+        let (mut latency, dram, queued) = match hit_latency {
+            Some(lat) => (lat, false, 0),
+            None => self.shared_lookup(line, now),
         };
 
         // 4. Stream prefetch: a simple next-line prefetcher with
@@ -476,14 +366,11 @@ impl MemorySystem {
             }
             self.snoop.add_sharer(next, core);
             self.prefetches += 1;
-            rec.install(next);
         }
 
         // 5. Coherence.
-        let mut latency = latency;
         if write {
             let others = self.snoop.make_exclusive(line, core);
-            rec.snoop_write(line, others != 0);
             if others != 0 {
                 self.invalidations += others.count_ones() as u64;
                 for victim in BitIter(others) {
@@ -495,136 +382,46 @@ impl MemorySystem {
             }
         } else {
             self.snoop.add_sharer(line, core);
-            rec.snoop_read(line);
         }
 
         self.access_latency.record(latency);
         MemAccessResult { latency, dram, l1_miss, queue_delay: queued }
     }
 
-    /// Clone of everything except the private columns (those are filled in
-    /// by the fork constructors below).
-    fn clone_shared_core(&self) -> Self {
-        Self {
-            private: Vec::new(),
-            shared: self.shared.clone(),
-            private_latency: self.private_latency.clone(),
-            shared_latency: self.shared_latency.clone(),
-            dram_queues: self.dram_queues.clone(),
-            dram_latency: self.dram_latency,
-            line_shift: self.line_shift,
-            snoop: self.snoop.clone(),
-            coherence_penalty: self.coherence_penalty,
-            invalidations: self.invalidations,
-            dram_accesses: self.dram_accesses,
-            prefetch_last: self.prefetch_last.clone(),
-            prefetches: self.prefetches,
-            queue_delay_cycles: self.queue_delay_cycles,
-            contended_accesses: self.contended_accesses,
-            // Forks accumulate only their own accesses; speculation shards
-            // merge back at commit, the replay fork never records.
-            access_latency: Histogram::new(),
+    /// Shared-fabric half of a private-miss lookup: walks the shared levels
+    /// (charging bandwidth queueing) and falls through to DRAM, updating
+    /// the contention counters. Returns `(latency, dram, queue_delay)`: the
+    /// stopping level's lookup latency (the deepest level's plus the DRAM
+    /// latency on a full miss) plus the accumulated queue delay.
+    ///
+    /// Kept out of line so the private-hit path of [`Self::access`] stays
+    /// small.
+    #[inline(never)]
+    fn shared_lookup(&mut self, line: u64, now: u64) -> (u64, bool, u64) {
+        let mut queue_delay = 0u64;
+        let mut hit_latency = None;
+        for ((cache, queue), &lat) in self.shared.iter_mut().zip(&self.shared_latency) {
+            queue_delay += queue.delay(now);
+            if cache.access(line) == AccessOutcome::Hit {
+                hit_latency = Some(lat as u64);
+                break;
+            }
         }
-    }
-
-    /// Speculation shard for one wave worker: a snapshot of the shared
-    /// fabric plus a real clone of `worker`'s own private column. The other
-    /// cores' private caches are replaced by 1-line stubs — the speculating
-    /// worker never accesses through them, they exist only so coherence
-    /// victim invalidation has something harmless to hit.
-    pub(crate) fn fork_for_worker(&self, worker: u32) -> Self {
-        let line = 1u64 << self.line_shift;
-        let mut fork = self.clone_shared_core();
-        fork.private = self
-            .private
-            .iter()
-            .map(|caches| {
-                caches
-                    .iter()
-                    .enumerate()
-                    .map(|(c, cache)| {
-                        if c == worker as usize {
-                            cache.clone()
-                        } else {
-                            SetAssocCache::new(line, 1, line as u32)
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        fork
-    }
-
-    /// Snapshot of the shared fabric only, used by the replay-validation
-    /// pass (which performs no private-level accesses at all).
-    pub(crate) fn fork_shared(&self) -> Self {
-        self.clone_shared_core()
-    }
-
-    /// Commits a validated replay fork: adopts its shared caches, service
-    /// queues, snoop filter and fabric counters as the authoritative state.
-    /// Private columns are untouched (adopted separately per wave worker).
-    pub(crate) fn adopt_shared(&mut self, fork: Self) {
-        self.shared = fork.shared;
-        self.dram_queues = fork.dram_queues;
-        self.snoop = fork.snoop;
-        self.invalidations = fork.invalidations;
-        self.dram_accesses = fork.dram_accesses;
-        self.prefetches = fork.prefetches;
-        self.queue_delay_cycles = fork.queue_delay_cycles;
-        self.contended_accesses = fork.contended_accesses;
-    }
-
-    /// Adopts `worker`'s private column (all levels, with its hit/miss
-    /// counters) and prefetcher state from a committed speculation shard.
-    pub(crate) fn adopt_worker_state(&mut self, worker: u32, shard: &mut Self) {
-        let c = worker as usize;
-        for (lvl, caches) in self.private.iter_mut().enumerate() {
-            std::mem::swap(&mut caches[c], &mut shard.private[lvl][c]);
+        let latency = match hit_latency {
+            Some(lat) => lat,
+            None => {
+                self.dram_accesses += 1;
+                let ch = (line % self.dram_queues.len() as u64) as usize;
+                queue_delay += self.dram_queues[ch].delay(now);
+                let deepest = self.shared_latency.last().map(|&l| l as u64).unwrap_or(0);
+                deepest + self.dram_latency as u64
+            }
+        };
+        if queue_delay > 0 {
+            self.queue_delay_cycles += queue_delay;
+            self.contended_accesses += 1;
         }
-        self.prefetch_last[c] = shard.prefetch_last[c];
-        self.access_latency.merge(&shard.access_latency);
-    }
-
-    /// Replays a recorded shared-fabric lookup against this fork; returns
-    /// the authoritative `(hit_level, queue_delay)` for comparison with the
-    /// speculative outcome.
-    pub(crate) fn replay_lookup(&mut self, line: u64, now: u64) -> (u8, u64) {
-        self.shared_lookup(line, now)
-    }
-
-    /// Replays a recorded prefetch install (shared-side effects only; the
-    /// private-side install lives in the adopted worker column).
-    pub(crate) fn replay_install(&mut self, line: u64, core: u32) {
-        if let Some((last_shared, _)) = self.shared.last_mut() {
-            last_shared.install(line);
-        }
-        self.snoop.add_sharer(line, core);
-        self.prefetches += 1;
-    }
-
-    /// Replays a recorded snoop-filter read registration.
-    pub(crate) fn replay_snoop_read(&mut self, line: u64, core: u32) {
-        self.snoop.add_sharer(line, core);
-    }
-
-    /// Replays a recorded write's exclusivity claim; returns the
-    /// authoritative victim mask (private-column invalidation is deferred
-    /// to commit, where the caller applies it to the merged columns).
-    pub(crate) fn replay_snoop_write(&mut self, line: u64, core: u32) -> u64 {
-        let others = self.snoop.make_exclusive(line, core);
-        if others != 0 {
-            self.invalidations += others.count_ones() as u64;
-        }
-        others
-    }
-
-    /// Invalidates `line` in every private level of `victim` (commit-time
-    /// application of a replayed coherence invalidation).
-    pub(crate) fn invalidate_private(&mut self, victim: u32, line: u64) {
-        for caches in self.private.iter_mut() {
-            caches[victim as usize].invalidate(line);
-        }
+        (latency + queue_delay, hit_latency.is_none(), queue_delay)
     }
 
     /// Total remote-copy invalidations performed.
@@ -643,7 +440,7 @@ impl MemorySystem {
     }
 
     /// The log₂ latency distribution of all demand accesses performed so
-    /// far (see the field docs for speculation-shard merge semantics).
+    /// far.
     pub fn access_latency_histogram(&self) -> &Histogram {
         &self.access_latency
     }

@@ -49,7 +49,6 @@ pub mod event;
 pub mod hierarchy;
 pub mod mode;
 pub mod noise;
-pub(crate) mod parallel;
 pub mod report;
 pub mod traces;
 
@@ -58,14 +57,12 @@ pub use config::{
     CacheLevelConfig, CoreConfig, CoreGroupConfig, KindLatencies, MachineConfig,
     MachineConfigError, MemoryConfig, MAX_CLOCK_DIVIDER,
 };
-pub use engine::{detail_threads_from_env, Simulation, SimulationBuilder};
+pub use engine::{Simulation, SimulationBuilder};
 pub use event::{Component, ComponentId, EventCtx, EventScheduler};
-pub use hierarchy::{LevelStats, MemPort, MemorySystem};
+pub use hierarchy::{LevelStats, MemorySystem};
 pub use mode::{DetailedOnly, ExecMode, FixedIpc, ModeController, TaskStart};
 pub use noise::NoiseModel;
-pub use report::{
-    CycleAccount, GroupStats, LatencyPercentiles, ParallelEpochs, SimMode, SimResult, TaskReport,
-};
+pub use report::{CycleAccount, GroupStats, LatencyPercentiles, SimMode, SimResult, TaskReport};
 pub use taskpoint_telemetry as telemetry;
 pub use taskpoint_telemetry::{
     FidelityAction, NopSink, ProfileSpan, SimEvent, Sink, Telemetry, TelemetryReport,

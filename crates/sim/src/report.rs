@@ -198,24 +198,6 @@ pub struct LatencyPercentiles {
     pub p999: f64,
 }
 
-/// Host-side accounting of the intra-run parallel detail layer
-/// ([`SimulationBuilder::detail_threads`](crate::SimulationBuilder::detail_threads)).
-///
-/// Like [`SimResult::wall_seconds`], this describes how the simulation was
-/// *executed*, not what it computed: all simulated quantities are
-/// bit-identical at any thread count, while these counters legitimately
-/// vary (always zero at `detail_threads = 1`). Identity comparisons must
-/// exclude it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ParallelEpochs {
-    /// Speculative scheduling epochs whose results validated and were
-    /// committed into the event engine.
-    pub committed: u64,
-    /// Speculative epochs discarded by replay validation (the engine
-    /// re-ran them sequentially; results are unaffected).
-    pub aborted: u64,
-}
-
 /// Result of one simulation run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SimResult {
@@ -249,9 +231,6 @@ pub struct SimResult {
     /// Per-core-group statistics, in the machine's group order. Empty for
     /// homogeneous machines.
     pub groups: Vec<GroupStats>,
-    /// Parallel detail-layer accounting (host-side execution metadata,
-    /// excluded from result-identity comparisons like `wall_seconds`).
-    pub parallel_epochs: ParallelEpochs,
     /// Per-core-group cycle accounting (one synthetic `all` group for
     /// homogeneous machines). Categories sum to `total_cycles × cores`.
     pub cycle_accounts: Vec<CycleAccount>,
@@ -329,7 +308,6 @@ mod tests {
             shared_cache: vec![],
             workers: 1,
             groups: vec![],
-            parallel_epochs: ParallelEpochs::default(),
             cycle_accounts: vec![],
             task_latency: LatencyPercentiles::default(),
         };

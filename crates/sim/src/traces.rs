@@ -35,21 +35,6 @@ pub trait TraceProvider {
     /// A fresh source positioned at the start of `task`'s stream. `spec`
     /// is the instance's procedural descriptor (the fallback generator).
     fn source(&self, task: TaskInstanceId, spec: &TraceSpec) -> Box<dyn TraceSource>;
-
-    /// Like [`TraceProvider::source`], but the returned source can be
-    /// moved to another thread — the engine's parallel detail layer
-    /// executes speculative tasks on a scoped pool. Must produce the
-    /// identical instruction stream as [`TraceProvider::source`].
-    /// Providers that cannot offer `Send` sources keep the default `None`;
-    /// the engine then stays on the sequential path for their tasks.
-    fn source_send(
-        &self,
-        task: TaskInstanceId,
-        spec: &TraceSpec,
-    ) -> Option<Box<dyn TraceSource + Send>> {
-        let _ = (task, spec);
-        None
-    }
 }
 
 /// The default provider: every stream is regenerated procedurally from the
@@ -76,14 +61,6 @@ pub const ProceduralTraces: ProceduralTraces = ProceduralTraces { columns: KindC
 impl TraceProvider for ProceduralTraces {
     fn source(&self, _task: TaskInstanceId, spec: &TraceSpec) -> Box<dyn TraceSource> {
         Box::new(self.columns.source(spec))
-    }
-
-    fn source_send(
-        &self,
-        _task: TaskInstanceId,
-        spec: &TraceSpec,
-    ) -> Option<Box<dyn TraceSource + Send>> {
-        Some(Box::new(self.columns.source(spec)))
     }
 }
 
@@ -296,17 +273,6 @@ impl TraceProvider for RecordedTraces {
             // clone of the pre-validated trace, not a re-scan.
             Some(trace) => Box::new(trace.clone()),
             None => Box::new(spec.source()),
-        }
-    }
-
-    fn source_send(
-        &self,
-        task: TaskInstanceId,
-        spec: &TraceSpec,
-    ) -> Option<Box<dyn TraceSource + Send>> {
-        match self.per_task.get(&task.0) {
-            Some(trace) => Some(Box::new(trace.clone())),
-            None => Some(Box::new(spec.source())),
         }
     }
 }

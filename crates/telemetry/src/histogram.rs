@@ -8,8 +8,8 @@
 //! across partial streams exactly like
 //! [`StreamingMoments`](https://docs.rs) merges moments — merging shards
 //! yields the same histogram as accumulating the whole stream, which is
-//! what keeps the telemetry determinism contract intact at any worker or
-//! detail-thread count.
+//! what keeps the telemetry determinism contract intact at any worker
+//! count.
 //!
 //! Bucket `0` holds the value `0`; bucket `b ≥ 1` holds values in
 //! `[2^(b-1), 2^b - 1]`. With `u64` samples that is 65 buckets total —

@@ -246,43 +246,6 @@ fn event_engine_preserves_pre_refactor_report_streams() {
     }
 }
 
-/// The speculative parallel detail layer
-/// (`SimulationBuilder::detail_threads`) must leave every golden cell and
-/// every golden report-stream checksum untouched: commit is
-/// replay-validated against the sequential event order and abort falls
-/// back to it, so thread count can never move a simulated bit. Exercised
-/// with the speculation floor lowered to make short benchmark tasks
-/// eligible — the point is maximal opportunity to diverge, not speed.
-#[test]
-fn detail_threads_preserve_golden_results_and_checksums() {
-    let machines =
-        [MachineConfig::tiny_test(), MachineConfig::low_power(), MachineConfig::high_performance()];
-    #[rustfmt::skip]
-    let goldens: [(Benchmark, usize, u32, u64, u64); 4] = [
-        (Benchmark::Spmv,      0, 2, 0x3c4185bc0aa688c2, 1_107_927),
-        (Benchmark::Cholesky,  1, 4, 0x2d227659ca7aee93, 1_571_907),
-        (Benchmark::Histogram, 2, 4, 0xa451b8c889862bb0, 924_852),
-        (Benchmark::Freqmine,  0, 1, 0x489d418a2adf1071, 4_727_018),
-    ];
-    let scale = ScaleConfig::quick();
-    for (bench, machine_idx, workers, checksum, cycles) in goldens {
-        let program = bench.generate(&scale);
-        for threads in [1usize, 2, 4] {
-            let r = Simulation::builder(&program, machines[machine_idx].clone())
-                .workers(workers)
-                .detail_threads(threads)
-                .parallel_min_task_instructions(1)
-                .collect_reports(true)
-                .build()
-                .run(&mut DetailedOnly);
-            let what =
-                format!("{bench}/{}/{workers}t @ {threads} threads", machines[machine_idx].name);
-            assert_eq!(r.total_cycles, cycles, "{what}: total_cycles");
-            assert_eq!(report_checksum(&r), checksum, "{what}: report stream drifted");
-        }
-    }
-}
-
 /// Block capacity 1 degenerates to per-instruction execution; results of
 /// every capacity must coincide bit for bit (chunk boundaries are
 /// enforced per instruction, not per block).

@@ -2,10 +2,9 @@
 //!
 //! The engine keeps one `InstBlock` per worker and recycles it across
 //! task boundaries (`CoreComponent::spare_block`): a finished task's
-//! block is cleared and handed to the worker's next detailed task, and a
-//! committed speculative wave reclaims the never-filled sequential block
-//! the same way. This file pins that discipline with the process-wide
-//! construction counter `InstBlock::blocks_allocated()`.
+//! block is cleared and handed to the worker's next detailed task. This
+//! file pins that discipline with the process-wide construction counter
+//! `InstBlock::blocks_allocated()`.
 //!
 //! It deliberately contains a single `#[test]`: integration tests in one
 //! binary run concurrently in one process, and any other test allocating
@@ -25,12 +24,10 @@ fn wide_program(tasks: u64) -> Program {
     b.build()
 }
 
-fn run_counting(program: &Program, workers: u32, threads: usize) -> (SimResult, u64) {
+fn run_counting(program: &Program, workers: u32) -> (SimResult, u64) {
     let before = InstBlock::blocks_allocated();
     let result = Simulation::builder(program, MachineConfig::tiny_test())
         .workers(workers)
-        .detail_threads(threads)
-        .parallel_min_task_instructions(500)
         .build()
         .run(&mut DetailedOnly);
     (result, InstBlock::blocks_allocated() - before)
@@ -38,18 +35,18 @@ fn run_counting(program: &Program, workers: u32, threads: usize) -> (SimResult, 
 
 #[test]
 fn workers_recycle_one_block_across_all_task_boundaries() {
-    // Sequential engine: exactly one block per worker, no matter how many
-    // tasks cross each worker — every boundary reuses the spare.
+    // Exactly one block per worker, no matter how many tasks cross each
+    // worker — every boundary reuses the spare.
     let wide = wide_program(64);
     for workers in [1u32, 2, 4] {
         for round in 0..2 {
-            let (result, allocated) = run_counting(&wide, workers, 1);
+            let (result, allocated) = run_counting(&wide, workers);
             assert_eq!(result.detailed_tasks, 64);
             assert_eq!(
                 allocated,
                 u64::from(workers),
-                "{workers} workers, round {round}: the sequential engine must \
-                 allocate exactly one block per worker and recycle it"
+                "{workers} workers, round {round}: the engine must allocate \
+                 exactly one block per worker and recycle it"
             );
         }
     }
@@ -57,21 +54,7 @@ fn workers_recycle_one_block_across_all_task_boundaries() {
     // A benchmark with a dependency DAG takes the same bound — recycling
     // must not depend on the program shape.
     let cholesky = Benchmark::Cholesky.generate(&ScaleConfig::quick());
-    let (result, allocated) = run_counting(&cholesky, 4, 1);
+    let (result, allocated) = run_counting(&cholesky, 4);
     assert!(result.detailed_tasks > 1_000);
     assert_eq!(allocated, 4, "cholesky/4 workers: one block per worker");
-
-    // Speculative runs additionally allocate one block per wave member
-    // per attempted epoch (the speculation executes off to the side), but
-    // the engine-side blocks still recycle: the total stays bounded by
-    // workers × (1 + attempted epochs), far below one-per-task. A
-    // four-task frontier on four workers guarantees at least one attempt.
-    let narrow = wide_program(4);
-    let (result, allocated) = run_counting(&narrow, 4, 4);
-    let attempts = result.parallel_epochs.committed + result.parallel_epochs.aborted;
-    assert!(attempts >= 1, "a dependency-closed frontier must attempt an epoch");
-    assert!(
-        allocated <= 4 * (1 + attempts),
-        "parallel run allocated {allocated} blocks over {attempts} epoch attempts"
-    );
 }

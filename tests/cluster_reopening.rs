@@ -25,9 +25,8 @@ use taskpoint_repro::trace::{AccessPattern, InstructionMix, MemRegion, TraceSpec
 
 /// A layered fork–join program with a *per-layer* width: layer `k` holds
 /// `widths[k]` mutually independent tasks, and every task of layer `k+1`
-/// reads what all of layer `k` wrote. The same generator shape as
-/// `tests/parallel_determinism.rs`' `barrier_program`, generalized so the
-/// live concurrency can be ramped mid-program: a prefix of width-1 layers
+/// reads what all of layer `k` wrote. The per-layer width lets the live
+/// concurrency be ramped mid-program: a prefix of width-1 layers
 /// is a serial chain (concurrency pinned at 1), a suffix of width-`w`
 /// layers sweeps assignment-time concurrency through `1..=w`.
 fn ramp_program(widths: &[u32], instructions: u64, seed: u64) -> Program {
@@ -71,8 +70,6 @@ fn ramp_widths() -> Vec<u32> {
 fn run<C: ModeController>(program: &Program, workers: u32, controller: &mut C) -> SimResult {
     Simulation::builder(program, MachineConfig::tiny_test())
         .workers(workers)
-        .detail_threads(1)
-        .parallel_min_task_instructions(500)
         .build()
         .run(controller)
 }

@@ -13,12 +13,10 @@
 //!    every value lands in exactly its bucket, and `approx_quantile` is
 //!    monotone in `q`.
 //! 4. **End-to-end byte identity** — `canonical_text()` (which includes
-//!    every histogram line) is byte-identical across 1/2/4 simulated
-//!    workers *with the same worker count* and across 1/2/4 detail
-//!    threads, because shard histograms merge only at deterministic
-//!    commit points and replay forks never record.
+//!    every histogram line) is byte-identical across reruns at 1/2/4
+//!    simulated workers *with the same worker count*.
 
-use taskpoint_repro::sim::{DetailedOnly, MachineConfig, ProceduralTraces, Simulation, Telemetry};
+use taskpoint_repro::sim::{MachineConfig, ProceduralTraces, Telemetry};
 use taskpoint_repro::taskpoint::run_reference_observed;
 use taskpoint_repro::telemetry::Histogram;
 use taskpoint_repro::workloads::{Benchmark, ScaleConfig};
@@ -162,31 +160,5 @@ fn canonical_text_is_byte_identical_across_worker_reruns() {
             a.contains("hist mem.access_latency[0]"),
             "{workers} workers: memory-latency histogram"
         );
-    }
-}
-
-#[test]
-fn canonical_text_is_byte_identical_across_detail_threads() {
-    let program = Benchmark::Cholesky.generate(&ScaleConfig::quick());
-    let machine = MachineConfig::tiny_test();
-    let run = |threads: usize| {
-        let telemetry = Telemetry::recording();
-        let result = Simulation::builder(&program, machine.clone())
-            .workers(4)
-            .detail_threads(threads)
-            .telemetry(telemetry.clone())
-            .build()
-            .run(&mut DetailedOnly);
-        (result, telemetry.take_report().expect("report").canonical_text())
-    };
-    let (base_result, base_text) = run(1);
-    assert!(base_text.contains("hist mem.access_latency[0]"));
-    for threads in [2usize, 4] {
-        let (result, text) = run(threads);
-        assert_eq!(
-            result.total_cycles, base_result.total_cycles,
-            "{threads} detail threads: simulation bit-identity"
-        );
-        assert_eq!(text, base_text, "{threads} detail threads: canonical telemetry byte-identical");
     }
 }

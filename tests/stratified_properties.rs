@@ -6,13 +6,13 @@
 //! strata stay at the floor — and the end-to-end policy is pinned through
 //! the engine: `pilot_samples == budget` degenerates to a pilot-only run,
 //! a serial program spends warmup + budget detailed instances to the
-//! instance, and the resulting `AccuracyReport`s and campaign records are
-//! byte-identical across detail-thread and executor worker counts.
+//! instance, and the resulting campaign records are byte-identical
+//! across executor worker counts.
 
 use proptest::prelude::*;
-use taskpoint_repro::accuracy::{neyman_allocate, StratifiedConfig, StratifiedController, Stratum};
+use taskpoint_repro::accuracy::{neyman_allocate, Stratum};
 use taskpoint_repro::runtime::{AccessMode, Program, RegionAccess};
-use taskpoint_repro::sim::{MachineConfig, Simulation};
+use taskpoint_repro::sim::MachineConfig;
 use taskpoint_repro::taskpoint::{run_stratified, TaskPointConfig};
 use taskpoint_repro::trace::{AccessPattern, InstructionMix, MemRegion, TraceSpec};
 
@@ -49,37 +49,6 @@ fn chain_program(len: u32, ntypes: u32, seed: u64) -> Program {
             accesses.push(RegionAccess::new(region(i - 1), AccessMode::In));
         }
         b.add_task(types[(i % ntypes) as usize], trace, accesses);
-    }
-    b.build()
-}
-
-/// A layered fork–join program (the `parallel_determinism` barrier shape):
-/// `layers` barriers of `width` independent tasks, layer `k+1` reading
-/// everything layer `k` wrote.
-fn barrier_program(width: u32, layers: u32, instructions: u64, seed: u64) -> Program {
-    let mut b = Program::builder("barrier");
-    let ty = b.add_type("work");
-    let region = |layer: u32, i: u32| {
-        MemRegion::new(0x6000_0000 + u64::from(layer * width + i) * 0x10_0000, 4096)
-    };
-    for layer in 0..layers {
-        for i in 0..width {
-            let trace = TraceSpec::builder()
-                .seed(seed ^ (u64::from(layer * width + i) << 8))
-                .code_seed(seed.rotate_left(17))
-                .instructions(instructions)
-                .mix(InstructionMix::compute_bound())
-                .pattern(AccessPattern::sequential(8))
-                .footprint(region(layer, i))
-                .build();
-            let mut accesses = vec![RegionAccess::new(region(layer, i), AccessMode::Out)];
-            if layer > 0 {
-                for p in 0..width {
-                    accesses.push(RegionAccess::new(region(layer - 1, p), AccessMode::In));
-                }
-            }
-            b.add_task(ty, trace, accesses);
-        }
     }
     b.build()
 }
@@ -209,35 +178,6 @@ proptest! {
         prop_assert_eq!(result.detailed_tasks, 2 + budget);
         prop_assert_eq!(report.converged_units(), report.units());
         prop_assert_eq!(report.reopened_bands(), 0);
-    }
-}
-
-/// The `AccuracyReport` — strata, samples, bands, allocations, every
-/// field — is byte-identical across detail-thread counts: stratum ids
-/// come from the priming pass (instance-creation order), not from
-/// execution interleaving.
-#[test]
-fn reports_are_byte_identical_across_detail_threads() {
-    let program = barrier_program(4, 5, 3_000, 0x5EED);
-    let run_at = |threads: usize| {
-        let mut controller = StratifiedController::new(StratifiedConfig::new(4, 24));
-        controller.prime(program.instances().iter().map(|i| (i.type_id(), i.instructions())));
-        let result = Simulation::builder(&program, MachineConfig::high_performance())
-            .workers(4)
-            .detail_threads(threads)
-            .parallel_min_task_instructions(500)
-            .build()
-            .run(&mut controller);
-        let (_, report) = controller.into_parts();
-        (result, format!("{report:?}"))
-    };
-    let (base_result, base_report) = run_at(1);
-    for threads in [2usize, 4] {
-        let (result, report) = run_at(threads);
-        assert_eq!(result.total_cycles, base_result.total_cycles, "{threads} threads");
-        assert_eq!(result.detailed_tasks, base_result.detailed_tasks, "{threads} threads");
-        assert_eq!(result.fast_tasks, base_result.fast_tasks, "{threads} threads");
-        assert_eq!(report, base_report, "{threads} threads: accuracy report drifted");
     }
 }
 
