@@ -1,10 +1,9 @@
 //! Parameters of the confidence-driven adaptive policy.
 
-use serde::{Deserialize, Serialize};
 use taskpoint_stats::Confidence;
 
 /// The three knobs of the adaptive stopping rule.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptiveParams {
     /// Target relative confidence-interval half-width (a fraction: `0.05`
     /// = the cluster's mean IPC is known to ±5% at the configured
@@ -85,7 +84,7 @@ impl std::fmt::Display for AdaptiveParamsError {
 impl std::error::Error for AdaptiveParamsError {}
 
 /// Full configuration of an [`AdaptiveController`](crate::AdaptiveController).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptiveConfig {
     /// `W`: detailed instances per worker at simulation start whose IPC
     /// only feeds the fallback (all-samples) moments — micro-architectural
@@ -131,7 +130,7 @@ impl AdaptiveConfig {
 /// Full configuration of a
 /// [`StratifiedController`](crate::StratifiedController) — the two-phase
 /// pilot + Neyman-allocation policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StratifiedConfig {
     /// `W`: detailed instances per worker at simulation start whose IPC
     /// only feeds the fallback (all-samples) moments, exactly as in the

@@ -35,9 +35,9 @@
 //! sampling, and the target becomes a dial that traces an error/speedup
 //! frontier instead of a single operating point.
 //!
-//! The sampling core (`taskpoint`) wires this controller into
-//! `run_adaptive` / `run_clustered_adaptive` and exposes the policy as
-//! `SamplingPolicy::Adaptive`; this crate is deliberately independent of
+//! The sampling core (`taskpoint`) picks these controllers in
+//! `taskpoint::run` and exposes them as `SamplingPolicy::Adaptive` and
+//! `SamplingPolicy::Stratified`; this crate is deliberately independent of
 //! it so the statistical machinery is testable on bare synthetic streams.
 
 #![forbid(unsafe_code)]

@@ -27,11 +27,11 @@
 //! loudly instead of silently dropping a measurement. See
 //! `taskpoint_bench::regress` for the legacy BENCH_0006–0008 shapes.
 
-use taskpoint::{run_reference, TaskPointConfig};
+use taskpoint::TaskPointConfig;
 use taskpoint_bench::{Harness, RunScale};
 use taskpoint_campaign::json::{Object, Value};
 use taskpoint_workloads::Benchmark;
-use tasksim::MachineConfig;
+use tasksim::{DetailedOnly, MachineConfig, Simulation};
 
 struct ProbeArgs {
     bench: Benchmark,
@@ -156,7 +156,10 @@ fn main() {
     let mut throughputs_minstr: Vec<f64> = Vec::with_capacity(runs);
     let mut reference = None;
     for _ in 0..runs {
-        let result = run_reference(&program, machine.clone(), workers);
+        let result = Simulation::builder(&program, machine.clone())
+            .workers(workers)
+            .build()
+            .run(&mut DetailedOnly);
         if let Some(ips) = result.detailed_instr_per_sec() {
             throughputs_minstr.push(ips / 1e6);
         }

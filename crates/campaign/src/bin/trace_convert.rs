@@ -22,14 +22,11 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use taskpoint::{
-    run_reference_traced, run_sampled_observed, run_sampled_traced, ExperimentOutcome,
-    TaskPointConfig, Telemetry,
-};
+use taskpoint::{ExperimentOutcome, RunOutcome, TaskPointConfig, Telemetry};
 use taskpoint_runtime::program_from_ingested;
 use taskpoint_trace::IngestedTrace;
 use taskpoint_workloads::external::{synthesize, ExternalWorkload};
-use tasksim::{MachineConfig, RecordedTraces};
+use tasksim::{DetailedOnly, MachineConfig, RecordedTraces, Simulation};
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -181,10 +178,12 @@ fn cmd_simulate(path: &Path, flags: &[(String, String)]) -> ExitCode {
     let program = program_from_ingested("ingested", &trace);
     let bundle = RecordedTraces::from_ingested(&trace);
     let machine = MachineConfig::low_power();
-    let reference =
-        run_reference_traced(&program, machine.clone(), workers, Box::new(bundle.clone()));
-    let (sampled, stats) =
-        run_sampled_traced(&program, machine, workers, TaskPointConfig::lazy(), Box::new(bundle));
+    let sim = |bundle: RecordedTraces| {
+        Simulation::builder(&program, machine.clone()).workers(workers).traces(Box::new(bundle))
+    };
+    let reference = sim(bundle.clone()).build().run(&mut DetailedOnly);
+    let RunOutcome { result: sampled, stats, .. } =
+        taskpoint::run(sim(bundle).build(), TaskPointConfig::lazy(), None);
     let outcome = ExperimentOutcome::compare(&sampled, &reference);
     println!(
         "reference: {} cycles ({} detailed tasks)",
@@ -230,14 +229,13 @@ fn cmd_timeline(path: &Path, flags: &[(String, String)]) -> ExitCode {
     let program = program_from_ingested("ingested", &trace);
     let bundle = RecordedTraces::from_ingested(&trace);
     let telemetry = Telemetry::recording();
-    let (sampled, stats) = run_sampled_observed(
-        &program,
-        MachineConfig::low_power(),
-        workers,
-        TaskPointConfig::lazy(),
-        Box::new(bundle),
-        telemetry.clone(),
-    );
+    let sim = Simulation::builder(&program, MachineConfig::low_power())
+        .workers(workers)
+        .traces(Box::new(bundle))
+        .telemetry(telemetry.clone())
+        .build();
+    let RunOutcome { result: sampled, stats, .. } =
+        taskpoint::run(sim, TaskPointConfig::lazy(), None);
     let report = telemetry.take_report().expect("recording handle yields a report");
     print!("{}", report.render_gantt(width as usize));
     println!(

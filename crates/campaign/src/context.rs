@@ -14,16 +14,14 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use taskpoint::{
-    run_adaptive_observed, run_clustered_adaptive_observed, run_clustered_observed,
-    run_reference_observed, run_sampled_observed, run_stratified_observed, AccuracyReport,
-    ExperimentOutcome, PolicyConfig, ResampleCause,
+    AccuracyReport, ExperimentOutcome, PolicyConfig, ResampleCause, RunOutcome, TaskPointConfig,
 };
 use taskpoint_runtime::Program;
 use taskpoint_stats::{normalize_by_group, BoxplotStats};
 use taskpoint_workloads::{Benchmark, ExternalWorkload, ScaleConfig};
 use tasksim::{
-    DetailedOnly, NoiseModel, ProceduralTraces, RecordedTraces, SimResult, Simulation, Telemetry,
-    TraceProvider,
+    DetailedOnly, NoiseModel, ProceduralTraces, RecordedTraces, SimResult, Simulation,
+    SimulationBuilder, Telemetry, TraceProvider,
 };
 
 use crate::record::{
@@ -78,16 +76,13 @@ fn strip_reports(mut result: SimResult) -> SimResult {
 /// inspecting task counts.
 fn reference_result_from_stored(stored: &StoredCell, workers: u32) -> SimResult {
     let m = stored.record.metrics.as_reference().expect("reference record");
-    // v5 records persist latency percentiles; the stub rebuilds the
-    // summary struct (count = completed tasks). Pre-v5 entries default.
-    let task_latency = match &m.perf {
-        Some(p) => tasksim::LatencyPercentiles {
-            count: m.detailed_tasks,
-            p50: p.lat_p50,
-            p99: p.lat_p99,
-            p999: p.lat_p999,
-        },
-        None => Default::default(),
+    // The record persists latency percentiles; the stub rebuilds the
+    // summary struct (count = completed tasks).
+    let task_latency = tasksim::LatencyPercentiles {
+        count: m.detailed_tasks,
+        p50: m.perf.lat_p50,
+        p99: m.perf.lat_p99,
+        p999: m.perf.lat_p999,
     };
     let groups = m
         .groups
@@ -120,7 +115,7 @@ fn reference_result_from_stored(stored: &StoredCell, workers: u32) -> SimResult 
         groups,
         // Stall attribution is not reconstructible from the flat summed
         // keys; the stub carries no accounts (callers treat that as "no
-        // accounting data", same as a pre-v5 record).
+        // accounting data").
         cycle_accounts: Vec::new(),
         task_latency,
     }
@@ -185,6 +180,21 @@ impl Context {
         }
     }
 
+    /// A simulation of `program` on the cell's machine and workers, reading
+    /// its streams from the cell's trace provider and recording into
+    /// `telemetry`.
+    fn simulation<'p>(
+        &self,
+        program: &'p Program,
+        spec: &CellSpec,
+        telemetry: &Telemetry,
+    ) -> SimulationBuilder<'p> {
+        Simulation::builder(program, spec.machine.clone())
+            .workers(spec.workers)
+            .traces(self.provider(spec.bench))
+            .telemetry(telemetry.clone())
+    }
+
     /// Returns (computing or cache-loading on first use) the reference
     /// entry for a reference cell spec. `cached` in the entry is true iff
     /// it was served from the persistent store.
@@ -213,13 +223,9 @@ impl Context {
                 return ReferenceEntry { result, stored, cached: true };
             }
             let program = self.program(spec.bench, &spec.scale);
-            let result = strip_reports(run_reference_observed(
-                &program,
-                spec.machine.clone(),
-                spec.workers,
-                self.provider(spec.bench),
-                telemetry.clone(),
-            ));
+            let result = strip_reports(
+                self.simulation(&program, spec, telemetry).build().run(&mut DetailedOnly),
+            );
             let stored = StoredCell {
                 record: CellRecord {
                     cell: hash.clone(),
@@ -331,94 +337,14 @@ impl Context {
         match &spec.kind {
             CellKind::Reference => unreachable!("reference cells go through reference_entry"),
             CellKind::Sampled { config } => {
-                let program = self.program(spec.bench, &spec.scale);
-                let reference = self
-                    .reference_entry(store, &spec.reference_spec().expect("sampled has reference"));
-                // Adaptive-policy cells run the confidence-driven
-                // controller, stratified cells the two-phase Neyman
-                // controller; both keep the per-cluster accuracy report
-                // for the record's CI and allocation fields.
-                let (sampled, stats, accuracy) = if config.policy.is_adaptive() {
-                    let (sampled, stats, accuracy) = run_adaptive_observed(
-                        &program,
-                        spec.machine.clone(),
-                        spec.workers,
-                        *config,
-                        self.provider(spec.bench),
-                        telemetry.clone(),
-                    );
-                    (sampled, stats, Some(accuracy))
-                } else if config.policy.is_stratified() {
-                    let (sampled, stats, accuracy) = run_stratified_observed(
-                        &program,
-                        spec.machine.clone(),
-                        spec.workers,
-                        *config,
-                        self.provider(spec.bench),
-                        telemetry.clone(),
-                    );
-                    (sampled, stats, Some(accuracy))
-                } else {
-                    let (sampled, stats) = run_sampled_observed(
-                        &program,
-                        spec.machine.clone(),
-                        spec.workers,
-                        *config,
-                        self.provider(spec.bench),
-                        telemetry.clone(),
-                    );
-                    (sampled, stats, None)
-                };
-                let outcome = ExperimentOutcome::compare(&sampled, &reference.result);
-                self.eval_stored(spec, hash, &sampled, &outcome, &stats, None, accuracy.as_ref())
+                self.eval_cell(store, spec, hash, telemetry, *config, None)
             }
             CellKind::Clustered { config, granularity } => {
-                let program = self.program(spec.bench, &spec.scale);
-                let reference = self.reference_entry(
-                    store,
-                    &spec.reference_spec().expect("clustered has reference"),
-                );
-                let (sampled, stats, clusters, accuracy) = if config.policy.is_adaptive() {
-                    let (sampled, stats, accuracy, clusters) = run_clustered_adaptive_observed(
-                        &program,
-                        spec.machine.clone(),
-                        spec.workers,
-                        *config,
-                        *granularity,
-                        self.provider(spec.bench),
-                        telemetry.clone(),
-                    );
-                    (sampled, stats, clusters, Some(accuracy))
-                } else {
-                    let (sampled, stats, clusters) = run_clustered_observed(
-                        &program,
-                        spec.machine.clone(),
-                        spec.workers,
-                        *config,
-                        *granularity,
-                        self.provider(spec.bench),
-                        telemetry.clone(),
-                    );
-                    (sampled, stats, clusters, None)
-                };
-                let outcome = ExperimentOutcome::compare(&sampled, &reference.result);
-                self.eval_stored(
-                    spec,
-                    hash,
-                    &sampled,
-                    &outcome,
-                    &stats,
-                    Some(clusters as u64),
-                    accuracy.as_ref(),
-                )
+                self.eval_cell(store, spec, hash, telemetry, *config, Some(*granularity))
             }
             CellKind::Variation { noise_seed } => {
                 let program = self.program(spec.bench, &spec.scale);
-                let mut builder = Simulation::builder(&program, spec.machine.clone())
-                    .workers(spec.workers)
-                    .collect_reports(true)
-                    .telemetry(telemetry.clone());
-                builder = builder.traces(self.provider(spec.bench));
+                let mut builder = self.simulation(&program, spec, telemetry).collect_reports(true);
                 if let Some(seed) = noise_seed {
                     builder = builder.noise(NoiseModel::native_execution(*seed));
                 }
@@ -452,13 +378,10 @@ impl Context {
             }
             CellKind::Explore { config } => {
                 let program = self.program(spec.bench, &spec.scale);
-                let (sampled, stats) = run_sampled_observed(
-                    &program,
-                    spec.machine.clone(),
-                    spec.workers,
+                let RunOutcome { result: sampled, stats, .. } = taskpoint::run(
+                    self.simulation(&program, spec, telemetry).build(),
                     *config,
-                    self.provider(spec.bench),
-                    telemetry.clone(),
+                    None,
                 );
                 StoredCell {
                     record: CellRecord {
@@ -489,17 +412,24 @@ impl Context {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn eval_stored(
+    /// Runs a sampled or clustered cell and compares it against its
+    /// detailed reference (computed unobserved if it is not cached yet).
+    fn eval_cell(
         &self,
+        store: &ResultStore,
         spec: &CellSpec,
         hash: &str,
-        sampled: &SimResult,
-        outcome: &ExperimentOutcome,
-        stats: &taskpoint::SamplingStats,
-        clusters: Option<u64>,
-        accuracy: Option<&AccuracyReport>,
+        telemetry: &Telemetry,
+        config: TaskPointConfig,
+        granularity: Option<u32>,
     ) -> StoredCell {
+        let program = self.program(spec.bench, &spec.scale);
+        let reference =
+            self.reference_entry(store, &spec.reference_spec().expect("eval cell has reference"));
+        let RunOutcome { result: sampled, stats, accuracy, clusters } =
+            taskpoint::run(self.simulation(&program, spec, telemetry).build(), config, granularity);
+        let accuracy = accuracy.as_ref();
+        let outcome = ExperimentOutcome::compare(&sampled, &reference.result);
         // Stratified cells persist the configured pilot/budget alongside
         // the realized allocation; everything else omits the keys.
         let strat = accuracy.and_then(|a| match &a.config {
@@ -529,7 +459,7 @@ impl Context {
                     resamples_concurrency: stats.resamples_by(ResampleCause::ConcurrencyChange)
                         as u64,
                     resamples_empty: stats.resamples_by(ResampleCause::EmptyHistories) as u64,
-                    clusters,
+                    clusters: clusters.map(|c| c as u64),
                     ci_target: accuracy.and_then(|a| a.config.target_ci()),
                     ci_confidence: accuracy.map(|a| a.config.confidence().level()),
                     ci_max: accuracy.and_then(AccuracyReport::max_rel_ci),
@@ -540,7 +470,7 @@ impl Context {
                     strat_budget: strat.map(|c| c.budget),
                     strat_allocated: accuracy.and_then(|a| a.allocated),
                     strat_reopened: accuracy.map(|a| a.reopened_bands() as u64),
-                    perf: PerfProfile::from_result(sampled),
+                    perf: PerfProfile::from_result(&sampled),
                 })),
             },
             timing: CellTiming {

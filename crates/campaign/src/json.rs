@@ -1,7 +1,8 @@
 //! Minimal JSON reading/writing for the result store.
 //!
-//! The vendored `serde` is a no-op stub (see `vendor/README.md`), so the
-//! campaign layer carries its own tiny JSON implementation. The writer is
+//! The workspace builds offline and has no serialization dependency, so
+//! the campaign layer carries its own tiny JSON implementation — the only
+//! serializer in the tree. The writer is
 //! *canonical*: object keys keep insertion order, numbers use Rust's
 //! shortest round-trip formatting, and there is no whitespace — so the
 //! bytes produced for a given value are identical across runs, platforms

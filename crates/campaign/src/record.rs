@@ -51,9 +51,8 @@ pub struct RefMetrics {
     /// machines (same pattern as the adaptive-only `ci_*` fields:
     /// homogeneous records do not carry the key at all).
     pub groups: Option<Vec<GroupMetric>>,
-    /// Task-latency percentiles and stall attribution (record format v5;
-    /// pre-v5 cached records lack the keys entirely).
-    pub perf: Option<PerfProfile>,
+    /// Task-latency percentiles and stall attribution (record format v5).
+    pub perf: PerfProfile,
 }
 
 /// Task-latency percentiles and machine-wide stall attribution of one
@@ -61,9 +60,9 @@ pub struct RefMetrics {
 ///
 /// Latencies are simulated base-clock cycles per task instance; stall
 /// fields are global base-clock core-ticks summed across all core groups,
-/// in the fixed taxonomy of `tasksim`'s cycle accounting. The block is
-/// all-or-nothing: either every key below is present or none is.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// in the fixed taxonomy of `tasksim`'s cycle accounting. Every record
+/// that carries metrics of a run carries every key below.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PerfProfile {
     /// Median task latency (cycles).
     pub lat_p50: f64,
@@ -92,12 +91,7 @@ pub struct PerfProfile {
 impl PerfProfile {
     /// Builds the profile from a simulation result: percentiles straight
     /// from the engine, stall categories summed across core groups.
-    /// `None` when the run produced no cycle accounts (e.g. a stub
-    /// reconstructed from a pre-v5 cached record).
-    pub fn from_result(result: &tasksim::SimResult) -> Option<Self> {
-        if result.cycle_accounts.is_empty() {
-            return None;
-        }
+    pub fn from_result(result: &tasksim::SimResult) -> Self {
         let mut p = PerfProfile {
             lat_p50: result.task_latency.p50,
             lat_p99: result.task_latency.p99,
@@ -121,7 +115,7 @@ impl PerfProfile {
             p.stall_contention += a.contention;
             p.stall_idle += a.idle;
         }
-        Some(p)
+        p
     }
 }
 
@@ -181,8 +175,8 @@ pub struct EvalMetrics {
     /// parallelism shifts (adaptive and stratified cells).
     pub strat_reopened: Option<u64>,
     /// Task-latency percentiles and stall attribution of the sampled run
-    /// itself (record format v5; pre-v5 cached records lack the keys).
-    pub perf: Option<PerfProfile>,
+    /// itself (record format v5).
+    pub perf: PerfProfile,
 }
 
 /// Deterministic metrics of a variation cell: per-type-normalized IPC
@@ -370,8 +364,7 @@ fn scale_json(scale: &ScaleConfig) -> Value {
     Value::Obj(o)
 }
 
-fn perf_json(o: &mut Object, perf: &Option<PerfProfile>) {
-    let Some(p) = perf else { return };
+fn perf_json(o: &mut Object, p: &PerfProfile) {
     o.set("lat_p50", Value::Num(p.lat_p50));
     o.set("lat_p99", Value::Num(p.lat_p99));
     o.set("lat_p999", Value::Num(p.lat_p999));
@@ -543,13 +536,8 @@ fn parse_groups(o: &Object) -> Result<Option<Vec<GroupMetric>>, RecordError> {
     Ok(Some(groups))
 }
 
-fn parse_perf(o: &Object) -> Result<Option<PerfProfile>, RecordError> {
-    // The block is all-or-nothing: its lead key decides presence, the
-    // rest are then required so a half-written record fails loudly.
-    if o.get("lat_p50").is_none() {
-        return Ok(None);
-    }
-    Ok(Some(PerfProfile {
+fn parse_perf(o: &Object) -> Result<PerfProfile, RecordError> {
+    Ok(PerfProfile {
         lat_p50: o.num("lat_p50").ok_or_else(|| shape("lat_p50"))?,
         lat_p99: o.num("lat_p99").ok_or_else(|| shape("lat_p99"))?,
         lat_p999: o.num("lat_p999").ok_or_else(|| shape("lat_p999"))?,
@@ -561,7 +549,7 @@ fn parse_perf(o: &Object) -> Result<Option<PerfProfile>, RecordError> {
         stall_mshr_full: o.u64("stall_mshr_full").ok_or_else(|| shape("stall_mshr_full"))?,
         stall_contention: o.u64("stall_contention").ok_or_else(|| shape("stall_contention"))?,
         stall_idle: o.u64("stall_idle").ok_or_else(|| shape("stall_idle"))?,
-    }))
+    })
 }
 
 fn parse_metrics(kind: &str, o: &Object) -> Result<CellMetrics, RecordError> {
@@ -736,10 +724,24 @@ mod tests {
                 strat_budget: None,
                 strat_allocated: None,
                 strat_reopened: None,
-                perf: None,
+                perf: sample_perf(),
             })),
         }
     }
+
+    const PERF_KEYS: [&str; 11] = [
+        "lat_p50",
+        "lat_p99",
+        "lat_p999",
+        "stall_rob_full",
+        "stall_dep_wait",
+        "stall_l1_wait",
+        "stall_l2_wait",
+        "stall_dram_wait",
+        "stall_mshr_full",
+        "stall_contention",
+        "stall_idle",
+    ];
 
     fn sample_perf() -> PerfProfile {
         PerfProfile {
@@ -794,7 +796,7 @@ mod tests {
                     detailed_tasks: 1024,
                     instructions: 9_700_000,
                     groups: None,
-                    perf: Some(sample_perf()),
+                    perf: sample_perf(),
                 }),
             ),
             (
@@ -922,7 +924,7 @@ mod tests {
                     detailed_tasks: 1024,
                     instructions: 9_700_000,
                     groups: Some(groups),
-                    perf: None,
+                    perf: sample_perf(),
                 }),
                 ..eval_record()
             },
@@ -948,7 +950,7 @@ mod tests {
                     detailed_tasks: 1,
                     instructions: 1,
                     groups: None,
-                    perf: None,
+                    perf: sample_perf(),
                 }),
                 ..eval_record()
             },
@@ -959,11 +961,8 @@ mod tests {
 
     #[test]
     fn perf_profile_fields_round_trip() {
-        let mut record = eval_record();
-        let CellMetrics::Eval(ref mut m) = record.metrics else { unreachable!() };
-        m.perf = Some(sample_perf());
         let stored = StoredCell {
-            record,
+            record: eval_record(),
             timing: CellTiming {
                 wall_seconds: 0.2,
                 reference_wall_seconds: Some(1.0),
@@ -981,10 +980,16 @@ mod tests {
         assert!(text.contains("\"stall_idle\":88"));
         let back = StoredCell::from_json(&text).unwrap();
         assert_eq!(back, stored);
-        // Pre-v5 records carry none of the keys and still parse (perf
-        // stays None); a half-written block is rejected, not defaulted.
-        assert!(!eval_record().to_json().contains("lat_p"));
-        assert!(!eval_record().to_json().contains("stall_"));
+        // A record without the block is rejected, and so is a
+        // half-written one: neither is defaulted.
+        let mut stripped = text.clone();
+        for key in PERF_KEYS {
+            let start = stripped.find(&format!(",\"{key}\":")).expect("perf key present");
+            let end = start + 1 + stripped[start + 1..].find([',', '}']).unwrap();
+            stripped.replace_range(start..end, "");
+        }
+        assert!(!stripped.contains("lat_p") && !stripped.contains("stall_"), "{stripped}");
+        assert!(StoredCell::from_json(&stripped).is_err());
         let truncated = text.replace(",\"stall_idle\":88", "");
         assert!(StoredCell::from_json(&truncated).is_err());
     }

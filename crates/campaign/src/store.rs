@@ -221,7 +221,7 @@ impl ResultStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{CellMetrics, CellRecord, CellTiming, RefMetrics};
+    use crate::record::{CellMetrics, CellRecord, CellTiming, PerfProfile, RefMetrics};
     use taskpoint_workloads::ScaleConfig;
 
     fn tmp_store(name: &str) -> ResultStore {
@@ -247,7 +247,7 @@ mod tests {
                     detailed_tasks: 1,
                     instructions: 10,
                     groups: None,
-                    perf: None,
+                    perf: PerfProfile::default(),
                 }),
             },
             timing: CellTiming {

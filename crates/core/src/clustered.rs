@@ -95,95 +95,12 @@ impl ModeController for ClusteredController {
     }
 }
 
-/// Runs a clustered sampled simulation (the counterpart of
-/// [`run_sampled`](crate::simulate::run_sampled)).
-pub fn run_clustered(
-    program: &taskpoint_runtime::Program,
-    machine: tasksim::MachineConfig,
-    workers: u32,
-    config: TaskPointConfig,
-    granularity: u32,
-) -> (tasksim::SimResult, SamplingStats, usize) {
-    run_clustered_traced(
-        program,
-        machine,
-        workers,
-        config,
-        granularity,
-        Box::new(tasksim::ProceduralTraces),
-    )
-}
-
-/// Like [`run_clustered`], with an explicit
-/// [`TraceProvider`](tasksim::TraceProvider) for the detailed instruction
-/// streams (see [`run_reference_traced`](crate::run_reference_traced)).
-///
-/// Dispatches on `config.policy` like
-/// [`run_sampled_traced`](crate::run_sampled_traced): an adaptive policy
-/// runs the clustered confidence-driven controller (use
-/// [`run_clustered_adaptive_traced`](crate::run_clustered_adaptive_traced)
-/// directly to also get the per-cluster accuracy report).
-pub fn run_clustered_traced(
-    program: &taskpoint_runtime::Program,
-    machine: tasksim::MachineConfig,
-    workers: u32,
-    config: TaskPointConfig,
-    granularity: u32,
-    traces: Box<dyn tasksim::TraceProvider>,
-) -> (tasksim::SimResult, SamplingStats, usize) {
-    run_clustered_observed(
-        program,
-        machine,
-        workers,
-        config,
-        granularity,
-        traces,
-        tasksim::Telemetry::disabled(),
-    )
-}
-
-/// Like [`run_clustered_traced`], with a [`Telemetry`](tasksim::Telemetry)
-/// handle attached to the engine (and to the adaptive controller when the
-/// policy dispatches there).
-#[allow(clippy::too_many_arguments)]
-pub fn run_clustered_observed(
-    program: &taskpoint_runtime::Program,
-    machine: tasksim::MachineConfig,
-    workers: u32,
-    config: TaskPointConfig,
-    granularity: u32,
-    traces: Box<dyn tasksim::TraceProvider>,
-    telemetry: tasksim::Telemetry,
-) -> (tasksim::SimResult, SamplingStats, usize) {
-    if config.policy.is_adaptive() {
-        let (result, stats, _, clusters) = crate::adaptive::run_clustered_adaptive_observed(
-            program,
-            machine,
-            workers,
-            config,
-            granularity,
-            traces,
-            telemetry,
-        );
-        return (result, stats, clusters);
-    }
-    let mut controller = ClusteredController::new(config, granularity);
-    let result = tasksim::Simulation::builder(program, machine)
-        .workers(workers)
-        .traces(traces)
-        .telemetry(telemetry)
-        .build()
-        .run(&mut controller);
-    let clusters = controller.num_clusters();
-    (result, controller.into_stats(), clusters)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use taskpoint_runtime::Program;
     use taskpoint_trace::TraceSpec;
-    use tasksim::MachineConfig;
+    use tasksim::{DetailedOnly, MachineConfig, Simulation};
 
     #[test]
     fn size_classes_partition_by_magnitude() {
@@ -229,10 +146,11 @@ mod tests {
     fn clustering_beats_plain_taskpoint_on_bimodal_types() {
         let p = bimodal_program();
         let machine = MachineConfig::high_performance();
-        let reference = crate::simulate::run_reference(&p, machine.clone(), 4);
-        let (plain, _) =
-            crate::simulate::run_sampled(&p, machine.clone(), 4, TaskPointConfig::lazy());
-        let (clustered, _, clusters) = run_clustered(&p, machine, 4, TaskPointConfig::lazy(), 1);
+        let sim = || Simulation::builder(&p, machine.clone()).workers(4).build();
+        let reference = sim().run(&mut DetailedOnly);
+        let plain = crate::run(sim(), TaskPointConfig::lazy(), None).result;
+        let clustered = crate::run(sim(), TaskPointConfig::lazy(), Some(1));
+        let (clustered, clusters) = (clustered.result, clustered.clusters.unwrap());
         let err = |predicted: u64| {
             100.0
                 * ((predicted as f64 - reference.total_cycles as f64)

@@ -1,12 +1,11 @@
 //! TaskPoint configuration: the paper's model parameters.
 
-use serde::{Deserialize, Serialize};
 use taskpoint_accuracy::{AdaptiveConfig, AdaptiveParams, StratifiedConfig};
 use taskpoint_stats::Confidence;
 
 /// When to resample a fast-forwarding simulation (paper §III-C, plus the
 /// confidence-driven extension).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SamplingPolicy {
     /// Resample after any thread has fast-forwarded `period` task
     /// instances — the paper's *periodic sampling* with parameter `P`.
@@ -22,10 +21,9 @@ pub enum SamplingPolicy {
     /// relative confidence interval of its mean IPC is within `target_ci`
     /// at `confidence`, with a `min_samples` floor (and the rare-cluster
     /// cutoff). Runs through the
-    /// [`AdaptiveController`](taskpoint_accuracy::AdaptiveController);
-    /// `run_sampled` dispatches automatically, or use
-    /// [`run_adaptive`](crate::run_adaptive) to also get the per-cluster
-    /// [`AccuracyReport`](taskpoint_accuracy::AccuracyReport). A
+    /// [`AdaptiveController`](taskpoint_accuracy::AdaptiveController)
+    /// ([`run`](crate::run) dispatches on the policy and also returns the
+    /// per-cluster [`AccuracyReport`](taskpoint_accuracy::AccuracyReport)). A
     /// `target_ci` of `0.0` waives the statistical requirement, collapsing
     /// to a fixed budget of `min_samples` per cluster.
     Adaptive {
@@ -41,10 +39,9 @@ pub enum SamplingPolicy {
     /// `pilot_samples` detailed instances to estimate its variance, then
     /// the remainder of the total detailed `budget` is allocated
     /// proportional to stratum size × stddev. Runs through the
-    /// [`StratifiedController`](taskpoint_accuracy::StratifiedController);
-    /// `run_sampled` dispatches automatically, or use
-    /// [`run_stratified`](crate::run_stratified) to also get the
-    /// per-stratum [`AccuracyReport`](taskpoint_accuracy::AccuracyReport).
+    /// [`StratifiedController`](taskpoint_accuracy::StratifiedController)
+    /// ([`run`](crate::run) dispatches on the policy and also returns the
+    /// per-stratum [`AccuracyReport`](taskpoint_accuracy::AccuracyReport)).
     Stratified {
         /// Detailed pilot instances per stratum.
         pilot_samples: u64,
@@ -145,7 +142,7 @@ impl std::fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 /// The complete parameter set of the methodology.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TaskPointConfig {
     /// `W`: detailed task instances per thread for warmup at simulation
     /// start (paper's tuned value: 2). Must not exceed `H`.

@@ -28,14 +28,13 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
 use tasksim::{ExecMode, ModeController, SimMode, TaskReport, TaskStart};
 
 use crate::config::{SamplingPolicy, TaskPointConfig};
 use crate::history::TypeHistories;
 
 /// The controller's execution phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// Initial warmup: `W` detailed instances per thread.
     InitialWarmup,
@@ -49,7 +48,7 @@ pub enum Phase {
 }
 
 /// Why a resampling was triggered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ResampleCause {
     /// Periodic policy: a thread fast-forwarded `P` instances.
     Policy,
@@ -63,7 +62,7 @@ pub enum ResampleCause {
 }
 
 /// Telemetry of one sampled run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SamplingStats {
     /// `(simulated time, new phase)` transitions in order.
     pub phase_log: Vec<(u64, Phase)>,
@@ -115,22 +114,22 @@ impl TaskPointController {
     /// # Panics
     ///
     /// Panics if the configuration is invalid, or if its policy is
-    /// [`SamplingPolicy::Adaptive`] — the confidence-driven policy runs
-    /// through [`AdaptiveController`](taskpoint_accuracy::AdaptiveController)
-    /// (the [`run_sampled`](crate::run_sampled) entry points dispatch on
-    /// the policy automatically).
+    /// [`SamplingPolicy::Adaptive`] or [`SamplingPolicy::Stratified`] —
+    /// those run through
+    /// [`AdaptiveController`](taskpoint_accuracy::AdaptiveController) and
+    /// [`StratifiedController`](taskpoint_accuracy::StratifiedController)
+    /// ([`run`](crate::run) dispatches on the policy).
     pub fn new(config: TaskPointConfig) -> Self {
         config.validate();
         assert!(
             !config.policy.is_adaptive(),
-            "SamplingPolicy::Adaptive requires the AdaptiveController; use run_adaptive / \
-             run_clustered_adaptive, or run_sampled / run_clustered (which dispatch on the \
-             policy)"
+            "SamplingPolicy::Adaptive requires the AdaptiveController; use taskpoint::run \
+             (which dispatches on the policy)"
         );
         assert!(
             !config.policy.is_stratified(),
-            "SamplingPolicy::Stratified requires the StratifiedController; use run_stratified, \
-             or run_sampled (which dispatches on the policy)"
+            "SamplingPolicy::Stratified requires the StratifiedController; use taskpoint::run \
+             (which dispatches on the policy)"
         );
         let warmup_target = config.warmup_instances;
         let mut controller = Self {

@@ -11,11 +11,10 @@
 //!   warmed or not; the fallback for *rare task types* that never fill
 //!   their valid history within a sampling interval.
 
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// A bounded FIFO of per-instance IPC samples with O(1) mean maintenance.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SampleHistory {
     samples: VecDeque<f64>,
     capacity: usize,
@@ -90,7 +89,7 @@ impl SampleHistory {
 }
 
 /// The per-type pair of histories.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TypeHistories {
     /// Valid (warmed) samples; cleared on resampling.
     pub valid: SampleHistory,

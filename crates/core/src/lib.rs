@@ -23,64 +23,50 @@
 //! * the paper's proposed *future work* — clustering instances of a type
 //!   by instruction count into classes of similar performance
 //!   ([`clustered`]);
-//! * **confidence-driven adaptive sampling** ([`adaptive`], built on
-//!   [`taskpoint_accuracy`]): a third policy
-//!   ([`SamplingPolicy::Adaptive`]) that keeps each cluster detailed until
-//!   the relative confidence interval of its mean IPC shrinks below a
-//!   target, turning the sample budget into an error/speedup dial;
-//! * evaluation plumbing for error/speedup studies ([`metrics`],
-//!   [`simulate`]).
+//! * **confidence-driven adaptive** and **two-phase stratified** sampling
+//!   (built on [`taskpoint_accuracy`]): [`SamplingPolicy::Adaptive`] keeps
+//!   each cluster detailed until the relative confidence interval of its
+//!   mean IPC shrinks below a target, turning the sample budget into an
+//!   error/speedup dial, and [`SamplingPolicy::Stratified`] spends a fixed
+//!   detailed budget by Neyman allocation;
+//! * one entry point, [`run`], that picks the controller for a
+//!   configuration and drives a [`tasksim::Simulation`] with it
+//!   ([`simulate`]), plus the error/speedup comparison ([`metrics`]).
 //!
 //! # Quickstart
 //!
 //! ```
-//! use taskpoint::{run_sampled, TaskPointConfig};
+//! use taskpoint::{run, TaskPointConfig};
 //! use taskpoint_workloads::{Benchmark, ScaleConfig};
-//! use tasksim::MachineConfig;
+//! use tasksim::{MachineConfig, Simulation};
 //!
 //! let program = Benchmark::Spmv.generate(&ScaleConfig::quick());
-//! let (result, stats) = run_sampled(
-//!     &program,
-//!     MachineConfig::high_performance(),
-//!     8,
-//!     TaskPointConfig::lazy(),
-//! );
+//! let sim = Simulation::builder(&program, MachineConfig::high_performance()).workers(8).build();
+//! let sampled = run(sim, TaskPointConfig::lazy(), None);
 //! println!(
 //!     "predicted {} cycles, {:.1}% of instructions in detail, {} resamples",
-//!     result.total_cycles,
-//!     100.0 * result.detail_fraction(),
-//!     stats.resamples.len(),
+//!     sampled.result.total_cycles,
+//!     100.0 * sampled.result.detail_fraction(),
+//!     sampled.stats.resamples.len(),
 //! );
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adaptive;
 pub mod clustered;
 pub mod config;
 pub mod controller;
 pub mod history;
 pub mod metrics;
 pub mod simulate;
-pub mod stratified;
 
-pub use adaptive::{
-    run_adaptive, run_adaptive_observed, run_adaptive_traced, run_clustered_adaptive,
-    run_clustered_adaptive_observed, run_clustered_adaptive_traced,
-};
-pub use clustered::{
-    run_clustered, run_clustered_observed, run_clustered_traced, ClusteredController,
-};
+pub use clustered::ClusteredController;
 pub use config::{ConfigError, SamplingPolicy, TaskPointConfig};
 pub use controller::{Phase, ResampleCause, SamplingStats, TaskPointController};
 pub use history::{SampleHistory, TypeHistories};
 pub use metrics::ExperimentOutcome;
-pub use simulate::{
-    evaluate, run_reference, run_reference_observed, run_reference_traced, run_sampled,
-    run_sampled_observed, run_sampled_traced,
-};
-pub use stratified::{run_stratified, run_stratified_observed, run_stratified_traced};
+pub use simulate::{run, RunOutcome};
 // Observability handle, re-exported for the same reason.
 pub use tasksim::{Telemetry, TelemetryReport};
 // The statistical layer underneath the adaptive policy, re-exported so

@@ -1,12 +1,11 @@
 //! Accuracy and speed metrics for sampled-vs-detailed comparisons.
 
-use serde::{Deserialize, Serialize};
 use taskpoint_stats::{relative_error_percent, speedup};
 use tasksim::SimResult;
 
 /// The two numbers the paper reports per (benchmark, threads, policy) cell:
 /// execution-time error and simulation speedup, plus supporting detail.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExperimentOutcome {
     /// Absolute percent error of the sampled run's predicted execution
     /// time against the detailed reference.

@@ -1,149 +1,156 @@
-//! High-level entry points: run a program sampled, detailed, or both.
+//! The one sampled-simulation entry point: [`run`] picks the controller
+//! for a [`TaskPointConfig`] and drives a configured [`Simulation`] with it.
+//!
+//! A detailed reference run needs no entry point of its own: it is
+//! `Simulation::builder(..).build().run(&mut DetailedOnly)`, and
+//! [`ExperimentOutcome::compare`](crate::ExperimentOutcome::compare) sets a
+//! sampled run against it.
 
-use taskpoint_runtime::Program;
-use tasksim::{DetailedOnly, MachineConfig, SimResult, Simulation, Telemetry, TraceProvider};
+use taskpoint_accuracy::{
+    AccuracyReport, AdaptiveController, AdaptiveStats, ClusteredAdaptiveController,
+    StratifiedController,
+};
+use tasksim::{SimResult, Simulation};
 
+use crate::clustered::ClusteredController;
 use crate::config::TaskPointConfig;
 use crate::controller::{SamplingStats, TaskPointController};
-use crate::metrics::ExperimentOutcome;
 
-/// Runs the full detailed reference simulation (every task instance through
-/// the cycle-level model).
+/// What one sampled [`run`] produced.
+#[derive(Debug, Clone)]
+pub struct RunOutcome {
+    /// The simulation result (predicted cycles, detail split, caches).
+    pub result: SimResult,
+    /// The controller's telemetry in the common shape (adaptive and
+    /// stratified runs have no global phases or resamples; those logs
+    /// stay empty).
+    pub stats: SamplingStats,
+    /// The per-cluster accuracy report of the adaptive and stratified
+    /// policies; `None` for lazy and periodic sampling.
+    pub accuracy: Option<AccuracyReport>,
+    /// The number of `(type, size-class)` sampling units, when the run
+    /// was given a granularity.
+    pub clusters: Option<usize>,
+}
+
+/// Runs `sim` under the TaskPoint controller that `config` selects.
+///
+/// This is the only place that dispatches on the policy:
+///
+/// | policy | `granularity` `None` | `Some(g)` |
+/// |---|---|---|
+/// | lazy, periodic | [`TaskPointController`] | [`ClusteredController`] |
+/// | adaptive | [`AdaptiveController`] | [`ClusteredAdaptiveController`] |
+/// | stratified | [`StratifiedController`] | the same, with size classes of width `g` |
+///
+/// The adaptive and stratified controllers share the simulation's
+/// telemetry handle, so their fidelity decisions land in the same event
+/// stream as the schedule. The stratified controller is primed with the
+/// simulation's program, so its strata are fixed in instance-creation
+/// order and its report is identical at any worker count.
+///
+/// # Panics
+///
+/// Panics if the configuration is invalid or `granularity` is `Some(0)`.
 ///
 /// # Example
 ///
 /// ```
-/// use taskpoint::run_reference;
+/// use taskpoint::{run, ExperimentOutcome, TaskPointConfig};
 /// use taskpoint_workloads::{Benchmark, ScaleConfig};
-/// use tasksim::MachineConfig;
+/// use tasksim::{DetailedOnly, MachineConfig, Simulation};
 ///
 /// let program = Benchmark::Spmv.generate(&ScaleConfig::quick());
-/// let result = run_reference(&program, MachineConfig::low_power(), 2);
-/// assert_eq!(result.detailed_tasks as usize, program.num_instances());
+/// let machine = MachineConfig::low_power();
+/// let reference =
+///     Simulation::builder(&program, machine.clone()).workers(2).build().run(&mut DetailedOnly);
+/// let sim = Simulation::builder(&program, machine).workers(2).build();
+/// let sampled = run(sim, TaskPointConfig::adaptive(0.05), None);
+/// assert!(sampled.stats.fast_tasks > 0);
+/// assert!(sampled.accuracy.unwrap().units() >= 1);
+/// let outcome = ExperimentOutcome::compare(&sampled.result, &reference);
+/// assert!(outcome.detail_fraction < 1.0);
 /// ```
-pub fn run_reference(program: &Program, machine: MachineConfig, workers: u32) -> SimResult {
-    run_reference_traced(program, machine, workers, Box::new(tasksim::ProceduralTraces))
-}
-
-/// Like [`run_reference`], with an explicit [`TraceProvider`] for the
-/// detailed instruction streams — required for programs converted from
-/// externally ingested traces, whose streams live in a
-/// [`RecordedTraces`](tasksim::RecordedTraces) bundle rather than in
-/// procedural specs.
-pub fn run_reference_traced(
-    program: &Program,
-    machine: MachineConfig,
-    workers: u32,
-    traces: Box<dyn TraceProvider>,
-) -> SimResult {
-    run_reference_observed(program, machine, workers, traces, Telemetry::disabled())
-}
-
-/// Like [`run_reference_traced`], with a [`Telemetry`] handle attached to
-/// the engine: a recording handle captures the full detailed schedule
-/// (assignments, completions, queue depths) and end-of-run counters.
-pub fn run_reference_observed(
-    program: &Program,
-    machine: MachineConfig,
-    workers: u32,
-    traces: Box<dyn TraceProvider>,
-    telemetry: Telemetry,
-) -> SimResult {
-    Simulation::builder(program, machine)
-        .workers(workers)
-        .traces(traces)
-        .telemetry(telemetry)
-        .build()
-        .run(&mut DetailedOnly)
-}
-
-/// Runs a TaskPoint sampled simulation; returns the simulation result and
-/// the controller's telemetry.
-pub fn run_sampled(
-    program: &Program,
-    machine: MachineConfig,
-    workers: u32,
-    config: TaskPointConfig,
-) -> (SimResult, SamplingStats) {
-    run_sampled_traced(program, machine, workers, config, Box::new(tasksim::ProceduralTraces))
-}
-
-/// Like [`run_sampled`], with an explicit [`TraceProvider`] for the
-/// detailed instruction streams (see [`run_reference_traced`]).
-///
-/// Dispatches on `config.policy`: the lazy and periodic policies run the
-/// base [`TaskPointController`]; [`SamplingPolicy::Adaptive`](crate::SamplingPolicy::Adaptive)
-/// runs the confidence-driven controller (use
-/// [`run_adaptive_traced`](crate::run_adaptive_traced) directly to also
-/// get the per-cluster accuracy report).
-pub fn run_sampled_traced(
-    program: &Program,
-    machine: MachineConfig,
-    workers: u32,
-    config: TaskPointConfig,
-    traces: Box<dyn TraceProvider>,
-) -> (SimResult, SamplingStats) {
-    run_sampled_observed(program, machine, workers, config, traces, Telemetry::disabled())
-}
-
-/// Like [`run_sampled_traced`], with a [`Telemetry`] handle attached to
-/// the engine (and, for adaptive policies, to the controller's fidelity
-/// decisions too).
-pub fn run_sampled_observed(
-    program: &Program,
-    machine: MachineConfig,
-    workers: u32,
-    config: TaskPointConfig,
-    traces: Box<dyn TraceProvider>,
-    telemetry: Telemetry,
-) -> (SimResult, SamplingStats) {
-    if config.policy.is_adaptive() {
-        let (result, stats, _) = crate::adaptive::run_adaptive_observed(
-            program, machine, workers, config, traces, telemetry,
-        );
-        return (result, stats);
-    }
-    if config.policy.is_stratified() {
-        let (result, stats, _) = crate::stratified::run_stratified_observed(
-            program, machine, workers, config, traces, telemetry,
-        );
-        return (result, stats);
-    }
-    let mut controller = TaskPointController::new(config);
-    let result = Simulation::builder(program, machine)
-        .workers(workers)
-        .traces(traces)
-        .telemetry(telemetry)
-        .build()
-        .run(&mut controller);
-    (result, controller.into_stats())
-}
-
-/// Runs both a sampled simulation and (or against a provided) detailed
-/// reference and reports error and speedup — one cell of the paper's
-/// Figs. 7–10.
-pub fn evaluate(
-    program: &Program,
-    machine: MachineConfig,
-    workers: u32,
-    config: TaskPointConfig,
-    reference: Option<&SimResult>,
-) -> (ExperimentOutcome, SamplingStats) {
-    let (sampled, stats) = run_sampled(program, machine.clone(), workers, config);
-    let outcome = match reference {
-        Some(r) => ExperimentOutcome::compare(&sampled, r),
-        None => {
-            let r = run_reference(program, machine, workers);
-            ExperimentOutcome::compare(&sampled, &r)
+pub fn run(sim: Simulation<'_>, config: TaskPointConfig, granularity: Option<u32>) -> RunOutcome {
+    let telemetry = sim.telemetry().clone();
+    let (result, clusters, (stats, report)) = if let Some(adaptive) = config.adaptive_config() {
+        match granularity {
+            None => {
+                let mut controller = AdaptiveController::new(adaptive).with_telemetry(telemetry);
+                let result = sim.run(&mut controller);
+                (result, None, controller.into_parts())
+            }
+            Some(g) => {
+                let mut controller = ClusteredAdaptiveController::new(adaptive, g);
+                controller.set_telemetry(telemetry);
+                let result = sim.run(&mut controller);
+                (result, Some(controller.num_clusters()), controller.into_parts())
+            }
         }
+    } else if let Some(stratified) = config.stratified_config() {
+        let stratified = granularity.map_or(stratified, |g| stratified.with_granularity(g));
+        let mut controller = StratifiedController::new(stratified).with_telemetry(telemetry);
+        controller.prime(sim.program().instances().iter().map(|i| (i.type_id(), i.instructions())));
+        let clusters = granularity.map(|_| controller.num_clusters());
+        let result = sim.run(&mut controller);
+        (result, clusters, controller.into_parts())
+    } else {
+        // Lazy and periodic sampling: the paper's controller, which keeps
+        // phase and resample logs but no accuracy report.
+        return match granularity {
+            None => {
+                let mut controller = TaskPointController::new(config);
+                let result = sim.run(&mut controller);
+                RunOutcome {
+                    result,
+                    stats: controller.into_stats(),
+                    accuracy: None,
+                    clusters: None,
+                }
+            }
+            Some(g) => {
+                let mut controller = ClusteredController::new(config, g);
+                let result = sim.run(&mut controller);
+                let clusters = Some(controller.num_clusters());
+                RunOutcome { result, stats: controller.into_stats(), accuracy: None, clusters }
+            }
+        };
     };
-    (outcome, stats)
+    RunOutcome { result, stats: sampling_stats(stats), accuracy: Some(report), clusters }
+}
+
+/// Folds an adaptive or stratified run's telemetry into the common
+/// [`SamplingStats`] shape (no global phases or resamples).
+fn sampling_stats(stats: AdaptiveStats) -> SamplingStats {
+    SamplingStats {
+        phase_log: Vec::new(),
+        resamples: Vec::new(),
+        valid_samples: stats.valid_samples,
+        fast_tasks: stats.fast_tasks,
+        detailed_tasks: stats.detailed_tasks,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::ExperimentOutcome;
+    use taskpoint_runtime::Program;
     use taskpoint_trace::TraceSpec;
+    use taskpoint_workloads::{Benchmark, ScaleConfig};
+    use tasksim::{DetailedOnly, MachineConfig, ModeController, RecordedTraces};
+
+    fn sim(p: &Program, machine: MachineConfig, workers: u32) -> Simulation<'_> {
+        Simulation::builder(p, machine).workers(workers).build()
+    }
+
+    fn detailed_reference(p: &Program, machine: MachineConfig, workers: u32) -> SimResult {
+        sim(p, machine, workers).run(&mut DetailedOnly)
+    }
+
+    fn run_direct<C: ModeController>(p: &Program, controller: &mut C) -> SimResult {
+        sim(p, MachineConfig::tiny_test(), 2).run(controller)
+    }
 
     /// Identically shaped compute-bound tasks with private cache-resident
     /// footprints: per-instance IPC variance is tiny, so the per-type mean
@@ -167,12 +174,25 @@ mod tests {
         b.build()
     }
 
+    fn spmv() -> Program {
+        Benchmark::Spmv.generate(&ScaleConfig::quick())
+    }
+
+    fn error_percent(sampled: &SimResult, reference: &SimResult) -> f64 {
+        100.0
+            * ((sampled.total_cycles as f64 - reference.total_cycles as f64)
+                / reference.total_cycles as f64)
+                .abs()
+    }
+
     #[test]
     fn sampled_run_is_accurate_on_uniform_work() {
         let p = uniform_program(400);
         let machine = MachineConfig::high_performance();
-        let reference = run_reference(&p, machine.clone(), 4);
-        let (outcome, stats) = evaluate(&p, machine, 4, TaskPointConfig::lazy(), Some(&reference));
+        let reference = detailed_reference(&p, machine.clone(), 4);
+        let sampled = run(sim(&p, machine, 4), TaskPointConfig::lazy(), None);
+        let (outcome, stats) =
+            (ExperimentOutcome::compare(&sampled.result, &reference), sampled.stats);
         // Identical-shape tasks: the per-type mean IPC predicts every
         // instance almost perfectly.
         assert!(outcome.error_percent < 3.0, "uniform workload error {}%", outcome.error_percent);
@@ -184,23 +204,25 @@ mod tests {
     fn sampled_runs_are_deterministic() {
         let p = uniform_program(100);
         let machine = MachineConfig::tiny_test();
-        let (a, _) = run_sampled(&p, machine.clone(), 2, TaskPointConfig::lazy());
-        let (b, _) = run_sampled(&p, machine, 2, TaskPointConfig::lazy());
+        let a = run(sim(&p, machine.clone(), 2), TaskPointConfig::lazy(), None).result;
+        let b = run(sim(&p, machine, 2), TaskPointConfig::lazy(), None).result;
         assert_eq!(a.total_cycles, b.total_cycles);
         assert_eq!(a.detailed_tasks, b.detailed_tasks);
     }
 
     #[test]
     fn traced_runs_replay_identically_to_procedural() {
-        use tasksim::RecordedTraces;
         let p = uniform_program(60);
         let machine = MachineConfig::tiny_test();
         let bundle = RecordedTraces::record_program(&p);
-        let procedural = run_reference(&p, machine.clone(), 2);
-        let replayed = run_reference_traced(&p, machine.clone(), 2, Box::new(bundle.clone()));
+        let replay = |bundle: RecordedTraces| {
+            Simulation::builder(&p, machine.clone()).workers(2).traces(Box::new(bundle)).build()
+        };
+        let procedural = detailed_reference(&p, machine.clone(), 2);
+        let replayed = replay(bundle.clone()).run(&mut DetailedOnly);
         assert_eq!(replayed.total_cycles, procedural.total_cycles);
-        let (a, _) = run_sampled(&p, machine.clone(), 2, TaskPointConfig::lazy());
-        let (b, _) = run_sampled_traced(&p, machine, 2, TaskPointConfig::lazy(), Box::new(bundle));
+        let a = run(sim(&p, machine.clone(), 2), TaskPointConfig::lazy(), None).result;
+        let b = run(replay(bundle), TaskPointConfig::lazy(), None).result;
         assert_eq!(a.total_cycles, b.total_cycles);
         assert_eq!(a.detailed_tasks, b.detailed_tasks);
     }
@@ -208,7 +230,7 @@ mod tests {
     #[test]
     fn reference_simulates_everything_in_detail() {
         let p = uniform_program(50);
-        let r = run_reference(&p, MachineConfig::tiny_test(), 2);
+        let r = detailed_reference(&p, MachineConfig::tiny_test(), 2);
         assert_eq!(r.detailed_tasks, 50);
         assert_eq!(r.fast_tasks, 0);
     }
@@ -220,18 +242,255 @@ mod tests {
         // both results.
         let p = uniform_program(200);
         let machine = MachineConfig::big_little(2, 2);
-        let reference = run_reference(&p, machine.clone(), 4);
+        let reference = detailed_reference(&p, machine.clone(), 4);
         assert_eq!(reference.groups.len(), 2);
         assert_eq!(
             reference.groups[0].detailed_tasks + reference.groups[1].detailed_tasks,
             reference.detailed_tasks
         );
-        let (outcome, stats) = evaluate(&p, machine, 4, TaskPointConfig::lazy(), Some(&reference));
+        let sampled = run(sim(&p, machine, 4), TaskPointConfig::lazy(), None);
+        let (outcome, stats) =
+            (ExperimentOutcome::compare(&sampled.result, &reference), sampled.stats);
         assert!(outcome.error_percent.is_finite());
         assert!(stats.fast_tasks > 0, "sampling must fast-forward on hetero machines too");
         // Per-type IPC differs across groups, so sampling error is larger
         // than on a homogeneous machine — but it must stay bounded for
         // identically shaped tasks.
         assert!(outcome.error_percent < 60.0, "hetero error {}%", outcome.error_percent);
+    }
+
+    // --- dispatch: `run` against the same controller driven directly ---
+
+    #[test]
+    fn run_dispatches_lazy_and_periodic_policies() {
+        let p = spmv();
+        for config in [TaskPointConfig::lazy(), TaskPointConfig::periodic()] {
+            let via_dispatch = run(sim(&p, MachineConfig::tiny_test(), 2), config, None);
+            let mut controller = TaskPointController::new(config);
+            let direct = run_direct(&p, &mut controller);
+            assert_eq!(via_dispatch.result.total_cycles, direct.total_cycles);
+            assert_eq!(via_dispatch.result.detailed_tasks, direct.detailed_tasks);
+            assert_eq!(via_dispatch.stats.resamples, controller.stats().resamples);
+            assert!(via_dispatch.accuracy.is_none());
+            assert_eq!(via_dispatch.clusters, None);
+        }
+    }
+
+    #[test]
+    fn run_dispatches_clustered_policy() {
+        let p = spmv();
+        let config = TaskPointConfig::lazy();
+        let via_dispatch = run(sim(&p, MachineConfig::tiny_test(), 2), config, Some(1));
+        let mut controller = ClusteredController::new(config, 1);
+        let direct = run_direct(&p, &mut controller);
+        assert_eq!(via_dispatch.result.total_cycles, direct.total_cycles);
+        assert_eq!(via_dispatch.result.detailed_tasks, direct.detailed_tasks);
+        assert_eq!(via_dispatch.clusters, Some(controller.num_clusters()));
+        assert!(via_dispatch.accuracy.is_none());
+    }
+
+    #[test]
+    fn run_dispatches_adaptive_policy() {
+        let p = spmv();
+        let config = TaskPointConfig::adaptive(0.05);
+        let via_dispatch = run(sim(&p, MachineConfig::tiny_test(), 2), config, None);
+        let mut controller = AdaptiveController::new(config.adaptive_config().unwrap());
+        let direct = run_direct(&p, &mut controller);
+        assert_eq!(via_dispatch.result.total_cycles, direct.total_cycles);
+        assert_eq!(via_dispatch.result.detailed_tasks, direct.detailed_tasks);
+        assert_eq!(via_dispatch.accuracy.unwrap().clusters, controller.report().clusters);
+        assert_eq!(via_dispatch.clusters, None);
+    }
+
+    #[test]
+    fn run_dispatches_clustered_adaptive_policy() {
+        let p = spmv();
+        let config = TaskPointConfig::adaptive(0.1);
+        let via_dispatch = run(sim(&p, MachineConfig::tiny_test(), 2), config, Some(1));
+        let mut controller = ClusteredAdaptiveController::new(config.adaptive_config().unwrap(), 1);
+        let direct = run_direct(&p, &mut controller);
+        assert_eq!(via_dispatch.result.total_cycles, direct.total_cycles);
+        assert_eq!(via_dispatch.result.detailed_tasks, direct.detailed_tasks);
+        assert_eq!(via_dispatch.clusters, Some(controller.num_clusters()));
+    }
+
+    #[test]
+    fn run_dispatches_stratified_policy() {
+        let p = spmv();
+        let config = TaskPointConfig::stratified(4, 48);
+        let via_dispatch = run(sim(&p, MachineConfig::tiny_test(), 2), config, None);
+        let mut controller = StratifiedController::new(config.stratified_config().unwrap());
+        controller.prime(p.instances().iter().map(|i| (i.type_id(), i.instructions())));
+        let direct = run_direct(&p, &mut controller);
+        assert_eq!(via_dispatch.result.total_cycles, direct.total_cycles);
+        assert_eq!(via_dispatch.result.detailed_tasks, direct.detailed_tasks);
+        assert_eq!(via_dispatch.accuracy.unwrap().clusters, controller.report().clusters);
+        assert_eq!(via_dispatch.clusters, None);
+    }
+
+    #[test]
+    fn stratified_granularity_one_is_the_default_stratification() {
+        let p = spmv();
+        let config = TaskPointConfig::stratified(4, 48);
+        let plain = run(sim(&p, MachineConfig::tiny_test(), 2), config, None);
+        let clustered = run(sim(&p, MachineConfig::tiny_test(), 2), config, Some(1));
+        // Everything but the host wall time, in exact (`Debug`) form, with
+        // the per-unit sample counts in key order.
+        let bits = |o: &RunOutcome| {
+            let result = SimResult { wall_seconds: 0.0, ..o.result.clone() };
+            let samples: std::collections::BTreeMap<_, _> = o.stats.valid_samples.iter().collect();
+            let stats = SamplingStats { valid_samples: Default::default(), ..o.stats.clone() };
+            format!("{result:?} {stats:?} {samples:?} {:?}", o.accuracy)
+        };
+        assert_eq!(bits(&clustered), bits(&plain));
+        assert_eq!(clustered.clusters, Some(plain.accuracy.unwrap().units()));
+    }
+
+    #[test]
+    fn stratified_granularity_sets_the_strata() {
+        let p = spmv();
+        let outcome = run(
+            sim(&p, MachineConfig::tiny_test(), 2),
+            TaskPointConfig::stratified(4, 48),
+            Some(2),
+        );
+        let accuracy = outcome.accuracy.expect("stratified runs report accuracy");
+        assert_eq!(outcome.clusters, Some(accuracy.units()));
+        assert!(matches!(
+            accuracy.config,
+            taskpoint_accuracy::PolicyConfig::Stratified(c) if c.granularity == 2
+        ));
+    }
+
+    // --- adaptive policy ---
+
+    #[test]
+    fn adaptive_run_produces_an_accuracy_report() {
+        let p = spmv();
+        let machine = MachineConfig::tiny_test();
+        let outcome = run(sim(&p, machine, 2), TaskPointConfig::adaptive(0.1), None);
+        let (result, stats, report) = (outcome.result, outcome.stats, outcome.accuracy.unwrap());
+        assert!(result.total_cycles > 0);
+        assert_eq!(stats.detailed_tasks + stats.fast_tasks, p.num_instances() as u64);
+        assert!(stats.fast_tasks > 0, "a loose target must fast-forward something");
+        assert!(report.units() >= 1);
+        assert!(report.converged_units() >= 1);
+        for c in &report.clusters {
+            assert!(c.samples >= 1 || !c.converged || c.forced);
+            if c.converged && !c.forced && c.samples >= 2 {
+                // Converged via CI: its interval met the target (or the
+                // degenerate waiver; target here is positive).
+                assert!(c.rel_ci.unwrap() <= 0.1 + 1e-12, "unit {} ci {:?}", c.unit, c.rel_ci);
+            }
+        }
+    }
+
+    #[test]
+    fn tighter_targets_never_sample_less() {
+        let p = spmv();
+        let machine = MachineConfig::tiny_test();
+        let mut prev = 0u64;
+        for target in [0.2, 0.05, 0.01] {
+            let result =
+                run(sim(&p, machine.clone(), 2), TaskPointConfig::adaptive(target), None).result;
+            assert!(
+                result.detailed_tasks >= prev,
+                "target {target}: {} detailed < looser target's {prev}",
+                result.detailed_tasks
+            );
+            prev = result.detailed_tasks;
+        }
+    }
+
+    #[test]
+    fn adaptive_is_deterministic() {
+        let p = spmv();
+        let machine = MachineConfig::tiny_test();
+        let a = run(sim(&p, machine.clone(), 2), TaskPointConfig::adaptive(0.05), None);
+        let b = run(sim(&p, machine, 2), TaskPointConfig::adaptive(0.05), None);
+        assert_eq!(a.result.total_cycles, b.result.total_cycles);
+        assert_eq!(a.result.detailed_tasks, b.result.detailed_tasks);
+        assert_eq!(a.accuracy.unwrap().clusters, b.accuracy.unwrap().clusters);
+    }
+
+    #[test]
+    fn clustered_adaptive_runs_and_counts_clusters() {
+        let p = spmv();
+        let machine = MachineConfig::tiny_test();
+        let outcome = run(sim(&p, machine, 2), TaskPointConfig::adaptive(0.1), Some(1));
+        let clusters = outcome.clusters.unwrap();
+        assert!(outcome.result.total_cycles > 0);
+        assert!(clusters >= 1);
+        assert_eq!(outcome.accuracy.unwrap().units(), clusters);
+        assert_eq!(
+            outcome.stats.detailed_tasks + outcome.stats.fast_tasks,
+            p.num_instances() as u64
+        );
+    }
+
+    #[test]
+    fn adaptive_error_stays_reasonable_against_reference() {
+        let p = spmv();
+        let machine = MachineConfig::tiny_test();
+        let reference = detailed_reference(&p, machine.clone(), 2);
+        let sampled = run(sim(&p, machine, 2), TaskPointConfig::adaptive(0.05), None).result;
+        let err = error_percent(&sampled, &reference);
+        assert!(err < 50.0, "adaptive quick-scale smoke band: {err:.1}%");
+    }
+
+    // --- stratified policy ---
+
+    #[test]
+    fn stratified_run_produces_an_accuracy_report() {
+        let p = spmv();
+        let machine = MachineConfig::tiny_test();
+        let outcome = run(sim(&p, machine, 2), TaskPointConfig::stratified(4, 64), None);
+        let (result, stats, report) = (outcome.result, outcome.stats, outcome.accuracy.unwrap());
+        assert!(result.total_cycles > 0);
+        assert_eq!(stats.detailed_tasks + stats.fast_tasks, p.num_instances() as u64);
+        assert!(stats.fast_tasks > 0, "a bounded budget must fast-forward something");
+        assert!(report.units() >= 1);
+        assert!(report.converged_units() >= 1);
+        assert!(matches!(report.config, taskpoint_accuracy::PolicyConfig::Stratified(_)));
+        assert_eq!(report.config.target_ci(), None, "budget-driven policy has no CI target");
+    }
+
+    #[test]
+    fn bigger_budgets_never_sample_less() {
+        let p = spmv();
+        let machine = MachineConfig::tiny_test();
+        let mut prev = 0u64;
+        for budget in [16u64, 64, 256] {
+            let config = TaskPointConfig::stratified(4, budget);
+            let result = run(sim(&p, machine.clone(), 2), config, None).result;
+            assert!(
+                result.detailed_tasks >= prev,
+                "budget {budget}: {} detailed < smaller budget's {prev}",
+                result.detailed_tasks
+            );
+            prev = result.detailed_tasks;
+        }
+    }
+
+    #[test]
+    fn stratified_is_deterministic() {
+        let p = spmv();
+        let machine = MachineConfig::tiny_test();
+        let config = TaskPointConfig::stratified(4, 48);
+        let a = run(sim(&p, machine.clone(), 2), config, None);
+        let b = run(sim(&p, machine, 2), config, None);
+        assert_eq!(a.result.total_cycles, b.result.total_cycles);
+        assert_eq!(a.result.detailed_tasks, b.result.detailed_tasks);
+        assert_eq!(a.accuracy.unwrap().clusters, b.accuracy.unwrap().clusters);
+    }
+
+    #[test]
+    fn stratified_error_stays_reasonable_against_reference() {
+        let p = spmv();
+        let machine = MachineConfig::tiny_test();
+        let reference = detailed_reference(&p, machine.clone(), 2);
+        let sampled = run(sim(&p, machine, 2), TaskPointConfig::stratified(4, 64), None).result;
+        let err = error_percent(&sampled, &reference);
+        assert!(err < 50.0, "stratified quick-scale smoke band: {err:.1}%");
     }
 }

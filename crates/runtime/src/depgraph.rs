@@ -14,7 +14,6 @@
 
 use crate::regions::RegionAccess;
 use crate::task::TaskInstanceId;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use taskpoint_trace::MemRegion;
 
@@ -129,7 +128,7 @@ impl DependenceGraphBuilder {
 ///
 /// By construction (dependences only point at earlier creation indices) the
 /// graph is acyclic.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DependenceGraph {
     preds: Vec<Vec<TaskInstanceId>>,
     succs: Vec<Vec<TaskInstanceId>>,

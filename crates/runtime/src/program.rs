@@ -11,11 +11,10 @@ use std::sync::OnceLock;
 use crate::depgraph::{DependenceGraph, DependenceGraphBuilder};
 use crate::regions::RegionAccess;
 use crate::task::{TaskInstance, TaskInstanceId, TaskType, TaskTypeId};
-use serde::{Deserialize, Serialize};
 use taskpoint_trace::{MemRegion, TraceSpec};
 
 /// An immutable task-based program.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Program {
     name: String,
     types: Vec<TaskType>,

@@ -4,11 +4,10 @@
 //! (`in`, `out`, `inout`). The runtime builds the task dependence graph from
 //! these annotations; the simulator does not interpret them otherwise.
 
-use serde::{Deserialize, Serialize};
 use taskpoint_trace::MemRegion;
 
 /// Direction of a region access, as written in an OmpSs task clause.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessMode {
     /// The task reads the region (`in(...)`).
     In,
@@ -41,7 +40,7 @@ impl std::fmt::Display for AccessMode {
 }
 
 /// One region annotation of a task instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RegionAccess {
     /// The annotated memory region.
     pub region: MemRegion,

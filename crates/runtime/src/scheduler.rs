@@ -14,11 +14,10 @@
 
 use crate::program::Program;
 use crate::task::TaskInstanceId;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Identifier of a simulated worker thread (0-based, dense).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct WorkerId(pub u32);
 
 impl WorkerId {

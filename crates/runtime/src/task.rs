@@ -7,11 +7,10 @@
 //! TaskPoint leverages task types as its sampling-unit classes.
 
 use crate::regions::RegionAccess;
-use serde::{Deserialize, Serialize};
 use taskpoint_trace::{TraceSource, TraceSpec};
 
 /// Identifier of a task type (a task declaration in the source program).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TaskTypeId(pub u32);
 
 impl std::fmt::Display for TaskTypeId {
@@ -24,7 +23,7 @@ impl std::fmt::Display for TaskTypeId {
 ///
 /// Instance ids are dense: the `i`-th task created by a program has id `i`,
 /// which lets per-instance state live in plain vectors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TaskInstanceId(pub u64);
 
 impl TaskInstanceId {
@@ -41,7 +40,7 @@ impl std::fmt::Display for TaskInstanceId {
 }
 
 /// A task type: the static declaration all its instances share.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskType {
     id: TaskTypeId,
     name: String,
@@ -66,7 +65,7 @@ impl TaskType {
 }
 
 /// A task instance: one dynamic execution with its own data and trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskInstance {
     id: TaskInstanceId,
     type_id: TaskTypeId,

@@ -6,10 +6,8 @@
 //! evaluation are ≤ 20, so linear probing within a set is faster than any
 //! clever structure.
 
-use serde::{Deserialize, Serialize};
-
 /// Outcome of a cache access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessOutcome {
     /// The line was present.
     Hit,

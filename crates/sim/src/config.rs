@@ -5,11 +5,10 @@
 //! designs used to select sampling parameters and to validate that they
 //! generalize.
 
-use serde::{Deserialize, Serialize};
 use taskpoint_trace::InstKind;
 
 /// Core (pipeline) parameters of the ROB-occupancy-analysis model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CoreConfig {
     /// Reorder-buffer capacity in instructions (Table II: 168 / 40).
     pub rob_size: u32,
@@ -26,7 +25,7 @@ pub struct CoreConfig {
 }
 
 /// Per-kind execution latencies.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KindLatencies {
     /// Integer ALU latency.
     pub int_alu: u32,
@@ -88,7 +87,7 @@ impl Default for KindLatencies {
 }
 
 /// One cache level.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CacheLevelConfig {
     /// Level name for reports ("L1", "L2", "L3").
     pub name: String,
@@ -106,7 +105,7 @@ pub struct CacheLevelConfig {
 }
 
 /// Main-memory parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MemoryConfig {
     /// Row access latency in cycles.
     pub latency: u32,
@@ -130,7 +129,7 @@ pub const MAX_CLOCK_DIVIDER: u32 = 1 << 20;
 /// in listed order (group 0 gets the lowest ids), and the engine hands
 /// ready tasks to the lowest idle id first, so the leading group is
 /// preferred when several cores are free.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CoreGroupConfig {
     /// Group name for reports ("big", "little", ...). Must be unique
     /// within the machine.
@@ -149,7 +148,7 @@ pub struct CoreGroupConfig {
 }
 
 /// A complete simulated machine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachineConfig {
     /// Configuration name ("high-performance", "low-power").
     pub name: String,

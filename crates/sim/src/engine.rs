@@ -105,6 +105,17 @@ impl<'p> Simulation<'p> {
         }
     }
 
+    /// The program this simulation runs.
+    pub fn program(&self) -> &'p Program {
+        self.program
+    }
+
+    /// The telemetry handle attached to this simulation (disabled unless
+    /// [`SimulationBuilder::telemetry`] installed one).
+    pub fn telemetry(&self) -> &Telemetry {
+        &self.telemetry
+    }
+
     /// Runs the simulation to completion under `controller` and returns the
     /// result. Consumes the simulation (caches and clocks are single-use).
     ///

@@ -25,7 +25,6 @@
 
 use crate::cache::{AccessOutcome, SetAssocCache};
 use crate::config::MachineConfig;
-use serde::{Deserialize, Serialize};
 use taskpoint_telemetry::Histogram;
 
 /// Result of one memory access.
@@ -43,7 +42,7 @@ pub struct MemAccessResult {
 }
 
 /// Aggregate cache statistics for reports.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct LevelStats {
     /// Hits at this level.
     pub hits: u64,

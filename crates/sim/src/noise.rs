@@ -8,11 +8,10 @@
 //! factor plus an occasional heavier-tailed outlier. Seeded per instance,
 //! so runs remain reproducible.
 
-use serde::{Deserialize, Serialize};
 use taskpoint_stats::rng::{mix_seed, Xoshiro256pp};
 
 /// Multiplicative per-task duration noise.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NoiseModel {
     /// Standard deviation of the Gaussian component (e.g. 0.015 = 1.5%).
     pub sigma: f64,

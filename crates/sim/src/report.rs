@@ -1,12 +1,11 @@
 //! Per-task reports and whole-simulation results.
 
-use serde::{Deserialize, Serialize};
 use taskpoint_runtime::{TaskInstanceId, TaskTypeId, WorkerId};
 
 use crate::hierarchy::LevelStats;
 
 /// The mode a task instance was simulated in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimMode {
     /// Cycle-level detailed simulation (ROB occupancy analysis + caches).
     Detailed,
@@ -16,7 +15,7 @@ pub enum SimMode {
 
 /// Timing record of one completed task instance — the quantity TaskPoint
 /// samples (its IPC) and predicts (its duration).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TaskReport {
     /// The completed instance.
     pub task: TaskInstanceId,
@@ -55,7 +54,7 @@ impl TaskReport {
 /// Only produced for machines with
 /// [`core_groups`](crate::config::MachineConfig::core_groups); homogeneous
 /// runs leave [`SimResult::groups`] empty.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GroupStats {
     /// Group name from the machine description.
     pub name: String,
@@ -106,7 +105,7 @@ impl GroupStats {
 ///
 /// Homogeneous machines report one synthetic group named `all`;
 /// heterogeneous machines report one account per configured group.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CycleAccount {
     /// Group name (`all` for homogeneous machines).
     pub name: String,
@@ -186,7 +185,7 @@ impl CycleAccount {
 /// Task-latency percentiles over all completed task instances (global
 /// base-clock ticks), computed exactly from the per-task durations —
 /// always on, independent of report collection.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LatencyPercentiles {
     /// Number of completed task instances the percentiles cover.
     pub count: u64,
@@ -199,7 +198,7 @@ pub struct LatencyPercentiles {
 }
 
 /// Result of one simulation run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimResult {
     /// Total simulated execution time in cycles (completion of the last
     /// task).

@@ -4,8 +4,6 @@
 //! error of the sampled simulation's predicted execution time against a full
 //! detailed simulation, and the wall-clock speedup of the sampled run.
 
-use serde::{Deserialize, Serialize};
-
 /// Absolute relative error in percent: `100 * |measured - reference| / reference`.
 ///
 /// ```
@@ -51,7 +49,7 @@ pub fn geometric_mean(values: &[f64]) -> Option<f64> {
 /// Aggregated error/speedup across a set of experiment runs — the rows the
 /// paper summarizes as "average error 1.8%, maximum error 15.0%, average
 /// speedup 19.1".
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ErrorSummary {
     /// Arithmetic mean of absolute percent errors.
     pub mean_error_percent: f64,

@@ -8,8 +8,6 @@
 //! no min/max/sum baggage, so a simulation tracking thousands of clusters
 //! pays three `f64`s and a counter each.
 
-use serde::{Deserialize, Serialize};
-
 /// Streaming count / mean / variance accumulator (Welford's algorithm).
 ///
 /// ```
@@ -23,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(m.mean(), 5.0);
 /// assert!((m.sample_variance() - 32.0 / 7.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StreamingMoments {
     count: u64,
     mean: f64,

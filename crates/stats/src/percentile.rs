@@ -5,8 +5,6 @@
 //! percentile (Fig. 1 / Fig. 5). [`BoxplotStats`] computes exactly those
 //! five numbers plus outlier counts.
 
-use serde::{Deserialize, Serialize};
-
 /// Computes the `p`-th percentile (0.0 ..= 100.0) of `samples` using linear
 /// interpolation between closest ranks (the "linear" / type-7 method used by
 /// NumPy's default `percentile`).
@@ -74,7 +72,7 @@ pub fn percentile_sorted_by(n: usize, p: f64, value: impl Fn(usize) -> f64) -> f
 /// The five-number boxplot summary used by the paper's variation figures,
 /// with whiskers at the 5th/95th percentile and samples beyond the whiskers
 /// counted as outliers.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoxplotStats {
     /// 5th percentile (lower whisker).
     pub p5: f64,

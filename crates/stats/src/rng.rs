@@ -8,8 +8,6 @@
 //! this module implements xoshiro256++ (Blackman & Vigna) and the SplitMix64
 //! seeding procedure its authors recommend.
 
-use serde::{Deserialize, Serialize};
-
 /// SplitMix64 step; used for seeding and as a cheap stateless hash.
 ///
 /// ```
@@ -49,7 +47,7 @@ pub fn mix_seed(parts: &[u64]) -> u64 {
 /// let mut b = Xoshiro256pp::seed_from_u64(7);
 /// assert_eq!(a.next_u64(), b.next_u64()); // deterministic
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Xoshiro256pp {
     s: [u64; 4],
 }

@@ -14,10 +14,8 @@
 //! one, so an adaptive controller never stops sampling early because of
 //! table coarseness.
 
-use serde::{Deserialize, Serialize};
-
 /// A supported two-sided confidence level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Confidence {
     /// 90% two-sided confidence (`α = 0.10`).
     C90,

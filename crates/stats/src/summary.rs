@@ -1,7 +1,5 @@
 //! Streaming univariate summaries (Welford's online algorithm).
 
-use serde::{Deserialize, Serialize};
-
 /// A streaming summary of a sequence of `f64` samples.
 ///
 /// Uses Welford's online algorithm, so it is numerically stable and does not
@@ -16,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(s.min(), 1.0);
 /// assert_eq!(s.max(), 4.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     count: u64,
     mean: f64,

@@ -5,10 +5,8 @@
 //! whether it touches memory — plus the effective address of memory
 //! operations. That is what a trace record carries.
 
-use serde::{Deserialize, Serialize};
-
 /// Broad instruction classes distinguished by the core timing model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[repr(u8)]
 pub enum InstKind {
     /// Simple integer ALU operation (add, logic, shift, compare).
@@ -109,7 +107,7 @@ impl std::fmt::Display for InstKind {
 }
 
 /// One dynamic instruction of a task instance's trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Instruction {
     /// Instruction class.
     pub kind: InstKind,

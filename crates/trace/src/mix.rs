@@ -6,11 +6,10 @@
 //! operations, irregular, ...).
 
 use crate::inst::InstKind;
-use serde::{Deserialize, Serialize};
 use taskpoint_stats::rng::Xoshiro256pp;
 
 /// A normalized probability distribution over instruction kinds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InstructionMix {
     // Cumulative distribution over InstKind::ALL, last entry == 1.0.
     cumulative: [f64; 11],

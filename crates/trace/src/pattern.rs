@@ -9,12 +9,11 @@
 
 use crate::inst::InstKind;
 use crate::region::MemRegion;
-use serde::{Deserialize, Serialize};
 use taskpoint_stats::rng::Xoshiro256pp;
 
 /// Description of how a task instance's memory operations walk its
 /// footprint.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AccessPattern {
     /// Pure streaming: consecutive accesses advance by `stride` bytes and
     /// wrap at the footprint end. `stride == access size` models unit-stride

@@ -4,10 +4,8 @@
 //! address space; the same regions double as OmpSs-style dependence
 //! annotations in `taskpoint-runtime`.
 
-use serde::{Deserialize, Serialize};
-
 /// A half-open region `[base, base + len)` of the simulated address space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MemRegion {
     /// First byte address.
     pub base: u64,

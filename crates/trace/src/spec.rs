@@ -6,7 +6,6 @@ use crate::inst::Instruction;
 use crate::mix::InstructionMix;
 use crate::pattern::{AccessPattern, AddressStream};
 use crate::region::MemRegion;
-use serde::{Deserialize, Serialize};
 use taskpoint_stats::rng::Xoshiro256pp;
 
 /// A spec rejected by [`TraceSpecBuilder::try_build`].
@@ -45,7 +44,7 @@ impl std::error::Error for TraceSpecError {}
 /// Two iterations of the same spec produce identical streams; that property
 /// replaces the trace files of the original TaskSim setup. Construct with
 /// [`TraceSpec::builder`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceSpec {
     seed: u64,
     code_seed: u64,

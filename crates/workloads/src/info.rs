@@ -1,9 +1,7 @@
 //! Benchmark metadata (the static columns of Table I).
 
-use serde::{Deserialize, Serialize};
-
 /// Which suite a benchmark belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BenchClass {
     /// Synthetic/numeric kernel (top block of Table I).
     Kernel,
@@ -28,7 +26,7 @@ impl std::fmt::Display for BenchClass {
 }
 
 /// Static facts about one benchmark, matching its Table I row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkloadInfo {
     /// Benchmark name as printed in the paper.
     pub name: &'static str,

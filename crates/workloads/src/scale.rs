@@ -8,10 +8,8 @@
 //! depends on the number and relative imbalance of task instances, not on
 //! their absolute length, and imbalance ratios are preserved exactly.
 
-use serde::{Deserialize, Serialize};
-
 /// Global knobs every workload generator receives.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScaleConfig {
     /// Multiplier on every task's baseline instruction count (1.0 = the
     /// crate's default scaled-down sizes).

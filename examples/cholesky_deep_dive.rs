@@ -10,8 +10,8 @@
 //! cargo run --release --example cholesky_deep_dive
 //! ```
 
-use taskpoint_repro::sim::MachineConfig;
-use taskpoint_repro::taskpoint::{run_reference, run_sampled, TaskPointConfig};
+use taskpoint_repro::sim::{DetailedOnly, MachineConfig, Simulation};
+use taskpoint_repro::taskpoint::{self, TaskPointConfig};
 use taskpoint_repro::workloads::{Benchmark, ScaleConfig};
 
 fn main() {
@@ -40,7 +40,8 @@ fn main() {
     let workers = 16;
 
     println!("\n== detailed reference ({workers} threads) ==");
-    let reference = run_reference(&program, machine.clone(), workers);
+    let sim = || Simulation::builder(&program, machine.clone()).workers(workers).build();
+    let reference = sim().run(&mut DetailedOnly);
     println!(
         "  {} cycles, {:.2}s host time, {} DRAM fetches, {} invalidations",
         reference.total_cycles,
@@ -50,7 +51,8 @@ fn main() {
     );
 
     println!("\n== TaskPoint sampled run (periodic, P=250) ==");
-    let (sampled, stats) = run_sampled(&program, machine, workers, TaskPointConfig::periodic());
+    let taskpoint::RunOutcome { result: sampled, stats, .. } =
+        taskpoint::run(sim(), TaskPointConfig::periodic(), None);
     println!(
         "  {} cycles, {:.2}s host time, {:.2}% of instructions in detail",
         sampled.total_cycles,

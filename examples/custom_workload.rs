@@ -11,8 +11,8 @@
 //! ```
 
 use taskpoint_repro::runtime::{Program, RegionAccess};
-use taskpoint_repro::sim::MachineConfig;
-use taskpoint_repro::taskpoint::{run_reference, run_sampled, TaskPointConfig};
+use taskpoint_repro::sim::{DetailedOnly, MachineConfig, Simulation};
+use taskpoint_repro::taskpoint::{self, TaskPointConfig};
 use taskpoint_repro::trace::{AccessPattern, InstructionMix, TraceSpec};
 use taskpoint_repro::workloads::AddressAllocator;
 
@@ -81,8 +81,10 @@ fn main() {
     );
 
     let machine = MachineConfig::low_power();
-    let reference = run_reference(&program, machine.clone(), 4);
-    let (sampled, stats) = run_sampled(&program, machine, 4, TaskPointConfig::periodic());
+    let sim = || Simulation::builder(&program, machine.clone()).workers(4).build();
+    let reference = sim().run(&mut DetailedOnly);
+    let taskpoint::RunOutcome { result: sampled, stats, .. } =
+        taskpoint::run(sim(), TaskPointConfig::periodic(), None);
     let error = 100.0
         * ((sampled.total_cycles as f64 - reference.total_cycles as f64)
             / reference.total_cycles as f64)

@@ -11,8 +11,8 @@
 //! cargo run --release --example design_space_sweep
 //! ```
 
-use taskpoint_repro::sim::MachineConfig;
-use taskpoint_repro::taskpoint::{run_sampled, TaskPointConfig};
+use taskpoint_repro::sim::{MachineConfig, Simulation};
+use taskpoint_repro::taskpoint::{self, TaskPointConfig};
 use taskpoint_repro::workloads::{Benchmark, ScaleConfig};
 
 fn main() {
@@ -27,8 +27,8 @@ fn main() {
             machine.core.rob_size = rob;
             machine.caches[1].size_bytes = l2_kb * 1024;
             machine.name = format!("rob{rob}-l2_{l2_kb}k");
-            let (result, _) =
-                run_sampled(&program, machine.clone(), workers, TaskPointConfig::lazy());
+            let sim = Simulation::builder(&program, machine.clone()).workers(workers).build();
+            let result = taskpoint::run(sim, TaskPointConfig::lazy(), None).result;
             total_wall += result.wall_seconds;
             results.push((machine.name, result.total_cycles, result.wall_seconds));
         }

@@ -11,8 +11,8 @@
 //! cargo run --release --example heterogeneous
 //! ```
 
-use taskpoint_repro::sim::MachineConfig;
-use taskpoint_repro::taskpoint::{evaluate, run_reference, TaskPointConfig};
+use taskpoint_repro::sim::{DetailedOnly, MachineConfig, Simulation};
+use taskpoint_repro::taskpoint::{self, ExperimentOutcome, TaskPointConfig};
 use taskpoint_repro::workloads::{Benchmark, ScaleConfig};
 
 fn main() {
@@ -20,7 +20,8 @@ fn main() {
     let machine = MachineConfig::big_little(2, 2);
     let workers = machine.total_group_cores().expect("big.LITTLE preset defines core groups");
 
-    let reference = run_reference(&program, machine.clone(), workers);
+    let sim = || Simulation::builder(&program, machine.clone()).workers(workers).build();
+    let reference = sim().run(&mut DetailedOnly);
     println!(
         "{} on {} ({} workers): {} cycles, {} tasks in detail\n",
         program.name(),
@@ -56,8 +57,9 @@ fn main() {
     for (label, config) in
         [("lazy", TaskPointConfig::lazy()), ("adaptive ci=5%", TaskPointConfig::adaptive(0.05))]
     {
+        let sampled = taskpoint::run(sim(), config, None);
         let (outcome, stats) =
-            evaluate(&program, machine.clone(), workers, config, Some(&reference));
+            (ExperimentOutcome::compare(&sampled.result, &reference), sampled.stats);
         println!(
             "{:<14} error {:>6.2}%  speedup {:>5.1}x  detail {:>5.1}%  fast tasks {}",
             label,

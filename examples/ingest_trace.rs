@@ -22,10 +22,8 @@
 //! [`Program`]: taskpoint_repro::runtime::Program
 
 use taskpoint_repro::runtime::program_from_ingested;
-use taskpoint_repro::sim::{MachineConfig, RecordedTraces};
-use taskpoint_repro::taskpoint::{
-    run_reference_traced, run_sampled_traced, ExperimentOutcome, TaskPointConfig,
-};
+use taskpoint_repro::sim::{DetailedOnly, MachineConfig, RecordedTraces, Simulation};
+use taskpoint_repro::taskpoint::{self, ExperimentOutcome, TaskPointConfig};
 use taskpoint_repro::trace::{IngestError, IngestedTrace};
 use taskpoint_repro::workloads::ExternalWorkload;
 
@@ -62,11 +60,16 @@ fn main() {
     // 4. Simulate: detailed reference and sampled run, both replaying the
     // recorded streams.
     let machine = MachineConfig::low_power();
-    let reference = run_reference_traced(&program, machine.clone(), 2, Box::new(reloaded.clone()));
-    let again = run_reference_traced(&program, machine.clone(), 2, Box::new(reloaded.clone()));
+    let sim = || {
+        Simulation::builder(&program, machine.clone())
+            .workers(2)
+            .traces(Box::new(reloaded.clone()))
+            .build()
+    };
+    let reference = sim().run(&mut DetailedOnly);
+    let again = sim().run(&mut DetailedOnly);
     assert_eq!(reference.total_cycles, again.total_cycles, "replay is deterministic");
-    let (sampled, _) =
-        run_sampled_traced(&program, machine, 2, TaskPointConfig::lazy(), Box::new(reloaded));
+    let sampled = taskpoint::run(sim(), TaskPointConfig::lazy(), None).result;
     let outcome = ExperimentOutcome::compare(&sampled, &reference);
     println!(
         "reference {} cycles | sampled {} cycles ({} detailed / {} fast) | error {:.2}%",

@@ -10,8 +10,8 @@
 //! cargo run --release --example policy_comparison
 //! ```
 
-use taskpoint_repro::sim::MachineConfig;
-use taskpoint_repro::taskpoint::{evaluate, run_reference, SamplingPolicy, TaskPointConfig};
+use taskpoint_repro::sim::{DetailedOnly, MachineConfig, Simulation};
+use taskpoint_repro::taskpoint::{self, ExperimentOutcome, SamplingPolicy, TaskPointConfig};
 use taskpoint_repro::workloads::{Benchmark, ScaleConfig};
 
 fn main() {
@@ -19,7 +19,8 @@ fn main() {
     let machine = MachineConfig::high_performance();
     let workers = 16;
 
-    let reference = run_reference(&program, machine.clone(), workers);
+    let sim = || Simulation::builder(&program, machine.clone()).workers(workers).build();
+    let reference = sim().run(&mut DetailedOnly);
     println!(
         "{} @{workers} threads: reference {} cycles ({:.2}s)\n",
         program.name(),
@@ -48,8 +49,9 @@ fn main() {
     }
 
     for (name, config) in configs {
+        let sampled = taskpoint::run(sim(), config, None);
         let (outcome, stats) =
-            evaluate(&program, machine.clone(), workers, config, Some(&reference));
+            (ExperimentOutcome::compare(&sampled.result, &reference), sampled.stats);
         println!(
             "{:<10} {:>8.2} {:>9.1}x {:>9.2}% {:>10}",
             name,

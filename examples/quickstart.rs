@@ -8,8 +8,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use taskpoint_repro::sim::MachineConfig;
-use taskpoint_repro::taskpoint::{run_reference, run_sampled, TaskPointConfig};
+use taskpoint_repro::sim::{DetailedOnly, MachineConfig, Simulation};
+use taskpoint_repro::taskpoint::{self, TaskPointConfig};
 use taskpoint_repro::workloads::{Benchmark, ScaleConfig};
 
 fn main() {
@@ -27,7 +27,8 @@ fn main() {
 
     // 2. Full detailed reference simulation (every instruction through the
     //    ROB-occupancy core model and the cache hierarchy).
-    let reference = run_reference(&program, machine.clone(), 8);
+    let reference =
+        Simulation::builder(&program, machine.clone()).workers(8).build().run(&mut DetailedOnly);
     println!(
         "reference: {} cycles in {:.2}s of host time",
         reference.total_cycles, reference.wall_seconds
@@ -35,7 +36,9 @@ fn main() {
 
     // 3. TaskPoint sampled simulation (lazy policy: sample once, then
     //    fast-forward every instance at its task type's mean IPC).
-    let (sampled, stats) = run_sampled(&program, machine, 8, TaskPointConfig::lazy());
+    let sim = Simulation::builder(&program, machine).workers(8).build();
+    let taskpoint::RunOutcome { result: sampled, stats, .. } =
+        taskpoint::run(sim, TaskPointConfig::lazy(), None);
     println!(
         "sampled:   {} cycles in {:.2}s of host time ({} detailed / {} fast tasks)",
         sampled.total_cycles, sampled.wall_seconds, stats.detailed_tasks, stats.fast_tasks

@@ -5,8 +5,9 @@
 use std::sync::{Arc, OnceLock};
 
 use taskpoint_repro::campaign::{Campaign, CellSpec};
-use taskpoint_repro::sim::{MachineConfig, SimResult};
-use taskpoint_repro::taskpoint::{run_adaptive, run_sampled, run_stratified, TaskPointConfig};
+use taskpoint_repro::runtime::Program;
+use taskpoint_repro::sim::{MachineConfig, SimResult, Simulation};
+use taskpoint_repro::taskpoint::{self, AccuracyReport, TaskPointConfig};
 use taskpoint_repro::workloads::{Benchmark, ScaleConfig};
 
 fn quick() -> ScaleConfig {
@@ -21,6 +22,19 @@ fn campaign() -> &'static Campaign {
 
 fn reference(bench: Benchmark, machine: MachineConfig, workers: u32) -> Arc<SimResult> {
     campaign().reference(bench, quick(), machine, workers)
+}
+
+/// One sampled run of `program` and, for the adaptive and stratified
+/// policies, its accuracy report.
+fn run(
+    program: &Program,
+    machine: MachineConfig,
+    workers: u32,
+    config: TaskPointConfig,
+) -> (SimResult, Option<AccuracyReport>) {
+    let sim = Simulation::builder(program, machine).workers(workers).build();
+    let outcome = taskpoint::run(sim, config, None);
+    (outcome.result, outcome.accuracy)
 }
 
 fn cycles_error_percent(sampled: &SimResult, reference: &SimResult) -> f64 {
@@ -43,10 +57,9 @@ fn adaptive_mid_target_beats_periodic_budget_within_target_error() {
     let r = reference(bench, machine.clone(), workers);
     let program = campaign().program(bench, &quick());
 
-    let (periodic, _) =
-        run_sampled(&program, machine.clone(), workers, TaskPointConfig::periodic());
-    let (adaptive, _, accuracy) =
-        run_adaptive(&program, machine, workers, TaskPointConfig::adaptive(target));
+    let (periodic, _) = run(&program, machine.clone(), workers, TaskPointConfig::periodic());
+    let (adaptive, accuracy) = run(&program, machine, workers, TaskPointConfig::adaptive(target));
+    let accuracy = accuracy.expect("adaptive runs report accuracy");
 
     assert!(
         adaptive.detailed_tasks < periodic.detailed_tasks,
@@ -85,8 +98,8 @@ fn frontier_is_monotone_in_detail_spend() {
     let program = campaign().program(bench, &quick());
     let mut detailed = Vec::new();
     for target in [0.10, 0.05, 0.02] {
-        let (result, _, _) =
-            run_adaptive(&program, machine.clone(), workers, TaskPointConfig::adaptive(target));
+        let (result, _) =
+            run(&program, machine.clone(), workers, TaskPointConfig::adaptive(target));
         detailed.push(result.detailed_tasks);
     }
     assert!(
@@ -95,12 +108,8 @@ fn frontier_is_monotone_in_detail_spend() {
     );
     let mut stratified = Vec::new();
     for budget in [16u64, 64, 256] {
-        let (result, _, _) = run_stratified(
-            &program,
-            machine.clone(),
-            workers,
-            TaskPointConfig::stratified(4, budget),
-        );
+        let (result, _) =
+            run(&program, machine.clone(), workers, TaskPointConfig::stratified(4, budget));
         stratified.push(result.detailed_tasks);
     }
     assert!(
@@ -123,8 +132,7 @@ fn stratified_matches_adaptive_error_at_matched_detail_spend() {
     let r = reference(bench, machine.clone(), workers);
     let program = campaign().program(bench, &quick());
 
-    let (adaptive, _, _) =
-        run_adaptive(&program, machine.clone(), workers, TaskPointConfig::adaptive(0.05));
+    let (adaptive, _) = run(&program, machine.clone(), workers, TaskPointConfig::adaptive(0.05));
     let adaptive_err = cycles_error_percent(&adaptive, &r);
 
     // Matched spend: start the stratified budget at the adaptive run's
@@ -132,14 +140,14 @@ fn stratified_matches_adaptive_error_at_matched_detail_spend() {
     // on top of the budget, so if the first try overshoots, charge the
     // measured overhead against the budget and re-run once.
     let mut budget = adaptive.detailed_tasks;
-    let (mut stratified, _, mut accuracy) =
-        run_stratified(&program, machine.clone(), workers, TaskPointConfig::stratified(4, budget));
+    let (mut stratified, mut accuracy) =
+        run(&program, machine.clone(), workers, TaskPointConfig::stratified(4, budget));
     if stratified.detailed_tasks > adaptive.detailed_tasks {
         budget = budget.saturating_sub(stratified.detailed_tasks - adaptive.detailed_tasks).max(8);
-        let rerun =
-            run_stratified(&program, machine, workers, TaskPointConfig::stratified(4, budget));
-        (stratified, _, accuracy) = rerun;
+        (stratified, accuracy) =
+            run(&program, machine, workers, TaskPointConfig::stratified(4, budget));
     }
+    let accuracy = accuracy.expect("stratified runs report accuracy");
     let stratified_err = cycles_error_percent(&stratified, &r);
 
     assert!(

@@ -11,8 +11,11 @@
 use std::sync::{Arc, OnceLock};
 
 use taskpoint_repro::campaign::Campaign;
-use taskpoint_repro::sim::{MachineConfig, SimMode, SimResult, Simulation};
-use taskpoint_repro::taskpoint::{evaluate, run_sampled, SamplingPolicy, TaskPointConfig};
+use taskpoint_repro::runtime::Program;
+use taskpoint_repro::sim::{DetailedOnly, MachineConfig, SimMode, SimResult, Simulation};
+use taskpoint_repro::taskpoint::{
+    self, ExperimentOutcome, SamplingPolicy, SamplingStats, TaskPointConfig,
+};
 use taskpoint_repro::workloads::{Benchmark, ScaleConfig};
 
 fn quick() -> ScaleConfig {
@@ -23,6 +26,18 @@ fn quick() -> ScaleConfig {
 fn campaign() -> &'static Campaign {
     static CAMPAIGN: OnceLock<Campaign> = OnceLock::new();
     CAMPAIGN.get_or_init(Campaign::in_memory)
+}
+
+/// One sampled run of `program` through `taskpoint::run`.
+fn sample(
+    program: &Program,
+    machine: MachineConfig,
+    workers: u32,
+    config: TaskPointConfig,
+) -> (SimResult, SamplingStats) {
+    let sim = Simulation::builder(program, machine).workers(workers).build();
+    let outcome = taskpoint::run(sim, config, None);
+    (outcome.result, outcome.stats)
 }
 
 /// A shared full-detail reference (computed once per cell, then reused
@@ -60,13 +75,9 @@ fn sampled_prediction_is_reasonable_across_suite() {
     for bench in Benchmark::ALL {
         let program = campaign().program(bench, &quick());
         let r = reference(bench, MachineConfig::high_performance(), 4);
-        let (outcome, _) = evaluate(
-            &program,
-            MachineConfig::high_performance(),
-            4,
-            TaskPointConfig::lazy(),
-            Some(&r),
-        );
+        let (sampled, _) =
+            sample(&program, MachineConfig::high_performance(), 4, TaskPointConfig::lazy());
+        let outcome = ExperimentOutcome::compare(&sampled, &r);
         // Quick scale shrinks tasks ~20x, so startup transients weigh far
         // more than at evaluation scale; the band here is a smoke check
         // (full-scale accuracy is validated by the figure harness).
@@ -82,7 +93,7 @@ fn sampled_prediction_is_reasonable_across_suite() {
 fn sampled_run_fast_forwards_most_instances() {
     let program = campaign().program(Benchmark::Matmul, &quick());
     let (result, stats) =
-        run_sampled(&program, MachineConfig::high_performance(), 8, TaskPointConfig::lazy());
+        sample(&program, MachineConfig::high_performance(), 8, TaskPointConfig::lazy());
     assert!(
         stats.fast_tasks as f64 > 0.9 * program.num_instances() as f64,
         "only {} of {} fast",
@@ -96,9 +107,9 @@ fn sampled_run_fast_forwards_most_instances() {
 fn periodic_resamples_more_and_simulates_more_detail_than_lazy() {
     let program = campaign().program(Benchmark::Vecop, &quick());
     let machine = MachineConfig::high_performance();
-    let (lazy, lazy_stats) = run_sampled(&program, machine.clone(), 8, TaskPointConfig::lazy());
+    let (lazy, lazy_stats) = sample(&program, machine.clone(), 8, TaskPointConfig::lazy());
     let config = TaskPointConfig::periodic().with_policy(SamplingPolicy::Periodic { period: 50 });
-    let (periodic, periodic_stats) = run_sampled(&program, machine, 8, config);
+    let (periodic, periodic_stats) = sample(&program, machine, 8, config);
     assert!(periodic_stats.resamples.len() > lazy_stats.resamples.len());
     assert!(periodic.detailed_instructions > lazy.detailed_instructions);
 }
@@ -111,8 +122,8 @@ fn periodic_equals_lazy_when_period_exceeds_program() {
     let machine = MachineConfig::high_performance();
     let big_p =
         TaskPointConfig::periodic().with_policy(SamplingPolicy::Periodic { period: 1_000_000 });
-    let (periodic, _) = run_sampled(&program, machine.clone(), 8, big_p);
-    let (lazy, _) = run_sampled(&program, machine, 8, TaskPointConfig::lazy());
+    let (periodic, _) = sample(&program, machine.clone(), 8, big_p);
+    let (lazy, _) = sample(&program, machine, 8, TaskPointConfig::lazy());
     assert_eq!(periodic.total_cycles, lazy.total_cycles);
     assert_eq!(periodic.detailed_tasks, lazy.detailed_tasks);
 }
@@ -121,11 +132,12 @@ fn periodic_equals_lazy_when_period_exceeds_program() {
 fn sampled_and_reference_are_deterministic_end_to_end() {
     let program = campaign().program(Benchmark::Reduction, &quick());
     let machine = MachineConfig::low_power();
-    let a = taskpoint_repro::taskpoint::run_reference(&program, machine.clone(), 4);
+    let a =
+        Simulation::builder(&program, machine.clone()).workers(4).build().run(&mut DetailedOnly);
     let b = reference(Benchmark::Reduction, machine.clone(), 4);
     assert_eq!(a.total_cycles, b.total_cycles, "fresh run equals shared reference");
-    let (s1, st1) = run_sampled(&program, machine.clone(), 4, TaskPointConfig::periodic());
-    let (s2, st2) = run_sampled(&program, machine, 4, TaskPointConfig::periodic());
+    let (s1, st1) = sample(&program, machine.clone(), 4, TaskPointConfig::periodic());
+    let (s2, st2) = sample(&program, machine, 4, TaskPointConfig::periodic());
     assert_eq!(s1.total_cycles, s2.total_cycles);
     assert_eq!(st1.resamples, st2.resamples);
     assert_eq!(st1.phase_log, st2.phase_log);
@@ -138,7 +150,7 @@ fn schedule_validity_no_task_starts_before_predecessors_end() {
         .workers(8)
         .collect_reports(true)
         .build()
-        .run(&mut taskpoint_repro::sim::DetailedOnly);
+        .run(&mut DetailedOnly);
     let mut end_of = vec![0u64; program.num_instances()];
     for r in &result.reports {
         end_of[r.task.index()] = r.end;
@@ -193,20 +205,16 @@ fn more_threads_never_increase_total_work_error_catastrophically() {
     let program = campaign().program(Benchmark::Histogram, &quick());
     for threads in [1u32, 2, 4, 8] {
         let r = reference(Benchmark::Histogram, MachineConfig::low_power(), threads);
-        let (outcome, _) = evaluate(
-            &program,
-            MachineConfig::low_power(),
-            threads,
-            TaskPointConfig::periodic(),
-            Some(&r),
-        );
+        let (sampled, _) =
+            sample(&program, MachineConfig::low_power(), threads, TaskPointConfig::periodic());
+        let outcome = ExperimentOutcome::compare(&sampled, &r);
         assert!(outcome.error_percent < 60.0, "{threads} threads: {:.1}%", outcome.error_percent);
     }
 }
 
 #[test]
 fn noise_model_produces_fig1_style_spread() {
-    use taskpoint_repro::sim::{DetailedOnly, NoiseModel};
+    use taskpoint_repro::sim::NoiseModel;
     use taskpoint_repro::stats::{normalize_by_group, BoxplotStats};
     let program = campaign().program(Benchmark::Swaptions, &quick());
     let result = Simulation::builder(&program, MachineConfig::high_performance())

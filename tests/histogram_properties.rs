@@ -16,8 +16,7 @@
 //!    every histogram line) is byte-identical across reruns at 1/2/4
 //!    simulated workers *with the same worker count*.
 
-use taskpoint_repro::sim::{MachineConfig, ProceduralTraces, Telemetry};
-use taskpoint_repro::taskpoint::run_reference_observed;
+use taskpoint_repro::sim::{DetailedOnly, MachineConfig, Simulation, Telemetry};
 use taskpoint_repro::telemetry::Histogram;
 use taskpoint_repro::workloads::{Benchmark, ScaleConfig};
 
@@ -138,13 +137,11 @@ fn approx_quantile_is_monotone_and_bounded() {
 fn reference_canonical(workers: u32) -> String {
     let program = Benchmark::Spmv.generate(&ScaleConfig::quick());
     let telemetry = Telemetry::recording();
-    run_reference_observed(
-        &program,
-        MachineConfig::tiny_test(),
-        workers,
-        Box::new(ProceduralTraces),
-        telemetry.clone(),
-    );
+    Simulation::builder(&program, MachineConfig::tiny_test())
+        .workers(workers)
+        .telemetry(telemetry.clone())
+        .build()
+        .run(&mut DetailedOnly);
     telemetry.take_report().expect("recording handle yields a report").canonical_text()
 }
 

@@ -12,8 +12,8 @@
 use proptest::prelude::*;
 use taskpoint_repro::accuracy::{neyman_allocate, Stratum};
 use taskpoint_repro::runtime::{AccessMode, Program, RegionAccess};
-use taskpoint_repro::sim::MachineConfig;
-use taskpoint_repro::taskpoint::{run_stratified, TaskPointConfig};
+use taskpoint_repro::sim::{MachineConfig, SimResult, Simulation};
+use taskpoint_repro::taskpoint::{self, AccuracyReport, TaskPointConfig};
 use taskpoint_repro::trace::{AccessPattern, InstructionMix, MemRegion, TraceSpec};
 
 /// SplitMix64 — derives per-task variation from a proptest seed.
@@ -51,6 +51,13 @@ fn chain_program(len: u32, ntypes: u32, seed: u64) -> Program {
         b.add_task(types[(i % ntypes) as usize], trace, accesses);
     }
     b.build()
+}
+
+/// One stratified run of `program` on one worker of the test machine.
+fn stratified_run(program: &Program, config: TaskPointConfig) -> (SimResult, AccuracyReport) {
+    let sim = Simulation::builder(program, MachineConfig::tiny_test()).build();
+    let outcome = taskpoint::run(sim, config, None);
+    (outcome.result, outcome.accuracy.expect("stratified runs report accuracy"))
 }
 
 proptest! {
@@ -139,12 +146,7 @@ proptest! {
     ) {
         let len = (2 + 2 * u64::from(ntypes) * pilot + 12) as u32;
         let program = chain_program(len, ntypes, seed);
-        let (result, _, report) = run_stratified(
-            &program,
-            MachineConfig::tiny_test(),
-            1,
-            TaskPointConfig::stratified(pilot, pilot),
-        );
+        let (result, report) = stratified_run(&program, TaskPointConfig::stratified(pilot, pilot));
         prop_assert_eq!(report.allocated, Some(0));
         prop_assert_eq!(report.units(), ntypes as usize);
         prop_assert_eq!(report.converged_units(), report.units());
@@ -168,12 +170,7 @@ proptest! {
         let budget = 2 * pilot + extra;
         let len = (2 * budget + 8) as u32;
         let program = chain_program(len, 2, seed);
-        let (result, _, report) = run_stratified(
-            &program,
-            MachineConfig::tiny_test(),
-            1,
-            TaskPointConfig::stratified(pilot, budget),
-        );
+        let (result, report) = stratified_run(&program, TaskPointConfig::stratified(pilot, budget));
         prop_assert_eq!(report.allocated, Some(extra));
         prop_assert_eq!(result.detailed_tasks, 2 + budget);
         prop_assert_eq!(report.converged_units(), report.units());

@@ -15,10 +15,8 @@
 //!    converged.
 
 use taskpoint_repro::campaign::json::Value;
-use taskpoint_repro::sim::{MachineConfig, ProceduralTraces, SimResult, Telemetry};
-use taskpoint_repro::taskpoint::{
-    run_adaptive_observed, run_reference_observed, run_sampled_observed, TaskPointConfig,
-};
+use taskpoint_repro::sim::{DetailedOnly, MachineConfig, SimResult, Simulation, Telemetry};
+use taskpoint_repro::taskpoint::{self, RunOutcome, TaskPointConfig};
 use taskpoint_repro::telemetry::{FidelityAction, SimEvent, TelemetryReport};
 use taskpoint_repro::trace::IngestedTrace;
 use taskpoint_repro::workloads::{Benchmark, ScaleConfig};
@@ -26,13 +24,11 @@ use taskpoint_repro::workloads::{Benchmark, ScaleConfig};
 fn observed_reference(workers: u32) -> (SimResult, TelemetryReport) {
     let program = Benchmark::Spmv.generate(&ScaleConfig::quick());
     let telemetry = Telemetry::recording();
-    let result = run_reference_observed(
-        &program,
-        MachineConfig::tiny_test(),
-        workers,
-        Box::new(ProceduralTraces),
-        telemetry.clone(),
-    );
+    let result = Simulation::builder(&program, MachineConfig::tiny_test())
+        .workers(workers)
+        .telemetry(telemetry.clone())
+        .build()
+        .run(&mut DetailedOnly);
     (result, telemetry.take_report().expect("recording handle yields a report"))
 }
 
@@ -57,14 +53,10 @@ fn recording_does_not_change_the_simulation_result() {
     let program = Benchmark::Cholesky.generate(&ScaleConfig::quick());
     let machine = MachineConfig::low_power();
     let run = |telemetry: Telemetry| {
-        run_sampled_observed(
-            &program,
-            machine.clone(),
-            2,
-            TaskPointConfig::lazy(),
-            Box::new(ProceduralTraces),
-            telemetry,
-        )
+        let sim =
+            Simulation::builder(&program, machine.clone()).workers(2).telemetry(telemetry).build();
+        let RunOutcome { result, stats, .. } = taskpoint::run(sim, TaskPointConfig::lazy(), None);
+        (result, stats)
     };
     let (plain, plain_stats) = run(Telemetry::disabled());
     let (observed, observed_stats) = run(Telemetry::recording());
@@ -121,14 +113,13 @@ fn gantt_renders_every_worker_row() {
 fn adaptive_runs_emit_one_convergence_event_per_converged_cluster() {
     let program = Benchmark::Spmv.generate(&ScaleConfig::quick());
     let telemetry = Telemetry::recording();
-    let (_, _, accuracy) = run_adaptive_observed(
-        &program,
-        MachineConfig::tiny_test(),
-        2,
-        TaskPointConfig::adaptive(0.1),
-        Box::new(ProceduralTraces),
-        telemetry.clone(),
-    );
+    let sim = Simulation::builder(&program, MachineConfig::tiny_test())
+        .workers(2)
+        .telemetry(telemetry.clone())
+        .build();
+    let accuracy = taskpoint::run(sim, TaskPointConfig::adaptive(0.1), None)
+        .accuracy
+        .expect("adaptive runs report accuracy");
     let report = telemetry.take_report().expect("recording handle yields a report");
     let count_action = |action: FidelityAction| {
         report
