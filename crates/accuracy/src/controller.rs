@@ -43,7 +43,7 @@ use taskpoint_telemetry::{FidelityAction, SimEvent, Sink, Telemetry};
 use tasksim::{ExecMode, ModeController, SimMode, TaskReport, TaskStart};
 
 use crate::ci::{ci_target_met, relative_ci_half_width};
-use crate::cluster::{concurrency_band, ClusterMap};
+use crate::cluster::concurrency_band;
 use crate::config::{AdaptiveConfig, StratifiedConfig};
 
 /// Per-cluster sampling state (shared with the stratified controller).
@@ -384,9 +384,7 @@ impl AdaptiveController {
                 });
             }
         }
-        for c in &mut self.since_unconverged {
-            *c = 0;
-        }
+        self.reset_cutoff_clock();
     }
 
     fn reset_cutoff_clock(&mut self) {
@@ -537,66 +535,10 @@ impl ModeController for AdaptiveController {
     }
 }
 
-/// Adaptive sampling over `(type, size-class)` units: the counterpart of
-/// the size-clustered base controller, remapping every instance through a
-/// [`ClusterMap`] before delegating.
-#[derive(Debug)]
-pub struct ClusteredAdaptiveController {
-    inner: AdaptiveController,
-    map: ClusterMap,
-}
-
-impl ClusteredAdaptiveController {
-    /// Creates a clustered adaptive controller (see [`ClusterMap::new`]
-    /// for `granularity`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `granularity == 0` or the configuration is invalid.
-    pub fn new(config: AdaptiveConfig, granularity: u32) -> Self {
-        Self { inner: AdaptiveController::new(config), map: ClusterMap::new(granularity) }
-    }
-
-    /// Number of distinct `(type, size-class)` sampling units seen.
-    pub fn num_clusters(&self) -> usize {
-        self.map.num_clusters()
-    }
-
-    /// Attaches a telemetry handle (events carry virtual unit ids; see
-    /// [`AdaptiveController::set_telemetry`]).
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.inner.set_telemetry(telemetry);
-    }
-
-    /// The per-cluster accuracy picture (units are virtual ids).
-    pub fn report(&self) -> AccuracyReport {
-        self.inner.report()
-    }
-
-    /// Consumes the controller, returning telemetry and the accuracy
-    /// report.
-    pub fn into_parts(self) -> (AdaptiveStats, AccuracyReport) {
-        self.inner.into_parts()
-    }
-}
-
-impl ModeController for ClusteredAdaptiveController {
-    fn mode_for_task(&mut self, start: &TaskStart) -> ExecMode {
-        let mut mapped = *start;
-        mapped.type_id = self.map.unit(start.type_id, start.instructions);
-        self.inner.mode_for_task(&mapped)
-    }
-
-    fn on_task_complete(&mut self, report: &TaskReport) {
-        let mut mapped = *report;
-        mapped.type_id = self.map.unit(report.type_id, report.instructions);
-        self.inner.on_task_complete(&mapped)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::Clustered;
     use crate::config::AdaptiveParams;
     use taskpoint_runtime::{TaskInstanceId, TaskTypeId, WorkerId};
 
@@ -732,7 +674,8 @@ mod tests {
 
     #[test]
     fn clustered_adaptive_separates_size_classes() {
-        let mut ctrl = ClusteredAdaptiveController::new(AdaptiveConfig::new(0.1).with_warmup(0), 1);
+        let mut ctrl =
+            Clustered::new(AdaptiveController::new(AdaptiveConfig::new(0.1).with_warmup(0)), 1);
         for task in 0..40u64 {
             let instrs = if task % 2 == 0 { 200 } else { 100_000 };
             let s = TaskStart {
@@ -761,7 +704,7 @@ mod tests {
             });
         }
         assert_eq!(ctrl.num_clusters(), 2, "one type, two size classes");
-        assert_eq!(ctrl.report().units(), 2);
+        assert_eq!(ctrl.into_inner().report().units(), 2);
     }
 
     fn start_c(task: u64, type_id: u32, concurrency: u32) -> TaskStart {

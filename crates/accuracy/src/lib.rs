@@ -16,8 +16,9 @@
 //!   minimum-sample floor and the rare-cluster cutoff inherited from the
 //!   paper's rare-task-type rule — and is fast-forwarded from then on;
 //! * the [`ClusterMap`] that buckets instances into `(task type,
-//!   size-class)` sampling units (shared with the size-clustered
-//!   controller in the sampling core), plus the [`concurrency_band`]
+//!   size-class)` sampling units, and the [`Clustered`] wrapper that
+//!   makes any mode controller sample those units instead of task types,
+//!   plus the [`concurrency_band`]
 //!   log₂ bucketing that makes convergence concurrency-aware: both
 //!   controllers keep per-band moments and *re-open* a converged cluster
 //!   when the live concurrency shifts into a band whose interval misses
@@ -52,12 +53,11 @@ pub mod stratified;
 
 pub use allocate::{neyman_allocate, Stratum};
 pub use ci::{ci_target_met, relative_ci_half_width};
-pub use cluster::{concurrency_band, ClusterMap};
+pub use cluster::{concurrency_band, ClusterMap, Clustered};
 pub use config::{
     AdaptiveConfig, AdaptiveParams, AdaptiveParamsError, StratifiedConfig, StratifiedConfigError,
 };
 pub use controller::{
-    AccuracyReport, AdaptiveController, AdaptiveStats, BandAccuracy, ClusterAccuracy,
-    ClusteredAdaptiveController, PolicyConfig,
+    AccuracyReport, AdaptiveController, AdaptiveStats, BandAccuracy, ClusterAccuracy, PolicyConfig,
 };
 pub use stratified::StratifiedController;

@@ -14,7 +14,6 @@ pub mod figures;
 pub mod format;
 pub mod harness;
 pub mod output;
-pub mod regress;
 
 pub use figures::{
     adaptive_frontier, error_speedup_figure, sensitivity_sweep, table1, table2, variation_figure,

@@ -22,7 +22,7 @@
 //!   empty histories (paper Fig. 4);
 //! * the paper's proposed *future work* — clustering instances of a type
 //!   by instruction count into classes of similar performance
-//!   ([`clustered`]);
+//!   ([`Clustered`], which wraps any of the controllers below);
 //! * **confidence-driven adaptive** and **two-phase stratified** sampling
 //!   (built on [`taskpoint_accuracy`]): [`SamplingPolicy::Adaptive`] keeps
 //!   each cluster detailed until the relative confidence interval of its
@@ -54,14 +54,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod clustered;
 pub mod config;
 pub mod controller;
 pub mod history;
 pub mod metrics;
 pub mod simulate;
 
-pub use clustered::ClusteredController;
 pub use config::{ConfigError, SamplingPolicy, TaskPointConfig};
 pub use controller::{Phase, ResampleCause, SamplingStats, TaskPointController};
 pub use history::{SampleHistory, TypeHistories};
@@ -74,7 +72,7 @@ pub use tasksim::{Telemetry, TelemetryReport};
 // `taskpoint-accuracy` directly.
 pub use taskpoint_accuracy::{
     concurrency_band, neyman_allocate, AccuracyReport, AdaptiveConfig, AdaptiveController,
-    AdaptiveParams, BandAccuracy, ClusterAccuracy, ClusterMap, ClusteredAdaptiveController,
-    PolicyConfig, StratifiedConfig, StratifiedController, Stratum,
+    AdaptiveParams, BandAccuracy, ClusterAccuracy, ClusterMap, Clustered, PolicyConfig,
+    StratifiedConfig, StratifiedController, Stratum,
 };
 pub use taskpoint_stats::Confidence;

@@ -7,12 +7,10 @@
 //! sampled run against it.
 
 use taskpoint_accuracy::{
-    AccuracyReport, AdaptiveController, AdaptiveStats, ClusteredAdaptiveController,
-    StratifiedController,
+    AccuracyReport, AdaptiveController, AdaptiveStats, Clustered, StratifiedController,
 };
-use tasksim::{SimResult, Simulation};
+use tasksim::{ModeController, SimResult, Simulation};
 
-use crate::clustered::ClusteredController;
 use crate::config::TaskPointConfig;
 use crate::controller::{SamplingStats, TaskPointController};
 
@@ -39,8 +37,8 @@ pub struct RunOutcome {
 ///
 /// | policy | `granularity` `None` | `Some(g)` |
 /// |---|---|---|
-/// | lazy, periodic | [`TaskPointController`] | [`ClusteredController`] |
-/// | adaptive | [`AdaptiveController`] | [`ClusteredAdaptiveController`] |
+/// | lazy, periodic | [`TaskPointController`] | [`Clustered`]`<TaskPointController>` |
+/// | adaptive | [`AdaptiveController`] | [`Clustered`]`<AdaptiveController>` |
 /// | stratified | [`StratifiedController`] | the same, with size classes of width `g` |
 ///
 /// The adaptive and stratified controllers share the simulation's
@@ -74,19 +72,9 @@ pub struct RunOutcome {
 pub fn run(sim: Simulation<'_>, config: TaskPointConfig, granularity: Option<u32>) -> RunOutcome {
     let telemetry = sim.telemetry().clone();
     let (result, clusters, (stats, report)) = if let Some(adaptive) = config.adaptive_config() {
-        match granularity {
-            None => {
-                let mut controller = AdaptiveController::new(adaptive).with_telemetry(telemetry);
-                let result = sim.run(&mut controller);
-                (result, None, controller.into_parts())
-            }
-            Some(g) => {
-                let mut controller = ClusteredAdaptiveController::new(adaptive, g);
-                controller.set_telemetry(telemetry);
-                let result = sim.run(&mut controller);
-                (result, Some(controller.num_clusters()), controller.into_parts())
-            }
-        }
+        let controller = AdaptiveController::new(adaptive).with_telemetry(telemetry);
+        let (result, clusters, controller) = run_clustered(sim, controller, granularity);
+        (result, clusters, controller.into_parts())
     } else if let Some(stratified) = config.stratified_config() {
         let stratified = granularity.map_or(stratified, |g| stratified.with_granularity(g));
         let mut controller = StratifiedController::new(stratified).with_telemetry(telemetry);
@@ -97,26 +85,29 @@ pub fn run(sim: Simulation<'_>, config: TaskPointConfig, granularity: Option<u32
     } else {
         // Lazy and periodic sampling: the paper's controller, which keeps
         // phase and resample logs but no accuracy report.
-        return match granularity {
-            None => {
-                let mut controller = TaskPointController::new(config);
-                let result = sim.run(&mut controller);
-                RunOutcome {
-                    result,
-                    stats: controller.into_stats(),
-                    accuracy: None,
-                    clusters: None,
-                }
-            }
-            Some(g) => {
-                let mut controller = ClusteredController::new(config, g);
-                let result = sim.run(&mut controller);
-                let clusters = Some(controller.num_clusters());
-                RunOutcome { result, stats: controller.into_stats(), accuracy: None, clusters }
-            }
-        };
+        let (result, clusters, controller) =
+            run_clustered(sim, TaskPointController::new(config), granularity);
+        return RunOutcome { result, stats: controller.into_stats(), accuracy: None, clusters };
     };
     RunOutcome { result, stats: sampling_stats(stats), accuracy: Some(report), clusters }
+}
+
+/// Runs `sim` under `controller`, wrapped in [`Clustered`] when a
+/// granularity is given; returns the result, the number of sampling
+/// units in the clustered case, and the (unwrapped) controller.
+fn run_clustered<C: ModeController>(
+    sim: Simulation<'_>,
+    mut controller: C,
+    granularity: Option<u32>,
+) -> (SimResult, Option<usize>, C) {
+    match granularity {
+        None => (sim.run(&mut controller), None, controller),
+        Some(g) => {
+            let mut clustered = Clustered::new(controller, g);
+            let result = sim.run(&mut clustered);
+            (result, Some(clustered.num_clusters()), clustered.into_inner())
+        }
+    }
 }
 
 /// Folds an adaptive or stratified run's telemetry into the common
@@ -281,11 +272,12 @@ mod tests {
         let p = spmv();
         let config = TaskPointConfig::lazy();
         let via_dispatch = run(sim(&p, MachineConfig::tiny_test(), 2), config, Some(1));
-        let mut controller = ClusteredController::new(config, 1);
+        let mut controller = Clustered::new(TaskPointController::new(config), 1);
         let direct = run_direct(&p, &mut controller);
         assert_eq!(via_dispatch.result.total_cycles, direct.total_cycles);
         assert_eq!(via_dispatch.result.detailed_tasks, direct.detailed_tasks);
         assert_eq!(via_dispatch.clusters, Some(controller.num_clusters()));
+        assert_eq!(via_dispatch.stats.resamples, controller.into_inner().stats().resamples);
         assert!(via_dispatch.accuracy.is_none());
     }
 
@@ -307,11 +299,16 @@ mod tests {
         let p = spmv();
         let config = TaskPointConfig::adaptive(0.1);
         let via_dispatch = run(sim(&p, MachineConfig::tiny_test(), 2), config, Some(1));
-        let mut controller = ClusteredAdaptiveController::new(config.adaptive_config().unwrap(), 1);
+        let mut controller =
+            Clustered::new(AdaptiveController::new(config.adaptive_config().unwrap()), 1);
         let direct = run_direct(&p, &mut controller);
         assert_eq!(via_dispatch.result.total_cycles, direct.total_cycles);
         assert_eq!(via_dispatch.result.detailed_tasks, direct.detailed_tasks);
         assert_eq!(via_dispatch.clusters, Some(controller.num_clusters()));
+        assert_eq!(
+            via_dispatch.accuracy.unwrap().clusters,
+            controller.into_inner().report().clusters
+        );
     }
 
     #[test]
@@ -360,6 +357,33 @@ mod tests {
             accuracy.config,
             taskpoint_accuracy::PolicyConfig::Stratified(c) if c.granularity == 2
         ));
+    }
+
+    /// A bimodal single-type workload: the exact pathology of dedup.
+    fn bimodal_program() -> Program {
+        let mut b = Program::builder("bimodal");
+        let ty = b.add_type("work");
+        for i in 0..600u64 {
+            let instrs = if i % 2 == 0 { 200 } else { 6_400 };
+            b.add_task(ty, TraceSpec::synthetic(i, instrs), vec![]);
+        }
+        b.build()
+    }
+
+    #[test]
+    fn clustering_beats_plain_taskpoint_on_bimodal_types() {
+        let p = bimodal_program();
+        let machine = MachineConfig::high_performance();
+        let reference = detailed_reference(&p, machine.clone(), 4);
+        let plain = run(sim(&p, machine.clone(), 4), TaskPointConfig::lazy(), None).result;
+        let clustered = run(sim(&p, machine, 4), TaskPointConfig::lazy(), Some(1));
+        assert!(clustered.clusters.unwrap() >= 2, "bimodal sizes must form >= 2 clusters");
+        let plain_err = error_percent(&plain, &reference);
+        let clustered_err = error_percent(&clustered.result, &reference);
+        assert!(
+            clustered_err <= plain_err + 0.5,
+            "clustering must not hurt: plain {plain_err:.2}% vs clustered {clustered_err:.2}%"
+        );
     }
 
     // --- adaptive policy ---

@@ -241,17 +241,17 @@ proptest! {
     ) {
         use std::collections::HashMap;
         use taskpoint_repro::runtime::TaskTypeId;
-        use taskpoint_repro::taskpoint::{ClusteredController, TaskPointConfig};
+        use taskpoint_repro::taskpoint::ClusterMap;
 
-        let mut c = ClusteredController::new(TaskPointConfig::lazy(), granularity);
+        let mut c = ClusterMap::new(granularity);
         let mut model: HashMap<(u32, u32), u32> = HashMap::new();
         for &x in &xs {
             let ty = (x % 5) as u32;
             let instructions = x >> 3;
             let class = c.size_class(instructions);
-            let vid = c.sampling_unit(TaskTypeId(ty), instructions).0;
+            let vid = c.unit(TaskTypeId(ty), instructions).0;
             // Stable within a run: re-asking never reassigns.
-            prop_assert_eq!(c.sampling_unit(TaskTypeId(ty), instructions).0, vid);
+            prop_assert_eq!(c.unit(TaskTypeId(ty), instructions).0, vid);
             match model.get(&(ty, class)) {
                 Some(&expected) => prop_assert_eq!(vid, expected),
                 None => {
@@ -276,19 +276,19 @@ proptest! {
         ty in 0u32..8,
     ) {
         use taskpoint_repro::runtime::TaskTypeId;
-        use taskpoint_repro::taskpoint::{ClusteredController, TaskPointConfig};
+        use taskpoint_repro::taskpoint::ClusterMap;
 
-        let mut c = ClusteredController::new(TaskPointConfig::lazy(), granularity);
+        let mut c = ClusterMap::new(granularity);
         // Lowest and highest instruction counts of one log2 band: both in
         // band `exp`, so necessarily in the same (wider) size class.
         let lo = 1u64 << exp;
         let hi = lo | (lo - 1);
-        let a = c.sampling_unit(TaskTypeId(ty), lo);
-        let b = c.sampling_unit(TaskTypeId(ty), hi);
+        let a = c.unit(TaskTypeId(ty), lo);
+        let b = c.unit(TaskTypeId(ty), hi);
         prop_assert_eq!(a, b);
         // A different task type never shares the unit, even at the same
         // instruction count.
-        let other = c.sampling_unit(TaskTypeId(ty + 100), lo);
+        let other = c.unit(TaskTypeId(ty + 100), lo);
         prop_assert_ne!(a, other);
     }
 }
