@@ -11,7 +11,7 @@ fn program(tasks: u64, instrs: u64) -> Program {
     let mut b = Program::builder("bench");
     let ty = b.add_type("work");
     for i in 0..tasks {
-        b.add_task(ty, TraceSpec::synthetic(i, instrs), vec![]);
+        b.add_task(ty, TraceSpec::synthetic(i, instrs), &[]);
     }
     b.build()
 }

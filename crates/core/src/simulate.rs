@@ -160,7 +160,7 @@ mod tests {
                 .pattern(taskpoint_trace::AccessPattern::sequential(8))
                 .footprint(taskpoint_trace::MemRegion::new(0x1000_0000 + i * 8192, 4096))
                 .build();
-            b.add_task(ty, trace, vec![]);
+            b.add_task(ty, trace, &[]);
         }
         b.build()
     }
@@ -365,7 +365,7 @@ mod tests {
         let ty = b.add_type("work");
         for i in 0..600u64 {
             let instrs = if i % 2 == 0 { 200 } else { 6_400 };
-            b.add_task(ty, TraceSpec::synthetic(i, instrs), vec![]);
+            b.add_task(ty, TraceSpec::synthetic(i, instrs), &[]);
         }
         b.build()
     }

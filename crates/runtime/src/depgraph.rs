@@ -15,7 +15,35 @@
 use crate::regions::RegionAccess;
 use crate::task::TaskInstanceId;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use taskpoint_trace::MemRegion;
+
+/// A multiplicative hasher for region keys.
+///
+/// The keys are the program's own annotations, not untrusted input, so the
+/// standard library's flooding-resistant SipHash buys nothing here and
+/// costs most of the analysis time. Each word is folded in with one
+/// multiplication; `finish` folds the well-mixed high half into the low
+/// bits, because the table indexes buckets by the low bits and region
+/// bases are aligned (their low bits are all zero).
+#[derive(Debug, Default, Clone, Copy)]
+struct RegionHasher(u64);
+
+impl Hasher for RegionHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0 ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+}
 
 /// Per-region dependence state during construction.
 #[derive(Debug, Default, Clone)]
@@ -25,21 +53,50 @@ struct RegionState {
 }
 
 /// Builds a [`DependenceGraph`] by registering tasks in creation order.
-#[derive(Debug, Default)]
+///
+/// Registering a task allocates nothing in the steady state: its
+/// predecessors are collected in one reused scratch buffer and appended to
+/// a flat edge array, and each region's state lives in a slot vector
+/// indexed through a region → slot map.
+#[derive(Debug)]
 pub struct DependenceGraphBuilder {
-    regions: HashMap<MemRegion, RegionState>,
-    preds: Vec<Vec<TaskInstanceId>>,
-    succs: Vec<Vec<TaskInstanceId>>,
+    /// Region → index into `regions`.
+    slots: HashMap<MemRegion, u32, BuildHasherDefault<RegionHasher>>,
+    regions: Vec<RegionState>,
+    /// `preds[pred_off[i]..pred_off[i + 1]]` are task `i`'s predecessors.
+    pred_off: Vec<u32>,
+    preds: Vec<TaskInstanceId>,
+    /// The current task's dependences before sorting and deduplication.
+    scratch: Vec<TaskInstanceId>,
     /// Debug-only soundness index: region base -> len, used to detect
     /// partially overlapping annotations in O(log n) per access.
     #[cfg(debug_assertions)]
     region_index: std::collections::BTreeMap<u64, u64>,
 }
 
+impl Default for DependenceGraphBuilder {
+    fn default() -> Self {
+        Self {
+            slots: HashMap::default(),
+            regions: Vec::new(),
+            pred_off: vec![0],
+            preds: Vec::new(),
+            scratch: Vec::new(),
+            #[cfg(debug_assertions)]
+            region_index: std::collections::BTreeMap::new(),
+        }
+    }
+}
+
 impl DependenceGraphBuilder {
     /// Creates an empty builder.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Number of tasks registered so far.
+    fn len(&self) -> usize {
+        self.pred_off.len() - 1
     }
 
     /// Registers the next task (ids must be dense and in creation order)
@@ -49,16 +106,20 @@ impl DependenceGraphBuilder {
     ///
     /// Panics if `id` is not the next dense id.
     pub fn add_task(&mut self, id: TaskInstanceId, accesses: &[RegionAccess]) {
-        assert_eq!(id.index(), self.preds.len(), "task ids must be dense and ordered");
-        self.preds.push(Vec::new());
-        self.succs.push(Vec::new());
+        assert_eq!(id.index(), self.len(), "task ids must be dense and ordered");
 
         #[cfg(debug_assertions)]
         self.check_no_partial_overlap(accesses);
 
-        let mut deps: Vec<TaskInstanceId> = Vec::new();
+        let deps = &mut self.scratch;
+        deps.clear();
         for acc in accesses {
-            let state = self.regions.entry(acc.region).or_default();
+            let next = self.regions.len() as u32;
+            let slot = *self.slots.entry(acc.region).or_insert(next);
+            if slot == next {
+                self.regions.push(RegionState::default());
+            }
+            let state = &mut self.regions[slot as usize];
             if acc.mode.reads() {
                 if let Some(w) = state.last_writer {
                     deps.push(w);
@@ -68,7 +129,7 @@ impl DependenceGraphBuilder {
                 if let Some(w) = state.last_writer {
                     deps.push(w);
                 }
-                deps.extend(state.readers_since_write.iter().copied());
+                deps.extend_from_slice(&state.readers_since_write);
             }
             // Update the state after computing dependences so a task never
             // depends on itself through its own annotations.
@@ -82,10 +143,8 @@ impl DependenceGraphBuilder {
         deps.retain(|&d| d != id);
         deps.sort_unstable();
         deps.dedup();
-        for &d in &deps {
-            self.succs[d.index()].push(id);
-        }
-        self.preds[id.index()] = deps;
+        self.preds.extend_from_slice(deps);
+        self.pred_off.push(offset(self.preds.len()));
     }
 
     #[cfg(debug_assertions)]
@@ -118,54 +177,90 @@ impl DependenceGraphBuilder {
         }
     }
 
-    /// Finalizes the graph.
+    /// Finalizes the graph: fills the successor lists with a counting pass
+    /// over the predecessors in task order, so every successor list is in
+    /// ascending (creation) order.
     pub fn build(self) -> DependenceGraph {
-        DependenceGraph { preds: self.preds, succs: self.succs }
+        let n = self.len();
+        let mut succ_off = vec![0u32; n + 1];
+        for p in &self.preds {
+            succ_off[p.index() + 1] += 1;
+        }
+        for i in 0..n {
+            succ_off[i + 1] += succ_off[i];
+        }
+        let mut cursor = succ_off[..n].to_vec();
+        let mut succs = vec![TaskInstanceId(0); self.preds.len()];
+        for i in 0..n {
+            let task = TaskInstanceId(i as u64);
+            for p in &self.preds[self.pred_off[i] as usize..self.pred_off[i + 1] as usize] {
+                let at = &mut cursor[p.index()];
+                succs[*at as usize] = task;
+                *at += 1;
+            }
+        }
+        DependenceGraph { pred_off: self.pred_off, preds: self.preds, succ_off, succs }
     }
 }
 
-/// An immutable task dependence DAG.
+/// An edge count as a CSR offset.
+fn offset(edges: usize) -> u32 {
+    u32::try_from(edges).expect("more than u32::MAX dependence edges")
+}
+
+/// An immutable task dependence DAG in compressed sparse row form: task
+/// `i`'s predecessors are `preds[pred_off[i]..pred_off[i + 1]]`, and its
+/// successors likewise in `succs`.
 ///
 /// By construction (dependences only point at earlier creation indices) the
 /// graph is acyclic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DependenceGraph {
-    preds: Vec<Vec<TaskInstanceId>>,
-    succs: Vec<Vec<TaskInstanceId>>,
+    pred_off: Vec<u32>,
+    preds: Vec<TaskInstanceId>,
+    succ_off: Vec<u32>,
+    succs: Vec<TaskInstanceId>,
 }
 
 impl DependenceGraph {
     /// Number of tasks in the graph.
     pub fn len(&self) -> usize {
-        self.preds.len()
+        self.pred_off.len() - 1
     }
 
     /// True if the graph contains no tasks.
     pub fn is_empty(&self) -> bool {
-        self.preds.is_empty()
+        self.len() == 0
     }
 
     /// The tasks `id` directly depends on (sorted, deduplicated).
     pub fn predecessors(&self, id: TaskInstanceId) -> &[TaskInstanceId] {
-        &self.preds[id.index()]
+        let i = id.index();
+        &self.preds[self.pred_off[i] as usize..self.pred_off[i + 1] as usize]
     }
 
     /// The tasks that directly depend on `id` (in creation order).
     pub fn successors(&self, id: TaskInstanceId) -> &[TaskInstanceId] {
-        &self.succs[id.index()]
+        let i = id.index();
+        &self.succs[self.succ_off[i] as usize..self.succ_off[i + 1] as usize]
+    }
+
+    /// Number of predecessors of task `i`.
+    fn in_degree(&self, i: usize) -> u32 {
+        self.pred_off[i + 1] - self.pred_off[i]
     }
 
     /// Tasks with no predecessors, in creation order.
     pub fn roots(&self) -> Vec<TaskInstanceId> {
-        (0..self.len() as u64)
-            .map(TaskInstanceId)
-            .filter(|id| self.preds[id.index()].is_empty())
+        (0..self.len())
+            .filter(|&i| self.in_degree(i) == 0)
+            .map(|i| TaskInstanceId(i as u64))
             .collect()
     }
 
     /// Total number of dependence edges.
     pub fn edge_count(&self) -> usize {
-        self.preds.iter().map(Vec::len).sum()
+        self.preds.len()
     }
 
     /// The length of the longest dependence chain (critical path measured
@@ -185,7 +280,7 @@ impl DependenceGraph {
     /// Creates the mutable ready-set used to execute this graph.
     pub fn ready_set(&self) -> ReadySet {
         ReadySet {
-            remaining: self.preds.iter().map(|p| p.len() as u32).collect(),
+            remaining: (0..self.len()).map(|i| self.in_degree(i)).collect(),
             completed: vec![false; self.len()],
             pending: self.len(),
         }

@@ -45,19 +45,22 @@ fn dep_region(index: u64) -> MemRegion {
 pub fn program_from_ingested(name: impl Into<String>, trace: &IngestedTrace) -> Program {
     let mut b = Program::builder(name);
     let type_ids: Vec<_> = trace.types().iter().map(|t| b.add_type(t.name.clone())).collect();
+    let mix = InstructionMix::from_weights(&[(InstKind::IntAlu, 1.0)]);
+    let mut accesses = Vec::new();
     for task in trace.tasks() {
         let ty = &trace.types()[task.type_index as usize];
         let spec = TraceSpec::builder()
             .seed(task.index)
             .code_seed(task.type_index as u64)
             .instructions(task.instructions)
-            .mix(InstructionMix::from_weights(&[(InstKind::IntAlu, 1.0)]))
+            .mix(mix.clone())
             .branch_mispredict_rate(ty.branch_mispredict_rate)
             .dependency_rate(ty.dependency_rate)
             .build();
-        let mut accesses = vec![RegionAccess::output(dep_region(task.index))];
+        accesses.clear();
+        accesses.push(RegionAccess::output(dep_region(task.index)));
         accesses.extend(task.deps.iter().map(|&d| RegionAccess::input(dep_region(d))));
-        b.add_task(type_ids[task.type_index as usize], spec, accesses);
+        b.add_task(type_ids[task.type_index as usize], spec, &accesses);
     }
     b.build()
 }

@@ -13,10 +13,13 @@
 //! * [`task`] — task types, task instances and their identifiers;
 //! * [`regions`] — region access annotations (`in`/`out`/`inout`);
 //! * [`depgraph`] — OmpSs dependence analysis (RAW, WAR, WAW over regions)
-//!   producing a DAG, plus the incremental ready-set used during execution;
+//!   producing a DAG in compressed sparse row form, plus the incremental
+//!   ready-set used during execution;
 //! * [`scheduler`] — dynamic schedulers (FIFO — the Nanos++ default — LIFO,
-//!   and a locality-aware variant);
+//!   and a size-tiered variant for big.LITTLE machines);
 //! * [`program`] — a complete task-based program: types + instances + DAG.
+//!   A task's region annotations are consumed by the dependence analysis
+//!   when it is added; the program keeps only the resulting edges.
 //!
 //! # Example
 //!
@@ -28,8 +31,8 @@
 //! let t = b.add_type("work");
 //! let data = MemRegion::new(0x1000, 64);
 //! let trace = TraceSpec::synthetic(0, 100);
-//! let first = b.add_task(t, trace.clone(), vec![RegionAccess::new(data, AccessMode::Out)]);
-//! let second = b.add_task(t, trace, vec![RegionAccess::new(data, AccessMode::In)]);
+//! let first = b.add_task(t, trace.clone(), &[RegionAccess::new(data, AccessMode::Out)]);
+//! let second = b.add_task(t, trace, &[RegionAccess::new(data, AccessMode::In)]);
 //! let program = b.build();
 //! // `second` reads what `first` writes: a RAW dependence.
 //! assert_eq!(program.graph().predecessors(second), &[first]);
@@ -49,7 +52,5 @@ pub use depgraph::{DependenceGraph, ReadySet};
 pub use ingest::program_from_ingested;
 pub use program::{Program, ProgramBuilder};
 pub use regions::{AccessMode, RegionAccess};
-pub use scheduler::{
-    FifoScheduler, LifoScheduler, LocalityScheduler, Scheduler, SizeTieredScheduler, WorkerId,
-};
+pub use scheduler::{FifoScheduler, LifoScheduler, Scheduler, SizeTieredScheduler, WorkerId};
 pub use task::{TaskInstance, TaskInstanceId, TaskType, TaskTypeId};

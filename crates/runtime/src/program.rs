@@ -2,7 +2,7 @@
 //!
 //! A [`Program`] is what a workload generator produces and what the
 //! simulator consumes: the task types, every task instance (with its trace
-//! spec and region annotations) and the dependence DAG derived from the
+//! spec) and the dependence DAG derived from the instances' region
 //! annotations.
 
 use std::collections::HashSet;
@@ -31,6 +31,7 @@ impl Program {
             name: name.into(),
             types: Vec::new(),
             instances: Vec::new(),
+            instances_per_type: Vec::new(),
             graph: DependenceGraphBuilder::new(),
         }
     }
@@ -132,6 +133,8 @@ pub struct ProgramBuilder {
     name: String,
     types: Vec<TaskType>,
     instances: Vec<TaskInstance>,
+    /// Instances added per type, indexed by `TaskTypeId`.
+    instances_per_type: Vec<usize>,
     graph: DependenceGraphBuilder,
 }
 
@@ -140,12 +143,13 @@ impl ProgramBuilder {
     pub fn add_type(&mut self, name: impl Into<String>) -> TaskTypeId {
         let id = TaskTypeId(self.types.len() as u32);
         self.types.push(TaskType::new(id, name));
+        self.instances_per_type.push(0);
         id
     }
 
     /// Creates a task instance of `type_id` with the given trace and region
     /// annotations; returns its id. Dependences on earlier tasks are derived
-    /// immediately.
+    /// immediately, and the annotations are not kept.
     ///
     /// # Panics
     ///
@@ -154,12 +158,16 @@ impl ProgramBuilder {
         &mut self,
         type_id: TaskTypeId,
         trace: TraceSpec,
-        accesses: Vec<RegionAccess>,
+        accesses: &[RegionAccess],
     ) -> TaskInstanceId {
-        assert!((type_id.0 as usize) < self.types.len(), "undeclared task type {type_id}");
+        let count = self
+            .instances_per_type
+            .get_mut(type_id.0 as usize)
+            .unwrap_or_else(|| panic!("undeclared task type {type_id}"));
+        *count += 1;
         let id = TaskInstanceId(self.instances.len() as u64);
-        self.graph.add_task(id, &accesses);
-        self.instances.push(TaskInstance::new(id, type_id, trace, accesses));
+        self.graph.add_task(id, accesses);
+        self.instances.push(TaskInstance::new(id, type_id, trace));
         id
     }
 
@@ -175,17 +183,16 @@ impl ProgramBuilder {
     /// Panics if any declared type has zero instances (almost certainly a
     /// generator bug that would corrupt Table I counts).
     pub fn build(self) -> Program {
-        let program = Program {
+        for (ty, &count) in self.types.iter().zip(&self.instances_per_type) {
+            assert!(count > 0, "task type {} ({}) has no instances", ty.id().0, ty.name());
+        }
+        Program {
             name: self.name,
             types: self.types,
             instances: self.instances,
             graph: self.graph.build(),
             data_regions: OnceLock::new(),
-        };
-        for (i, count) in program.instances_per_type().iter().enumerate() {
-            assert!(*count > 0, "task type {} ({}) has no instances", i, program.types[i].name());
         }
-        program
     }
 }
 
@@ -202,8 +209,8 @@ mod tests {
     fn builder_assigns_dense_ids() {
         let mut b = Program::builder("p");
         let t = b.add_type("work");
-        let a = b.add_task(t, trace(10), vec![]);
-        let c = b.add_task(t, trace(20), vec![]);
+        let a = b.add_task(t, trace(10), &[]);
+        let c = b.add_task(t, trace(20), &[]);
         assert_eq!(a, TaskInstanceId(0));
         assert_eq!(c, TaskInstanceId(1));
         let p = b.build();
@@ -217,9 +224,9 @@ mod tests {
         let mut b = Program::builder("p");
         let ta = b.add_type("a");
         let tb = b.add_type("b");
-        b.add_task(ta, trace(100), vec![]);
-        b.add_task(ta, trace(100), vec![]);
-        b.add_task(tb, trace(50), vec![]);
+        b.add_task(ta, trace(100), &[]);
+        b.add_task(ta, trace(100), &[]);
+        b.add_task(tb, trace(50), &[]);
         let p = b.build();
         assert_eq!(p.instances_per_type(), vec![2, 1]);
         assert_eq!(p.instructions_per_type(), vec![200, 50]);
@@ -231,8 +238,8 @@ mod tests {
         let mut b = Program::builder("p");
         let t = b.add_type("w");
         let r = MemRegion::new(0x100, 0x10);
-        let first = b.add_task(t, trace(1), vec![RegionAccess::output(r)]);
-        let second = b.add_task(t, trace(1), vec![RegionAccess::input(r)]);
+        let first = b.add_task(t, trace(1), &[RegionAccess::output(r)]);
+        let second = b.add_task(t, trace(1), &[RegionAccess::input(r)]);
         let p = b.build();
         assert_eq!(p.graph().predecessors(second), &[first]);
         assert_eq!(p.graph().len(), 2);
@@ -246,9 +253,9 @@ mod tests {
         let (a, b, c) = (MemRegion::new(0, 64), MemRegion::new(64, 64), MemRegion::new(128, 64));
         let mut builder = Program::builder("p");
         let t = builder.add_type("w");
-        builder.add_task(t, spec(a, b), vec![]);
-        builder.add_task(t, spec(c, MemRegion::empty()), vec![]);
-        builder.add_task(t, spec(b, a), vec![]);
+        builder.add_task(t, spec(a, b), &[]);
+        builder.add_task(t, spec(c, MemRegion::empty()), &[]);
+        builder.add_task(t, spec(b, a), &[]);
         let p = builder.build();
         assert_eq!(p.data_regions(), &[b, a, c]);
         assert!(std::ptr::eq(p.data_regions(), p.data_regions()), "computed once");
@@ -258,7 +265,7 @@ mod tests {
     #[should_panic(expected = "undeclared task type")]
     fn undeclared_type_rejected() {
         let mut b = Program::builder("p");
-        b.add_task(TaskTypeId(0), trace(1), vec![]);
+        b.add_task(TaskTypeId(0), trace(1), &[]);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! * [`FifoScheduler`] — ready tasks run in readiness order (the Nanos++
 //!   default breadth-first policy);
 //! * [`LifoScheduler`] — newest-ready-first (depth-first, cache-friendlier);
-//! * [`LocalityScheduler`] — per-worker queues keyed by a task's data
-//!   affinity, with deterministic stealing.
+//! * [`SizeTieredScheduler`] — big and little queues by task size, for
+//!   heterogeneous machines.
 
 use crate::program::Program;
 use crate::task::TaskInstanceId;
@@ -115,63 +115,6 @@ impl Scheduler for LifoScheduler {
     }
 }
 
-/// Locality-aware scheduler: each task has an affinity worker derived from
-/// its first annotated region (tasks touching the same tile prefer the same
-/// worker, mirroring Nanos++'s affinity scheduler); idle workers steal from
-/// the lowest-indexed non-empty queue, oldest task first.
-#[derive(Debug, Clone)]
-pub struct LocalityScheduler {
-    queues: Vec<VecDeque<TaskInstanceId>>,
-    affinity: Vec<u32>,
-    ready: usize,
-}
-
-impl LocalityScheduler {
-    /// Builds the affinity table from a program: a task's preferred worker
-    /// is a deterministic hash of its first region's base address. Tasks
-    /// without annotations hash their instance id instead.
-    pub fn from_program(program: &Program, workers: u32) -> Self {
-        assert!(workers > 0, "need at least one worker");
-        let affinity = program
-            .instances()
-            .iter()
-            .map(|inst| {
-                let key = inst.accesses().first().map(|a| a.region.base).unwrap_or(inst.id().0);
-                let mut st = key ^ 0x5851_F42D_4C95_7F2D;
-                (taskpoint_stats::rng::splitmix64(&mut st) % workers as u64) as u32
-            })
-            .collect();
-        Self { queues: (0..workers).map(|_| VecDeque::new()).collect(), affinity, ready: 0 }
-    }
-}
-
-impl Scheduler for LocalityScheduler {
-    fn task_ready(&mut self, task: TaskInstanceId) {
-        let w = self.affinity[task.index()] as usize;
-        self.queues[w].push_back(task);
-        self.ready += 1;
-    }
-
-    fn pick(&mut self, worker: WorkerId) -> Option<TaskInstanceId> {
-        let own = worker.index() % self.queues.len();
-        let picked = self.queues[own].pop_front().or_else(|| {
-            self.queues.iter_mut().find(|q| !q.is_empty()).and_then(VecDeque::pop_front)
-        });
-        if picked.is_some() {
-            self.ready -= 1;
-        }
-        picked
-    }
-
-    fn ready_count(&self) -> usize {
-        self.ready
-    }
-
-    fn name(&self) -> &'static str {
-        "locality"
-    }
-}
-
 /// Size-tiered scheduler for heterogeneous (big.LITTLE) machines: tasks at
 /// or above an instruction-count threshold queue as "big" work, the rest as
 /// "little" work. Workers below `big_workers` (the machine's leading big
@@ -238,8 +181,7 @@ impl Scheduler for SizeTieredScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::regions::RegionAccess;
-    use taskpoint_trace::{MemRegion, TraceSpec};
+    use taskpoint_trace::TraceSpec;
 
     fn t(i: u64) -> TaskInstanceId {
         TaskInstanceId(i)
@@ -268,62 +210,11 @@ mod tests {
         assert_eq!(s.pick(WorkerId(0)), None);
     }
 
-    fn affinity_program() -> Program {
-        let mut b = Program::builder("aff");
-        let ty = b.add_type("w");
-        for i in 0..8u64 {
-            // Two tasks per tile: same region => same affinity worker.
-            let r = MemRegion::new(0x1000 * (i / 2 + 1), 0x100);
-            let mode = if i % 2 == 0 { RegionAccess::output(r) } else { RegionAccess::input(r) };
-            b.add_task(ty, TraceSpec::synthetic(0, 1), vec![mode]);
-        }
-        b.build()
-    }
-
-    #[test]
-    fn locality_groups_tasks_by_region() {
-        let p = affinity_program();
-        let s = LocalityScheduler::from_program(&p, 4);
-        // Pairs (0,1), (2,3), (4,5), (6,7) share a region -> same affinity.
-        for pair in 0..4usize {
-            assert_eq!(s.affinity[2 * pair], s.affinity[2 * pair + 1]);
-        }
-    }
-
-    #[test]
-    fn locality_steals_when_own_queue_empty() {
-        let p = affinity_program();
-        let mut s = LocalityScheduler::from_program(&p, 4);
-        s.task_ready(t(0));
-        let home = s.affinity[0];
-        let thief = WorkerId((home + 1) % 4);
-        assert_eq!(s.pick(thief), Some(t(0)), "steal must find the only task");
-        assert_eq!(s.ready_count(), 0);
-        assert_eq!(s.pick(thief), None);
-    }
-
-    #[test]
-    fn locality_ready_count_tracks_pushes_and_pops() {
-        let p = affinity_program();
-        let mut s = LocalityScheduler::from_program(&p, 2);
-        for i in 0..8 {
-            s.task_ready(t(i));
-        }
-        assert_eq!(s.ready_count(), 8);
-        let mut picked = 0;
-        while s.pick(WorkerId(0)).is_some() {
-            picked += 1;
-        }
-        assert_eq!(picked, 8);
-        assert_eq!(s.ready_count(), 0);
-    }
-
     #[test]
     fn scheduler_names() {
         assert_eq!(FifoScheduler::new().name(), "fifo");
         assert_eq!(LifoScheduler::new().name(), "lifo");
-        let p = affinity_program();
-        assert_eq!(LocalityScheduler::from_program(&p, 1).name(), "locality");
+        let p = tiered_program();
         assert_eq!(SizeTieredScheduler::from_program(&p, 1, 100).name(), "size-tiered");
     }
 
@@ -334,7 +225,7 @@ mod tests {
         let ty = b.add_type("w");
         for i in 0..8u64 {
             let instrs = if i < 4 { 1000 } else { 10 };
-            b.add_task(ty, TraceSpec::synthetic(i, instrs), vec![]);
+            b.add_task(ty, TraceSpec::synthetic(i, instrs), &[]);
         }
         b.build()
     }

@@ -6,7 +6,6 @@
 //! statement in the source code are said to be of the same task type."*
 //! TaskPoint leverages task types as its sampling-unit classes.
 
-use crate::regions::RegionAccess;
 use taskpoint_trace::{TraceSource, TraceSpec};
 
 /// Identifier of a task type (a task declaration in the source program).
@@ -64,25 +63,23 @@ impl TaskType {
     }
 }
 
-/// A task instance: one dynamic execution with its own data and trace.
+/// A task instance: one dynamic execution with its own trace.
+///
+/// Its region annotations are not kept: the dependence analysis consumes
+/// them when the task is added, and the resulting edges live in the
+/// program's [`DependenceGraph`](crate::depgraph::DependenceGraph).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TaskInstance {
     id: TaskInstanceId,
     type_id: TaskTypeId,
     trace: TraceSpec,
-    accesses: Vec<RegionAccess>,
 }
 
 impl TaskInstance {
     /// Creates a task instance. Normally done through
     /// [`ProgramBuilder::add_task`](crate::program::ProgramBuilder::add_task).
-    pub fn new(
-        id: TaskInstanceId,
-        type_id: TaskTypeId,
-        trace: TraceSpec,
-        accesses: Vec<RegionAccess>,
-    ) -> Self {
-        Self { id, type_id, trace, accesses }
+    pub fn new(id: TaskInstanceId, type_id: TaskTypeId, trace: TraceSpec) -> Self {
+        Self { id, type_id, trace }
     }
 
     /// The instance's identifier (== creation order).
@@ -112,18 +109,11 @@ impl TaskInstance {
     pub fn instructions(&self) -> u64 {
         self.trace.instructions()
     }
-
-    /// The region annotations dependences are derived from.
-    pub fn accesses(&self) -> &[RegionAccess] {
-        &self.accesses
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::regions::AccessMode;
-    use taskpoint_trace::MemRegion;
 
     #[test]
     fn ids_display_compactly() {
@@ -134,21 +124,8 @@ mod tests {
     #[test]
     fn instance_exposes_trace_instruction_count() {
         let trace = TraceSpec::synthetic(0, 777);
-        let inst = TaskInstance::new(TaskInstanceId(0), TaskTypeId(0), trace, vec![]);
+        let inst = TaskInstance::new(TaskInstanceId(0), TaskTypeId(0), trace);
         assert_eq!(inst.instructions(), 777);
-    }
-
-    #[test]
-    fn instance_keeps_accesses_in_order() {
-        let r1 = RegionAccess::new(MemRegion::new(0, 8), AccessMode::In);
-        let r2 = RegionAccess::new(MemRegion::new(8, 8), AccessMode::Out);
-        let inst = TaskInstance::new(
-            TaskInstanceId(1),
-            TaskTypeId(0),
-            TraceSpec::builder().build(),
-            vec![r1, r2],
-        );
-        assert_eq!(inst.accesses(), &[r1, r2]);
     }
 
     #[test]
@@ -160,7 +137,7 @@ mod tests {
     fn trace_source_streams_the_instance_trace() {
         use taskpoint_trace::InstBlock;
         let trace = TraceSpec::synthetic(5, 300);
-        let inst = TaskInstance::new(TaskInstanceId(0), TaskTypeId(0), trace.clone(), vec![]);
+        let inst = TaskInstance::new(TaskInstanceId(0), TaskTypeId(0), trace.clone());
         let mut src = inst.trace_source();
         let mut block = InstBlock::new();
         let mut got = Vec::new();

@@ -1026,7 +1026,7 @@ mod tests {
         let mut b = Program::builder("indep");
         let ty = b.add_type("work");
         for i in 0..n {
-            b.add_task(ty, TraceSpec::synthetic(i, instrs), vec![]);
+            b.add_task(ty, TraceSpec::synthetic(i, instrs), &[]);
         }
         b.build()
     }
@@ -1040,7 +1040,7 @@ mod tests {
             if i > 0 {
                 acc.push(RegionAccess::input(MemRegion::new(0x100_0000 + (i - 1) * 64, 64)));
             }
-            b.add_task(ty, TraceSpec::synthetic(i, instrs), acc);
+            b.add_task(ty, TraceSpec::synthetic(i, instrs), &acc);
         }
         b.build()
     }

@@ -26,7 +26,7 @@
 //! let mut b = Program::builder("demo");
 //! let ty = b.add_type("work");
 //! for i in 0..4 {
-//!     b.add_task(ty, TraceSpec::synthetic(i, 1_000), vec![]);
+//!     b.add_task(ty, TraceSpec::synthetic(i, 1_000), &[]);
 //! }
 //! let program = b.build();
 //!

@@ -286,7 +286,7 @@ mod tests {
         let mut b = Program::builder("rec");
         let ty = b.add_type("work");
         for i in 0..n {
-            b.add_task(ty, TraceSpec::synthetic(i, 200), vec![]);
+            b.add_task(ty, TraceSpec::synthetic(i, 200), &[]);
         }
         b.build()
     }

@@ -6,6 +6,7 @@
 //! operations, irregular, ...).
 
 use crate::inst::InstKind;
+use std::sync::OnceLock;
 use taskpoint_stats::rng::Xoshiro256pp;
 
 /// A normalized probability distribution over instruction kinds.
@@ -75,67 +76,93 @@ impl InstructionMix {
 
     // ---- presets matching the paper's workload descriptions ----
 
+    /// The mix `weights` describe, normalised on first use and cloned from
+    /// `cell` after that: generators ask for a preset per task instance.
+    fn preset(cell: &'static OnceLock<Self>, weights: &[(InstKind, f64)]) -> Self {
+        cell.get_or_init(|| Self::from_weights(weights)).clone()
+    }
+
     /// Compute-bound floating-point kernel (dense matmul, swaptions,
     /// monte-carlo): few memory references, lots of FP.
     pub fn compute_bound() -> Self {
-        Self::from_weights(&[
-            (InstKind::IntAlu, 0.22),
-            (InstKind::FpAlu, 0.25),
-            (InstKind::FpMul, 0.30),
-            (InstKind::FpDiv, 0.01),
-            (InstKind::Load, 0.12),
-            (InstKind::Store, 0.04),
-            (InstKind::Branch, 0.06),
-        ])
+        static MIX: OnceLock<InstructionMix> = OnceLock::new();
+        Self::preset(
+            &MIX,
+            &[
+                (InstKind::IntAlu, 0.22),
+                (InstKind::FpAlu, 0.25),
+                (InstKind::FpMul, 0.30),
+                (InstKind::FpDiv, 0.01),
+                (InstKind::Load, 0.12),
+                (InstKind::Store, 0.04),
+                (InstKind::Branch, 0.06),
+            ],
+        )
     }
 
     /// Memory/streaming-bound kernel (vector-operation, spmv): high
     /// load/store share, little arithmetic per element.
     pub fn memory_bound() -> Self {
-        Self::from_weights(&[
-            (InstKind::IntAlu, 0.25),
-            (InstKind::FpAlu, 0.10),
-            (InstKind::FpMul, 0.05),
-            (InstKind::Load, 0.35),
-            (InstKind::Store, 0.15),
-            (InstKind::Branch, 0.10),
-        ])
+        static MIX: OnceLock<InstructionMix> = OnceLock::new();
+        Self::preset(
+            &MIX,
+            &[
+                (InstKind::IntAlu, 0.25),
+                (InstKind::FpAlu, 0.10),
+                (InstKind::FpMul, 0.05),
+                (InstKind::Load, 0.35),
+                (InstKind::Store, 0.15),
+                (InstKind::Branch, 0.10),
+            ],
+        )
     }
 
     /// Balanced integer/floating-point mix (stencils, convolutions).
     pub fn balanced() -> Self {
-        Self::from_weights(&[
-            (InstKind::IntAlu, 0.30),
-            (InstKind::FpAlu, 0.15),
-            (InstKind::FpMul, 0.12),
-            (InstKind::Load, 0.25),
-            (InstKind::Store, 0.08),
-            (InstKind::Branch, 0.10),
-        ])
+        static MIX: OnceLock<InstructionMix> = OnceLock::new();
+        Self::preset(
+            &MIX,
+            &[
+                (InstKind::IntAlu, 0.30),
+                (InstKind::FpAlu, 0.15),
+                (InstKind::FpMul, 0.12),
+                (InstKind::Load, 0.25),
+                (InstKind::Store, 0.08),
+                (InstKind::Branch, 0.10),
+            ],
+        )
     }
 
     /// Atomic-heavy mix (histogram): scattered atomic updates to shared bins.
     pub fn atomic_heavy() -> Self {
-        Self::from_weights(&[
-            (InstKind::IntAlu, 0.35),
-            (InstKind::Load, 0.25),
-            (InstKind::Atomic, 0.15),
-            (InstKind::Store, 0.05),
-            (InstKind::Branch, 0.20),
-        ])
+        static MIX: OnceLock<InstructionMix> = OnceLock::new();
+        Self::preset(
+            &MIX,
+            &[
+                (InstKind::IntAlu, 0.35),
+                (InstKind::Load, 0.25),
+                (InstKind::Atomic, 0.15),
+                (InstKind::Store, 0.05),
+                (InstKind::Branch, 0.20),
+            ],
+        )
     }
 
     /// Integer/branch-heavy irregular mix (dedup, freqmine, canneal):
     /// pointer chasing, hashing, data-dependent branching.
     pub fn irregular_int() -> Self {
-        Self::from_weights(&[
-            (InstKind::IntAlu, 0.38),
-            (InstKind::IntMul, 0.04),
-            (InstKind::IntDiv, 0.01),
-            (InstKind::Load, 0.30),
-            (InstKind::Store, 0.09),
-            (InstKind::Branch, 0.18),
-        ])
+        static MIX: OnceLock<InstructionMix> = OnceLock::new();
+        Self::preset(
+            &MIX,
+            &[
+                (InstKind::IntAlu, 0.38),
+                (InstKind::IntMul, 0.04),
+                (InstKind::IntDiv, 0.01),
+                (InstKind::Load, 0.30),
+                (InstKind::Store, 0.09),
+                (InstKind::Branch, 0.18),
+            ],
+        )
     }
 }
 

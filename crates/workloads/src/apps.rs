@@ -145,7 +145,7 @@ pub mod sparselu {
             .pattern(AccessPattern::sequential(8))
             .footprint(descriptor)
             .build();
-        b.add_task(genmat_ty, t, vec![RegionAccess::output(descriptor)]);
+        b.add_task(genmat_ty, t, &[RegionAccess::output(descriptor)]);
 
         // Allocation pool (padding): independent pre-allocations, exactly
         // like the real benchmark's per-block `allocate_clean_block` tasks.
@@ -158,7 +158,7 @@ pub mod sparselu {
                 .pattern(AccessPattern::sequential(8))
                 .footprint(scratch)
                 .build();
-            b.add_task(alloc_ty, t, vec![]);
+            b.add_task(alloc_ty, t, &[]);
         }
 
         // init_blk for initially non-null blocks.
@@ -175,10 +175,7 @@ pub mod sparselu {
                     b.add_task(
                         init_ty,
                         t,
-                        vec![
-                            RegionAccess::input(descriptor),
-                            RegionAccess::output(blocks[i * N + j]),
-                        ],
+                        &[RegionAccess::input(descriptor), RegionAccess::output(blocks[i * N + j])],
                     );
                 }
             }
@@ -197,7 +194,7 @@ pub mod sparselu {
                         .branch_mispredict_rate(0.03)
                         .dependency_rate(0.25)
                         .build();
-                    b.add_task(lu0_ty, t, vec![RegionAccess::inout(blocks[k * N + k])]);
+                    b.add_task(lu0_ty, t, &[RegionAccess::inout(blocks[k * N + k])]);
                 }
                 Op::Fwd(k, j) => {
                     let jit = 1.0 + (srng.next_f64() - 0.5) * 0.4;
@@ -213,7 +210,7 @@ pub mod sparselu {
                     b.add_task(
                         fwd_ty,
                         t,
-                        vec![
+                        &[
                             RegionAccess::input(blocks[k * N + k]),
                             RegionAccess::inout(blocks[k * N + j]),
                         ],
@@ -233,7 +230,7 @@ pub mod sparselu {
                     b.add_task(
                         bdiv_ty,
                         t,
-                        vec![
+                        &[
                             RegionAccess::input(blocks[k * N + k]),
                             RegionAccess::inout(blocks[i * N + k]),
                         ],
@@ -248,7 +245,7 @@ pub mod sparselu {
                             .pattern(AccessPattern::sequential(8))
                             .footprint(blocks[i * N + j])
                             .build();
-                        b.add_task(alloc_ty, t, vec![RegionAccess::output(blocks[i * N + j])]);
+                        b.add_task(alloc_ty, t, &[RegionAccess::output(blocks[i * N + j])]);
                     }
                     // Input dependence: block density varies 4.4x in
                     // *instruction count* (load imbalance the fast-forward
@@ -268,7 +265,7 @@ pub mod sparselu {
                     b.add_task(
                         bmod_ty,
                         t,
-                        vec![
+                        &[
                             RegionAccess::input(blocks[i * N + k]),
                             RegionAccess::input(blocks[k * N + j]),
                             RegionAccess::inout(blocks[i * N + j]),
@@ -298,7 +295,7 @@ pub mod sparselu {
                 b.add_task(
                     copy_ty,
                     t,
-                    vec![RegionAccess::input(blocks[i * N + j]), RegionAccess::output(copy)],
+                    &[RegionAccess::input(blocks[i * N + j]), RegionAccess::output(copy)],
                 );
                 copies[i * N + j] = Some(copy);
                 let cell = alloc.alloc_lines(64);
@@ -309,11 +306,7 @@ pub mod sparselu {
                     .pattern(AccessPattern::sequential(8))
                     .footprint(copy)
                     .build();
-                b.add_task(
-                    check_ty,
-                    t,
-                    vec![RegionAccess::input(copy), RegionAccess::output(cell)],
-                );
+                b.add_task(check_ty, t, &[RegionAccess::input(copy), RegionAccess::output(cell)]);
                 cells[i * N + j] = Some(cell);
             }
         }
@@ -333,7 +326,7 @@ pub mod sparselu {
                 .pattern(AccessPattern::sequential(8))
                 .footprint(norm)
                 .build();
-            b.add_task(diff_ty, t, acc);
+            b.add_task(diff_ty, t, &acc);
             norms.push(norm);
         }
         let result = alloc.alloc_lines(64);
@@ -346,7 +339,7 @@ pub mod sparselu {
             .pattern(AccessPattern::sequential(8))
             .footprint(result)
             .build();
-        b.add_task(fin_ty, t, acc);
+        b.add_task(fin_ty, t, &acc);
 
         b.build()
     }
@@ -408,17 +401,17 @@ pub mod cholesky {
         for k in 0..N {
             let kk = tiles[k * N + k];
             let t = mk(scale, 0, &mut counters, 1200.0, kk, &mut srng);
-            b.add_task(potrf_ty, t, vec![RegionAccess::inout(kk)]);
+            b.add_task(potrf_ty, t, &[RegionAccess::inout(kk)]);
             for i in (k + 1)..N {
                 let ik = tiles[i * N + k];
                 let t = mk(scale, 1, &mut counters, 1350.0, ik, &mut srng);
-                b.add_task(trsm_ty, t, vec![RegionAccess::input(kk), RegionAccess::inout(ik)]);
+                b.add_task(trsm_ty, t, &[RegionAccess::input(kk), RegionAccess::inout(ik)]);
             }
             for i in (k + 1)..N {
                 let ik = tiles[i * N + k];
                 let ii = tiles[i * N + i];
                 let t = mk(scale, 2, &mut counters, 1300.0, ii, &mut srng);
-                b.add_task(syrk_ty, t, vec![RegionAccess::input(ik), RegionAccess::inout(ii)]);
+                b.add_task(syrk_ty, t, &[RegionAccess::input(ik), RegionAccess::inout(ii)]);
                 for j in (k + 1)..i {
                     let jk = tiles[j * N + k];
                     let ij = tiles[i * N + j];
@@ -426,7 +419,7 @@ pub mod cholesky {
                     b.add_task(
                         gemm_ty,
                         t,
-                        vec![
+                        &[
                             RegionAccess::input(ik),
                             RegionAccess::input(jk),
                             RegionAccess::inout(ij),
@@ -488,7 +481,7 @@ pub mod kmeans {
             .pattern(AccessPattern::sequential(8))
             .footprint(centroids)
             .build();
-        b.add_task(init_ctr_ty, t, vec![RegionAccess::output(centroids)]);
+        b.add_task(init_ctr_ty, t, &[RegionAccess::output(centroids)]);
 
         for i in 0..(BLOCKS + EXTRA_INIT) {
             let fp = points[i % BLOCKS];
@@ -501,8 +494,8 @@ pub mod kmeans {
                 .build();
             // Only the first BLOCKS loads own a block outright; extras are
             // chunked readers of the same input (in-only, no deps created).
-            let acc = if i < BLOCKS { vec![RegionAccess::output(points[i])] } else { vec![] };
-            b.add_task(init_pts_ty, t, acc);
+            let out = [RegionAccess::output(fp)];
+            b.add_task(init_pts_ty, t, if i < BLOCKS { &out } else { &[] });
         }
 
         for _it in 0..ITERS {
@@ -519,7 +512,7 @@ pub mod kmeans {
                 b.add_task(
                     assign_ty,
                     t,
-                    vec![
+                    &[
                         RegionAccess::input(points[bl]),
                         RegionAccess::input(centroids),
                         RegionAccess::output(labels[bl]),
@@ -537,7 +530,7 @@ pub mod kmeans {
                 b.add_task(
                     partial_ty,
                     t,
-                    vec![RegionAccess::input(labels[bl]), RegionAccess::output(partials[bl])],
+                    &[RegionAccess::input(labels[bl]), RegionAccess::output(partials[bl])],
                 );
             }
             let mut acc = vec![RegionAccess::inout(centroids)];
@@ -549,7 +542,7 @@ pub mod kmeans {
                 .pattern(AccessPattern::sequential(8))
                 .footprint(centroids)
                 .build();
-            b.add_task(update_ty, t, acc);
+            b.add_task(update_ty, t, &acc);
             let t = TraceSpec::builder()
                 .seed(seed(scale, 5, &mut counters))
                 .instructions(scale.instructions(150.0))
@@ -560,7 +553,7 @@ pub mod kmeans {
             b.add_task(
                 conv_ty,
                 t,
-                vec![RegionAccess::input(centroids), RegionAccess::inout(conv_flag)],
+                &[RegionAccess::input(centroids), RegionAccess::inout(conv_flag)],
             );
         }
         b.build()
@@ -607,7 +600,7 @@ pub mod knn {
                     .branch_mispredict_rate(0.012)
                     .dependency_rate(0.12)
                     .build();
-                b.add_task(dist_ty, t, vec![RegionAccess::output(out)]);
+                b.add_task(dist_ty, t, &[RegionAccess::output(out)]);
                 scratch.push(out);
                 dist_idx += 1;
             }
@@ -623,7 +616,7 @@ pub mod knn {
                 .branch_mispredict_rate(0.04)
                 .dependency_rate(0.25)
                 .build();
-            b.add_task(merge_ty, t, acc);
+            b.add_task(merge_ty, t, &acc);
         }
         b.build()
     }

@@ -47,7 +47,7 @@ pub mod conv2d {
                 .branch_mispredict_rate(0.01)
                 .dependency_rate(0.10)
                 .build();
-            b.add_task(ty, trace, vec![RegionAccess::output(output)]);
+            b.add_task(ty, trace, &[RegionAccess::output(output)]);
         }
         b.build()
     }
@@ -100,7 +100,7 @@ pub mod stencil3d {
                 b.add_task(
                     ty,
                     trace,
-                    vec![
+                    &[
                         RegionAccess::input(read[t]),
                         RegionAccess::input(left),
                         RegionAccess::input(right),
@@ -159,7 +159,7 @@ pub mod monte_carlo {
                 .branch_mispredict_rate(0.015)
                 .dependency_rate(0.12)
                 .build();
-            b.add_task(ty, trace, vec![]);
+            b.add_task(ty, trace, &[]);
         }
         b.build()
     }
@@ -202,7 +202,7 @@ pub mod matmul {
                         .branch_mispredict_rate(0.005)
                         .dependency_rate(0.10)
                         .build();
-                    b.add_task(ty, trace, vec![RegionAccess::inout(c_tiles[i * N + j])]);
+                    b.add_task(ty, trace, &[RegionAccess::inout(c_tiles[i * N + j])]);
                     idx += 1;
                 }
             }
@@ -244,7 +244,7 @@ pub mod histogram {
                 .branch_mispredict_rate(0.02)
                 .dependency_rate(0.15)
                 .build();
-            b.add_task(ty, trace, vec![]);
+            b.add_task(ty, trace, &[]);
         }
         b.build()
     }
@@ -295,7 +295,7 @@ pub mod nbody {
                 b.add_task(
                     force_ty,
                     trace,
-                    vec![
+                    &[
                         RegionAccess::input(pos[t]),
                         RegionAccess::input(left),
                         RegionAccess::input(right),
@@ -317,7 +317,7 @@ pub mod nbody {
                 b.add_task(
                     update_ty,
                     trace,
-                    vec![RegionAccess::input(frc[t]), RegionAccess::inout(pos[t])],
+                    &[RegionAccess::input(frc[t]), RegionAccess::inout(pos[t])],
                 );
                 update_idx += 1;
             }
@@ -364,7 +364,7 @@ pub mod reduction {
                 .branch_mispredict_rate(0.005)
                 .dependency_rate(0.10)
                 .build();
-            b.add_task(leaf_ty, trace, vec![RegionAccess::output(cell)]);
+            b.add_task(leaf_ty, trace, &[RegionAccess::output(cell)]);
             frontier.push(cell);
         }
         // Tree of combines.
@@ -389,7 +389,7 @@ pub mod reduction {
                 b.add_task(
                     combine_ty,
                     trace,
-                    vec![
+                    &[
                         RegionAccess::input(pair[0]),
                         RegionAccess::input(pair[1]),
                         RegionAccess::output(out),
@@ -413,7 +413,7 @@ pub mod reduction {
         b.add_task(
             combine_ty,
             trace,
-            vec![RegionAccess::input(frontier[0]), RegionAccess::output(result)],
+            &[RegionAccess::input(frontier[0]), RegionAccess::output(result)],
         );
         b.build()
     }
@@ -456,7 +456,7 @@ pub mod spmv {
                 .branch_mispredict_rate(0.02)
                 .dependency_rate(0.18)
                 .build();
-            b.add_task(ty, trace, vec![RegionAccess::output(y_block)]);
+            b.add_task(ty, trace, &[RegionAccess::output(y_block)]);
         }
         b.build()
     }
@@ -491,7 +491,7 @@ pub mod vecop {
                 .branch_mispredict_rate(0.003)
                 .dependency_rate(0.08)
                 .build();
-            b.add_task(ty, trace, vec![RegionAccess::inout(chunk)]);
+            b.add_task(ty, trace, &[RegionAccess::inout(chunk)]);
         }
         b.build()
     }

@@ -54,7 +54,7 @@ pub mod blackscholes {
                     .branch_mispredict_rate(0.006)
                     .dependency_rate(0.10)
                     .build();
-                b.add_task(price_ty, t, vec![RegionAccess::output(out)]);
+                b.add_task(price_ty, t, &[RegionAccess::output(out)]);
                 outs.push(out);
                 price_idx += 1;
             }
@@ -68,7 +68,7 @@ pub mod blackscholes {
                 .pattern(AccessPattern::sequential(8))
                 .footprint(result)
                 .build();
-            b.add_task(agg_ty, t, acc);
+            b.add_task(agg_ty, t, &acc);
         }
         b.build()
     }
@@ -125,7 +125,7 @@ pub mod bodytrack {
                 .footprint(fp)
                 .build();
             counters[0] += 1;
-            b.add_task(types[0], t, vec![]);
+            b.add_task(types[0], t, &[]);
         }
 
         for _f in 0..FRAMES {
@@ -155,16 +155,16 @@ pub mod bodytrack {
                         .build();
                     counters[s] += 1;
                     // Each block reads 1-2 outputs of the previous stage.
-                    let mut acc = vec![RegionAccess::output(out)];
                     let src = bl * prev_outs.len() / blocks.max(1);
-                    acc.push(RegionAccess::input(prev_outs[src % prev_outs.len()]));
+                    let acc = [
+                        RegionAccess::output(out),
+                        RegionAccess::input(prev_outs[src % prev_outs.len()]),
+                        RegionAccess::inout(model_state),
+                    ];
+                    // Only the per-frame anneal step (the last stage)
+                    // updates the tracking model, serializing frames.
                     let is_last_stage = s == STAGE_BLOCKS.len() - 1;
-                    if is_last_stage {
-                        // The per-frame anneal step updates the tracking
-                        // model, serializing frames.
-                        acc.push(RegionAccess::inout(model_state));
-                    }
-                    b.add_task(types[s], t, acc);
+                    b.add_task(types[s], t, &acc[..if is_last_stage { 3 } else { 2 }]);
                     outs.push(out);
                 }
                 prev_outs = outs;
@@ -218,7 +218,7 @@ pub mod canneal {
                 .branch_mispredict_rate(0.04)
                 .dependency_rate(0.25)
                 .build();
-            b.add_task(ty, t, vec![]);
+            b.add_task(ty, t, &[]);
         }
         b.build()
     }
@@ -268,7 +268,7 @@ pub mod dedup {
                 .pattern(AccessPattern::sequential(8))
                 .footprint(fp)
                 .build();
-            b.add_task(chunk_ty, t, vec![]);
+            b.add_task(chunk_ty, t, &[]);
         }
 
         for _s in 0..SEGMENTS {
@@ -283,7 +283,7 @@ pub mod dedup {
                 .pattern(AccessPattern::sequential(8))
                 .footprint(seg)
                 .build();
-            b.add_task(chunk_ty, t, vec![RegionAccess::output(seg)]);
+            b.add_task(chunk_ty, t, &[RegionAccess::output(seg)]);
             // hash / global dedup
             let t = TraceSpec::builder()
                 .seed(seed(scale, 1, &mut counters))
@@ -292,7 +292,7 @@ pub mod dedup {
                 .pattern(AccessPattern::Random)
                 .footprint(seg)
                 .build();
-            b.add_task(hash_ty, t, vec![RegionAccess::input(seg), RegionAccess::output(hashed)]);
+            b.add_task(hash_ty, t, &[RegionAccess::input(seg), RegionAccess::output(hashed)]);
             // compress: the dominant, input-dependent stage. Size spread is
             // uniform over [350, 2510] — a 7.2x ratio matching the paper's
             // 3.5M..25.1M instruction range scaled down.
@@ -314,7 +314,7 @@ pub mod dedup {
             b.add_task(
                 compress_ty,
                 t,
-                vec![RegionAccess::input(hashed), RegionAccess::output(compressed)],
+                &[RegionAccess::input(hashed), RegionAccess::output(compressed)],
             );
             // ordered write-out (serializes the pipeline tail)
             let t = TraceSpec::builder()
@@ -327,7 +327,7 @@ pub mod dedup {
             b.add_task(
                 write_ty,
                 t,
-                vec![RegionAccess::input(compressed), RegionAccess::inout(output_file)],
+                &[RegionAccess::input(compressed), RegionAccess::inout(output_file)],
             );
         }
         b.build()
@@ -379,7 +379,7 @@ pub mod freqmine {
             .pattern(AccessPattern::sequential(8))
             .footprint(header)
             .build();
-        b.add_task(header_ty, t, vec![RegionAccess::output(header)]);
+        b.add_task(header_ty, t, &[RegionAccess::output(header)]);
 
         // insert batches (50) — all inout the tree: a serial build chain.
         for i in 0..INSERT_BATCHES as u64 {
@@ -392,7 +392,7 @@ pub mod freqmine {
                 .branch_mispredict_rate(0.05)
                 .dependency_rate(0.30)
                 .build();
-            b.add_task(insert_ty, t, vec![RegionAccess::input(header), RegionAccess::inout(tree)]);
+            b.add_task(insert_ty, t, &[RegionAccess::input(header), RegionAccess::inout(tree)]);
         }
         // sort_items (25)
         let mut sort_outs = Vec::new();
@@ -405,7 +405,7 @@ pub mod freqmine {
                 .pattern(AccessPattern::Random)
                 .footprint(out)
                 .build();
-            b.add_task(sort_ty, t, vec![RegionAccess::input(tree), RegionAccess::output(out)]);
+            b.add_task(sort_ty, t, &[RegionAccess::input(tree), RegionAccess::output(out)]);
             sort_outs.push(out);
         }
         // build_tree (25) — refine the tree from sorted batches.
@@ -422,7 +422,7 @@ pub mod freqmine {
             b.add_task(
                 build_ty,
                 t,
-                vec![
+                &[
                     RegionAccess::input(sort_outs[i as usize % sort_outs.len()]),
                     RegionAccess::inout(tree),
                 ],
@@ -450,7 +450,7 @@ pub mod freqmine {
                 .branch_mispredict_rate(0.08)
                 .dependency_rate(0.35)
                 .build();
-            b.add_task(mine_ty, t, vec![RegionAccess::input(tree), RegionAccess::output(out)]);
+            b.add_task(mine_ty, t, &[RegionAccess::input(tree), RegionAccess::output(out)]);
             mine_outs.push(out);
         }
         // prune (25)
@@ -469,7 +469,7 @@ pub mod freqmine {
                 .pattern(AccessPattern::Random)
                 .footprint(out)
                 .build();
-            b.add_task(prune_ty, t, acc);
+            b.add_task(prune_ty, t, &acc);
             prune_outs.push(out);
         }
         // aggregate (6)
@@ -486,7 +486,7 @@ pub mod freqmine {
                 .pattern(AccessPattern::sequential(8))
                 .footprint(out)
                 .build();
-            b.add_task(agg_ty, t, acc);
+            b.add_task(agg_ty, t, &acc);
         }
         b.build()
     }
@@ -524,7 +524,7 @@ pub mod swaptions {
                 .branch_mispredict_rate(0.005)
                 .dependency_rate(0.10)
                 .build();
-            b.add_task(ty, t, vec![]);
+            b.add_task(ty, t, &[]);
         }
         b.build()
     }

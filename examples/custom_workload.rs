@@ -37,7 +37,7 @@ fn main() {
             .footprint(raw)
             .branch_mispredict_rate(0.03)
             .build();
-        b.add_task(decode_ty, decode_trace, vec![RegionAccess::output(raw)]);
+        b.add_task(decode_ty, decode_trace, &[RegionAccess::output(raw)]);
 
         let mut tiles = Vec::new();
         for f in 0..FILTERS {
@@ -53,7 +53,7 @@ fn main() {
             b.add_task(
                 filter_ty,
                 filter_trace,
-                vec![RegionAccess::input(raw), RegionAccess::output(tile)],
+                &[RegionAccess::input(raw), RegionAccess::output(tile)],
             );
             tiles.push(tile);
         }
@@ -69,7 +69,7 @@ fn main() {
             .pattern(AccessPattern::sequential(8))
             .footprint(out)
             .build();
-        b.add_task(merge_ty, merge_trace, accesses);
+        b.add_task(merge_ty, merge_trace, &accesses);
     }
     let program = b.build();
     println!(

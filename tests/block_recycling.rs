@@ -19,7 +19,7 @@ fn wide_program(tasks: u64) -> Program {
     let mut b = Program::builder("wide");
     let ty = b.add_type("work");
     for i in 0..tasks {
-        b.add_task(ty, TraceSpec::synthetic(i, 2_000), vec![]);
+        b.add_task(ty, TraceSpec::synthetic(i, 2_000), &[]);
     }
     b.build()
 }

@@ -50,7 +50,7 @@ fn ramp_program(widths: &[u32], instructions: u64, seed: u64) -> Program {
             for &p in &prev_layer {
                 accesses.push(RegionAccess::new(region(p), AccessMode::In));
             }
-            b.add_task(ty, trace, accesses);
+            b.add_task(ty, trace, &accesses);
             this_layer.push(slot);
             slot += 1;
         }

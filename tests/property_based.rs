@@ -196,7 +196,7 @@ proptest! {
             b.add_task(
                 ty,
                 TraceSpec::synthetic(i as u64, 1),
-                vec![RegionAccess::inout(region)],
+                &[RegionAccess::inout(region)],
             );
         }
         let p = b.build();
@@ -218,12 +218,104 @@ proptest! {
     }
 
     #[test]
+    fn csr_graph_matches_brute_force_analysis(
+        tasks in prop::collection::vec(prop::collection::vec((0u8..6, 0u8..3), 0..5), 1..60)
+    ) {
+        // Random annotations over 6 regions: tasks with no annotations,
+        // regions repeated within one task, in/out/inout and read-only
+        // regions.
+        let access = |&(r, m): &(u8, u8)| {
+            let region = MemRegion::new(0x1000 * (r as u64 + 1), 0x100);
+            match m {
+                0 => RegionAccess::input(region),
+                1 => RegionAccess::output(region),
+                _ => RegionAccess::inout(region),
+            }
+        };
+        let mut b = Program::builder("prop");
+        let ty = b.add_type("t");
+        for (i, accesses) in tasks.iter().enumerate() {
+            let accesses: Vec<RegionAccess> = accesses.iter().map(access).collect();
+            b.add_task(ty, TraceSpec::synthetic(i as u64, 1), &accesses);
+        }
+        let p = b.build();
+        let g = p.graph();
+
+        // O(n²) reference: every access, in program order, depends on the
+        // last earlier write of its region (if it reads or writes) and on
+        // every read-only access since that write (if it writes).
+        let flat: Vec<(usize, RegionAccess)> = tasks
+            .iter()
+            .enumerate()
+            .flat_map(|(i, accesses)| accesses.iter().map(move |a| (i, access(a))))
+            .collect();
+        let mut expected = vec![Vec::new(); tasks.len()];
+        for (at, &(task, acc)) in flat.iter().enumerate() {
+            let earlier = &flat[..at];
+            let last_write = earlier
+                .iter()
+                .rposition(|(_, e)| e.region == acc.region && e.mode.writes());
+            let deps = &mut expected[task];
+            if let Some(w) = last_write {
+                deps.push(earlier[w].0);
+            }
+            if acc.mode.writes() {
+                let since = last_write.map_or(0, |w| w + 1);
+                deps.extend(
+                    earlier[since..]
+                        .iter()
+                        .filter(|(_, e)| e.region == acc.region && !e.mode.writes())
+                        .map(|(t, _)| *t),
+                );
+            }
+        }
+        for (task, deps) in expected.iter_mut().enumerate() {
+            deps.retain(|&d| d != task);
+            deps.sort_unstable();
+            deps.dedup();
+            let got: Vec<usize> =
+                g.predecessors(TaskInstanceId(task as u64)).iter().map(|p| p.index()).collect();
+            prop_assert_eq!(&got, deps);
+        }
+
+        // Successor lists are the ascending transpose of the predecessors.
+        let mut successors = 0;
+        for i in 0..p.num_instances() {
+            let succs = g.successors(TaskInstanceId(i as u64));
+            prop_assert!(succs.windows(2).all(|w| w[0] < w[1]), "t{i} successors not ascending");
+            for s in succs {
+                prop_assert!(g.predecessors(*s).contains(&TaskInstanceId(i as u64)));
+            }
+            successors += succs.len();
+        }
+        prop_assert_eq!(successors, g.edge_count());
+
+        // The ready set counts each task's predecessors: completing tasks
+        // in id order readies a task exactly when its last predecessor
+        // completes (roots are ready from the start).
+        let mut rs = g.ready_set();
+        let mut readied_by: Vec<Option<usize>> = vec![None; p.num_instances()];
+        for i in 0..p.num_instances() {
+            let id = TaskInstanceId(i as u64);
+            prop_assert_eq!(rs.is_ready(id), g.predecessors(id).is_empty());
+        }
+        for i in 0..p.num_instances() {
+            rs.complete(g, TaskInstanceId(i as u64), |t| readied_by[t.index()] = Some(i));
+        }
+        for (i, by) in readied_by.iter().enumerate() {
+            let last_pred = g.predecessors(TaskInstanceId(i as u64)).last().map(|p| p.index());
+            prop_assert_eq!(*by, last_pred);
+        }
+        prop_assert!(rs.all_done());
+    }
+
+    #[test]
     fn inout_chain_graph_is_a_path(n in 1usize..60) {
         let mut b = Program::builder("chain");
         let ty = b.add_type("t");
         let region = MemRegion::new(0x8000, 0x40);
         for i in 0..n {
-            b.add_task(ty, TraceSpec::synthetic(i as u64, 1), vec![RegionAccess::inout(region)]);
+            b.add_task(ty, TraceSpec::synthetic(i as u64, 1), &[RegionAccess::inout(region)]);
         }
         let p = b.build();
         prop_assert_eq!(p.graph().critical_path_len(), n);
@@ -305,7 +397,7 @@ proptest! {
         let mut b = Program::builder("scale");
         let ty = b.add_type("t");
         for i in 0..tasks {
-            b.add_task(ty, TraceSpec::synthetic(i, instrs), vec![]);
+            b.add_task(ty, TraceSpec::synthetic(i, instrs), &[]);
         }
         let p = b.build();
         let run = |ipc: f64| {
@@ -328,7 +420,7 @@ proptest! {
         let mut b = Program::builder("scal");
         let ty = b.add_type("t");
         for i in 0..tasks {
-            b.add_task(ty, TraceSpec::synthetic(i, 400), vec![]);
+            b.add_task(ty, TraceSpec::synthetic(i, 400), &[]);
         }
         let p = b.build();
         let run = |w: u32| {

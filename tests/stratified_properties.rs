@@ -48,7 +48,7 @@ fn chain_program(len: u32, ntypes: u32, seed: u64) -> Program {
         if i > 0 {
             accesses.push(RegionAccess::new(region(i - 1), AccessMode::In));
         }
-        b.add_task(types[(i % ntypes) as usize], trace, accesses);
+        b.add_task(types[(i % ntypes) as usize], trace, &accesses);
     }
     b.build()
 }
