@@ -4,12 +4,14 @@
 //!   canonical JSONL;
 //! * a second run over the same store completes entirely from cache (zero
 //!   cells re-simulated) with, again, identical bytes;
-//! * invalidating one cell recomputes exactly that cell.
+//! * invalidating one cell recomputes exactly that cell;
+//! * one cell of every record shape encodes to pinned golden bytes.
 
 use std::path::PathBuf;
 
 use taskpoint::TaskPointConfig;
-use taskpoint_campaign::{Campaign, CellKind, CellSpec, Executor, ResultStore};
+use taskpoint_campaign::json::Value;
+use taskpoint_campaign::{Campaign, CellKind, CellSpec, Executor, ResultStore, StoredCell};
 use taskpoint_workloads::{Benchmark, ScaleConfig};
 use tasksim::MachineConfig;
 
@@ -115,4 +117,84 @@ fn interrupted_campaign_resumes_from_completed_cells() {
     let full = Campaign::new(ResultStore::at(root), Executor::new(2)).run(&specs);
     assert_eq!(full.cached, 3, "completed prefix resumes from store");
     assert_eq!(full.computed, specs.len() - 3);
+}
+
+/// One cell of every record shape the campaign emits: homogeneous and
+/// heterogeneous (`groups`) references, lazy, adaptive (`ci_*`),
+/// stratified (`strat_*`) and clustered (`clusters`) sampled cells, a
+/// noisy variation cell and an exploration cell.
+fn every_record_shape() -> Vec<CellSpec> {
+    let scale = ScaleConfig::quick();
+    let tiny = MachineConfig::tiny_test();
+    let bench = Benchmark::Spmv;
+    vec![
+        CellSpec::reference(bench, scale, tiny.clone(), 2),
+        CellSpec::reference(Benchmark::Cholesky, scale, MachineConfig::big_little(2, 2), 4),
+        CellSpec::sampled(bench, scale, tiny.clone(), 2, TaskPointConfig::lazy()),
+        CellSpec::sampled(bench, scale, tiny.clone(), 2, TaskPointConfig::adaptive(0.1)),
+        CellSpec::sampled(bench, scale, tiny.clone(), 2, TaskPointConfig::stratified(4, 64)),
+        CellSpec {
+            bench,
+            scale,
+            machine: tiny.clone(),
+            workers: 2,
+            kind: CellKind::Clustered { config: TaskPointConfig::lazy(), granularity: 1 },
+        },
+        CellSpec {
+            bench,
+            scale,
+            machine: tiny.clone(),
+            workers: 2,
+            kind: CellKind::Variation { noise_seed: Some(42) },
+        },
+        CellSpec::explore(bench, scale, tiny, 2, TaskPointConfig::lazy()),
+    ]
+}
+
+/// The canonical line of the lazy sampled cell of [`every_record_shape`].
+const LAZY_LINE: &str = r#"{"cell":"717340168b3309bbef642caebe011d6a","bench":"sparse-matrix-vector-multiplication","machine":"tiny-test","workers":2,"scale":{"instr_factor":0.05,"seed":2052886558},"kind":"sampled","metrics":{"error_percent":0.3415387475889657,"predicted_cycles":1111711,"reference_cycles":1107927,"detail_fraction":0.011325101039290872,"detailed_tasks":10,"fast_tasks":1014,"detailed_instructions":5467,"fast_instructions":477266,"resamples":0,"resamples_policy":0,"resamples_new_type":0,"resamples_concurrency":0,"resamples_empty":0,"lat_p50":1589,"lat_p99":6285.849999999999,"lat_p999":6410.7930000000015,"stall_rob_full":0,"stall_dep_wait":9210,"stall_l1_wait":0,"stall_l2_wait":0,"stall_dram_wait":7227,"stall_mshr_full":4614,"stall_contention":510,"stall_idle":46}}"#;
+
+/// 64-bit FNV-1a over `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// Pins the canonical JSONL of every record shape byte for byte, so a
+/// change to how records are encoded cannot silently move a key, a number
+/// format or a cell hash.
+#[test]
+fn golden_record_bytes_of_every_shape() {
+    let specs = every_record_shape();
+    let report = Campaign::new(ResultStore::disabled(), Executor::new(2)).run(&specs);
+    let jsonl = report.jsonl();
+    let lines: Vec<&str> = jsonl.lines().collect();
+    assert_eq!(lines.len(), specs.len());
+    assert_eq!(lines[2], LAZY_LINE, "lazy sampled line");
+    assert_eq!(fnv1a(jsonl.as_bytes()), 0x21d0_94f4_f3ca_2fa2, "checksum of\n{jsonl}");
+
+    // The store entry nests the same canonical bytes.
+    for outcome in &report.outcomes {
+        let stored = StoredCell { record: outcome.record.clone(), timing: outcome.timing.clone() };
+        let text = stored.to_json();
+        let prefix =
+            format!("{{\"record\":{},\"timing\":{{\"wall_seconds\":", outcome.record.to_json());
+        assert!(text.starts_with(&prefix), "{text}");
+    }
+
+    // The timing sidecar keeps its keys in a fixed order per shape.
+    let keys: Vec<String> = report
+        .timings_jsonl()
+        .lines()
+        .map(|line| {
+            let Value::Obj(o) = Value::parse(line).unwrap() else { panic!("{line}") };
+            o.keys().collect::<Vec<_>>().join(",")
+        })
+        .collect();
+    let (own, compared) = (
+        "cell,cached,wall_seconds,detailed_instr_per_sec",
+        "cell,cached,wall_seconds,reference_wall_seconds,speedup,detailed_instr_per_sec",
+    );
+    assert_eq!(keys, [own, own, compared, compared, compared, compared, own, own]);
 }
