@@ -45,7 +45,6 @@ fn burst_mode(c: &mut Criterion) {
             b.iter(|| {
                 Simulation::builder(p, MachineConfig::high_performance())
                     .workers(4)
-                    .prewarm(false)
                     .build()
                     .run(&mut FixedIpc(2.0))
                     .total_cycles

@@ -367,21 +367,13 @@ impl CampaignReport {
     /// deterministic (host wall clock) and therefore emitted separately.
     pub fn timings_jsonl(&self) -> String {
         use crate::json::{Object, Value};
+        use crate::record::Table;
         let mut out = String::new();
         for o in &self.outcomes {
             let mut t = Object::new();
             t.set("cell", Value::Str(o.record.cell.clone()));
             t.set("cached", Value::Bool(o.cached));
-            t.set("wall_seconds", Value::Num(o.timing.wall_seconds));
-            if let Some(w) = o.timing.reference_wall_seconds {
-                t.set("reference_wall_seconds", Value::Num(w));
-            }
-            if let Some(s) = o.timing.speedup {
-                t.set("speedup", Value::Num(s));
-            }
-            if let Some(ips) = o.timing.detailed_instr_per_sec {
-                t.set("detailed_instr_per_sec", Value::Num(ips));
-            }
+            o.timing.write_fields(&mut t);
             out.push_str(&Value::Obj(t).to_json());
             out.push('\n');
         }

@@ -226,28 +226,16 @@ impl Context {
             let result = strip_reports(
                 self.simulation(&program, spec, telemetry).build().run(&mut DetailedOnly),
             );
+            let metrics = CellMetrics::Reference(RefMetrics {
+                total_cycles: result.total_cycles,
+                detailed_tasks: result.detailed_tasks,
+                instructions: result.total_instructions(),
+                groups: group_metrics(&result),
+                perf: PerfProfile::from_result(&result),
+            });
             let stored = StoredCell {
-                record: CellRecord {
-                    cell: hash.clone(),
-                    bench: spec.bench.name().to_string(),
-                    machine: spec.machine.name.clone(),
-                    workers: spec.workers,
-                    scale: spec.scale,
-                    kind: spec.kind.tag().to_string(),
-                    metrics: CellMetrics::Reference(RefMetrics {
-                        total_cycles: result.total_cycles,
-                        detailed_tasks: result.detailed_tasks,
-                        instructions: result.total_instructions(),
-                        groups: group_metrics(&result),
-                        perf: PerfProfile::from_result(&result),
-                    }),
-                },
-                timing: CellTiming {
-                    wall_seconds: result.wall_seconds,
-                    reference_wall_seconds: None,
-                    speedup: None,
-                    detailed_instr_per_sec: result.detailed_instr_per_sec(),
-                },
+                record: CellRecord::new(&hash, spec, metrics),
+                timing: CellTiming::new(&result, None),
             };
             store.save(&hash, &stored);
             ReferenceEntry { result: Arc::new(result), stored, cached: false }
@@ -358,22 +346,10 @@ impl Context {
                 let deviations = normalize_by_group(samples);
                 let stats = BoxplotStats::from_samples(&deviations)
                     .expect("variation cell produced no IPC samples");
+                let metrics = CellMetrics::Variation(VariationMetrics::from_boxplot(&stats));
                 StoredCell {
-                    record: CellRecord {
-                        cell: hash.to_string(),
-                        bench: spec.bench.name().to_string(),
-                        machine: spec.machine.name.clone(),
-                        workers: spec.workers,
-                        scale: spec.scale,
-                        kind: spec.kind.tag().to_string(),
-                        metrics: CellMetrics::Variation(VariationMetrics::from_boxplot(&stats)),
-                    },
-                    timing: CellTiming {
-                        wall_seconds: result.wall_seconds,
-                        reference_wall_seconds: None,
-                        speedup: None,
-                        detailed_instr_per_sec: result.detailed_instr_per_sec(),
-                    },
+                    record: CellRecord::new(hash, spec, metrics),
+                    timing: CellTiming::new(&result, None),
                 }
             }
             CellKind::Explore { config } => {
@@ -383,30 +359,18 @@ impl Context {
                     *config,
                     None,
                 );
+                let metrics = CellMetrics::Explore(ExploreMetrics {
+                    predicted_cycles: sampled.total_cycles,
+                    detail_fraction: sampled.detail_fraction(),
+                    detailed_tasks: sampled.detailed_tasks,
+                    fast_tasks: sampled.fast_tasks,
+                    detailed_instructions: sampled.detailed_instructions,
+                    fast_instructions: sampled.fast_instructions,
+                    resamples: stats.resamples.len() as u64,
+                });
                 StoredCell {
-                    record: CellRecord {
-                        cell: hash.to_string(),
-                        bench: spec.bench.name().to_string(),
-                        machine: spec.machine.name.clone(),
-                        workers: spec.workers,
-                        scale: spec.scale,
-                        kind: spec.kind.tag().to_string(),
-                        metrics: CellMetrics::Explore(ExploreMetrics {
-                            predicted_cycles: sampled.total_cycles,
-                            detail_fraction: sampled.detail_fraction(),
-                            detailed_tasks: sampled.detailed_tasks,
-                            fast_tasks: sampled.fast_tasks,
-                            detailed_instructions: sampled.detailed_instructions,
-                            fast_instructions: sampled.fast_instructions,
-                            resamples: stats.resamples.len() as u64,
-                        }),
-                    },
-                    timing: CellTiming {
-                        wall_seconds: sampled.wall_seconds,
-                        reference_wall_seconds: None,
-                        speedup: None,
-                        detailed_instr_per_sec: sampled.detailed_instr_per_sec(),
-                    },
+                    record: CellRecord::new(hash, spec, metrics),
+                    timing: CellTiming::new(&sampled, None),
                 }
             }
         }
@@ -436,49 +400,36 @@ impl Context {
             PolicyConfig::Stratified(c) => Some(*c),
             _ => None,
         });
+        let metrics = CellMetrics::Eval(Box::new(EvalMetrics {
+            error_percent: outcome.error_percent,
+            predicted_cycles: outcome.predicted_cycles,
+            reference_cycles: outcome.reference_cycles,
+            detail_fraction: outcome.detail_fraction,
+            detailed_tasks: sampled.detailed_tasks,
+            fast_tasks: sampled.fast_tasks,
+            detailed_instructions: sampled.detailed_instructions,
+            fast_instructions: sampled.fast_instructions,
+            resamples: stats.resamples.len() as u64,
+            resamples_policy: stats.resamples_by(ResampleCause::Policy) as u64,
+            resamples_new_type: stats.resamples_by(ResampleCause::NewTaskType) as u64,
+            resamples_concurrency: stats.resamples_by(ResampleCause::ConcurrencyChange) as u64,
+            resamples_empty: stats.resamples_by(ResampleCause::EmptyHistories) as u64,
+            clusters: clusters.map(|c| c as u64),
+            ci_target: accuracy.and_then(|a| a.config.target_ci()),
+            ci_confidence: accuracy.map(|a| a.config.confidence().level()),
+            ci_max: accuracy.and_then(AccuracyReport::max_rel_ci),
+            ci_mean: accuracy.and_then(AccuracyReport::mean_rel_ci),
+            ci_units: accuracy.map(|a| a.units() as u64),
+            ci_converged: accuracy.map(|a| a.converged_units() as u64),
+            strat_pilot: strat.map(|c| c.pilot_samples),
+            strat_budget: strat.map(|c| c.budget),
+            strat_allocated: accuracy.and_then(|a| a.allocated),
+            strat_reopened: accuracy.map(|a| a.reopened_bands() as u64),
+            perf: PerfProfile::from_result(&sampled),
+        }));
         StoredCell {
-            record: CellRecord {
-                cell: hash.to_string(),
-                bench: spec.bench.name().to_string(),
-                machine: spec.machine.name.clone(),
-                workers: spec.workers,
-                scale: spec.scale,
-                kind: spec.kind.tag().to_string(),
-                metrics: CellMetrics::Eval(Box::new(EvalMetrics {
-                    error_percent: outcome.error_percent,
-                    predicted_cycles: outcome.predicted_cycles,
-                    reference_cycles: outcome.reference_cycles,
-                    detail_fraction: outcome.detail_fraction,
-                    detailed_tasks: sampled.detailed_tasks,
-                    fast_tasks: sampled.fast_tasks,
-                    detailed_instructions: sampled.detailed_instructions,
-                    fast_instructions: sampled.fast_instructions,
-                    resamples: stats.resamples.len() as u64,
-                    resamples_policy: stats.resamples_by(ResampleCause::Policy) as u64,
-                    resamples_new_type: stats.resamples_by(ResampleCause::NewTaskType) as u64,
-                    resamples_concurrency: stats.resamples_by(ResampleCause::ConcurrencyChange)
-                        as u64,
-                    resamples_empty: stats.resamples_by(ResampleCause::EmptyHistories) as u64,
-                    clusters: clusters.map(|c| c as u64),
-                    ci_target: accuracy.and_then(|a| a.config.target_ci()),
-                    ci_confidence: accuracy.map(|a| a.config.confidence().level()),
-                    ci_max: accuracy.and_then(AccuracyReport::max_rel_ci),
-                    ci_mean: accuracy.and_then(AccuracyReport::mean_rel_ci),
-                    ci_units: accuracy.map(|a| a.units() as u64),
-                    ci_converged: accuracy.map(|a| a.converged_units() as u64),
-                    strat_pilot: strat.map(|c| c.pilot_samples),
-                    strat_budget: strat.map(|c| c.budget),
-                    strat_allocated: accuracy.and_then(|a| a.allocated),
-                    strat_reopened: accuracy.map(|a| a.reopened_bands() as u64),
-                    perf: PerfProfile::from_result(&sampled),
-                })),
-            },
-            timing: CellTiming {
-                wall_seconds: outcome.sampled_wall_seconds,
-                reference_wall_seconds: Some(outcome.reference_wall_seconds),
-                speedup: Some(outcome.speedup),
-                detailed_instr_per_sec: sampled.detailed_instr_per_sec(),
-            },
+            record: CellRecord::new(hash, spec, metrics),
+            timing: CellTiming::new(&sampled, Some(&reference.result)),
         }
     }
 }

@@ -12,98 +12,446 @@
 //!   wall-clock speedup derived from them. Inherently noisy, therefore kept
 //!   out of the canonical bytes; cached timings are the measurements of the
 //!   run that originally computed the cell.
+//!
+//! # The schema
+//!
+//! Every record struct in this module is declared in a field table (the
+//! private `record_tables!` macro): its field list is the only statement
+//! of its JSON keys. The table yields the struct, a writer that puts each
+//! field under its own name in declaration order, and a reader that
+//! returns [`RecordError`] for a missing or mistyped key. How one value
+//! goes in and out is fixed per type: numbers and strings as JSON
+//! scalars (a `u32` that does not fit is rejected, not truncated),
+//! `Option`s by leaving the key out when `None`, group lists as arrays of
+//! objects, [`PerfProfile`] flattened into its parent and every other
+//! table as a nested object. A new key is therefore one field line; a
+//! stored entry that lacks a required key fails to parse, and the cell is
+//! recomputed.
 
 use taskpoint::ExperimentOutcome;
 use taskpoint_stats::BoxplotStats;
 use taskpoint_workloads::ScaleConfig;
+use tasksim::SimResult;
 
 use crate::json::{Object, ParseError, Value};
 use crate::spec::CellSpec;
 
-/// Deterministic per-core-group metrics of a heterogeneous cell, in the
-/// machine's group order.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GroupMetric {
-    /// Group name from the machine description.
-    pub name: String,
-    /// Cores in the group.
-    pub cores: u32,
-    /// The group's clock divider.
-    pub clock_divider: u32,
-    /// Task instances the group executed in detail.
-    pub detailed_tasks: u64,
-    /// Instructions the group executed.
-    pub instructions: u64,
-    /// Base-clock ticks the group's cores spent running tasks.
-    pub busy_ticks: u64,
+/// A corrupt or incompatible store entry.
+#[derive(Debug)]
+pub enum RecordError {
+    /// The JSON did not parse.
+    Parse(ParseError),
+    /// The JSON parsed but is missing or mistypes a field.
+    Shape(String),
 }
 
-/// Deterministic metrics of a reference (full-detail) cell.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RefMetrics {
-    /// Simulated execution time in cycles.
-    pub total_cycles: u64,
-    /// Task instances simulated (all of them, in detail).
-    pub detailed_tasks: u64,
-    /// Dynamic instructions simulated.
-    pub instructions: u64,
-    /// Per-core-group metrics — present exactly for heterogeneous
-    /// machines (same pattern as the adaptive-only `ci_*` fields:
-    /// homogeneous records do not carry the key at all).
-    pub groups: Option<Vec<GroupMetric>>,
-    /// Task-latency percentiles and stall attribution (record format v5).
-    pub perf: PerfProfile,
+impl std::fmt::Display for RecordError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RecordError::Parse(e) => write!(f, "{e}"),
+            RecordError::Shape(s) => write!(f, "malformed record: {s}"),
+        }
+    }
 }
 
-/// Task-latency percentiles and machine-wide stall attribution of one
-/// simulated run — the record-format-v5 extension of the JSONL schema.
-///
-/// Latencies are simulated base-clock cycles per task instance; stall
-/// fields are global base-clock core-ticks summed across all core groups,
-/// in the fixed taxonomy of `tasksim`'s cycle accounting. Every record
-/// that carries metrics of a run carries every key below.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct PerfProfile {
-    /// Median task latency (cycles).
-    pub lat_p50: f64,
-    /// 99th-percentile task latency (cycles).
-    pub lat_p99: f64,
-    /// 99.9th-percentile task latency (cycles).
-    pub lat_p999: f64,
-    /// Ticks stalled on a full reorder buffer behind a compute op.
-    pub stall_rob_full: u64,
-    /// Ticks stalled on serialized dependencies (div/fence/mispredict).
-    pub stall_dep_wait: u64,
-    /// Ticks stalled on L1-hit load latency at the ROB head.
-    pub stall_l1_wait: u64,
-    /// Ticks stalled on shared-cache load latency at the ROB head.
-    pub stall_l2_wait: u64,
-    /// Ticks stalled on DRAM load latency at the ROB head.
-    pub stall_dram_wait: u64,
-    /// Ticks stalled acquiring an MSHR for an outstanding miss.
-    pub stall_mshr_full: u64,
-    /// Ticks stalled behind bank/channel service queues.
-    pub stall_contention: u64,
-    /// Ticks cores sat idle with no ready task assigned.
-    pub stall_idle: u64,
+impl std::error::Error for RecordError {}
+
+fn shape(key: &str) -> RecordError {
+    RecordError::Shape(format!("missing or mistyped field {key:?}"))
+}
+
+/// How one value goes into, and comes back out of, a JSON object under
+/// its key.
+trait Field: Sized {
+    fn put(&self, o: &mut Object, key: &str);
+    fn take(o: &Object, key: &str) -> Result<Self, RecordError>;
+}
+
+impl Field for u64 {
+    fn put(&self, o: &mut Object, key: &str) {
+        o.set(key, Value::Num(*self as f64));
+    }
+    fn take(o: &Object, key: &str) -> Result<Self, RecordError> {
+        o.u64(key).ok_or_else(|| shape(key))
+    }
+}
+
+impl Field for u32 {
+    fn put(&self, o: &mut Object, key: &str) {
+        u64::from(*self).put(o, key);
+    }
+    fn take(o: &Object, key: &str) -> Result<Self, RecordError> {
+        u32::try_from(u64::take(o, key)?).map_err(|_| shape(key))
+    }
+}
+
+impl Field for f64 {
+    fn put(&self, o: &mut Object, key: &str) {
+        o.set(key, Value::Num(*self));
+    }
+    fn take(o: &Object, key: &str) -> Result<Self, RecordError> {
+        o.num(key).ok_or_else(|| shape(key))
+    }
+}
+
+impl Field for String {
+    fn put(&self, o: &mut Object, key: &str) {
+        o.set(key, Value::Str(self.clone()));
+    }
+    fn take(o: &Object, key: &str) -> Result<Self, RecordError> {
+        o.str(key).map(str::to_string).ok_or_else(|| shape(key))
+    }
+}
+
+/// `None` leaves the key out. A `null` reads as `None` too: the writer
+/// emits `null` for a non-finite number.
+impl<T: Field> Field for Option<T> {
+    fn put(&self, o: &mut Object, key: &str) {
+        if let Some(v) = self {
+            v.put(o, key);
+        }
+    }
+    fn take(o: &Object, key: &str) -> Result<Self, RecordError> {
+        match o.get(key) {
+            None | Some(Value::Null) => Ok(None),
+            Some(_) => T::take(o, key).map(Some),
+        }
+    }
+}
+
+impl<T: Table> Field for Vec<T> {
+    fn put(&self, o: &mut Object, key: &str) {
+        o.set(key, Value::Arr(self.iter().map(Table::to_value).collect()));
+    }
+    fn take(o: &Object, key: &str) -> Result<Self, RecordError> {
+        let Some(Value::Arr(items)) = o.get(key) else { return Err(shape(key)) };
+        items
+            .iter()
+            .map(|item| match item {
+                Value::Obj(t) => T::read_fields(t),
+                _ => Err(shape(key)),
+            })
+            .collect()
+    }
+}
+
+/// The fields of one record struct, written onto and read back from one
+/// JSON object in declaration order. Implemented by `record_tables!`.
+pub(crate) trait Table: Sized {
+    /// Puts every field under its own name.
+    fn write_fields(&self, o: &mut Object);
+
+    /// Reads every field back.
+    fn read_fields(o: &Object) -> Result<Self, RecordError>;
+
+    /// The fields as one JSON object.
+    fn to_value(&self) -> Value {
+        let mut o = Object::new();
+        self.write_fields(&mut o);
+        Value::Obj(o)
+    }
+}
+
+/// Declares record structs, one field table each. Per struct it emits the
+/// struct and its [`Table`] impl, keyed by field name, plus a [`Field`]
+/// impl: a struct marked `#[flatten]` (first, before its docs) writes its
+/// fields into the parent object, every other one nests them under its
+/// field's key. `impl Name { field: Type, ... }` states the table of a
+/// struct defined elsewhere.
+macro_rules! record_tables {
+    () => {};
+    (@fields $name:ident { $( $field:ident: $ty:ty, )* }) => {
+        impl Table for $name {
+            fn write_fields(&self, o: &mut Object) {
+                $( Field::put(&self.$field, o, stringify!($field)); )*
+            }
+            fn read_fields(o: &Object) -> Result<Self, RecordError> {
+                Ok(Self { $( $field: <$ty as Field>::take(o, stringify!($field))?, )* })
+            }
+        }
+    };
+    (@nested $name:ident) => {
+        impl Field for $name {
+            fn put(&self, o: &mut Object, key: &str) {
+                o.set(key, self.to_value());
+            }
+            fn take(o: &Object, key: &str) -> Result<Self, RecordError> {
+                Self::read_fields(o.obj(key).ok_or_else(|| shape(key))?)
+            }
+        }
+    };
+    (impl $name:ident { $( $field:ident: $ty:ty, )* } $($rest:tt)*) => {
+        record_tables!(@fields $name { $( $field: $ty, )* });
+        record_tables!(@nested $name);
+        record_tables!($($rest)*);
+    };
+    (
+        #[flatten]
+        $(#[$meta:meta])*
+        pub struct $name:ident { $( $(#[$fmeta:meta])* pub $field:ident: $ty:ty, )* }
+        $($rest:tt)*
+    ) => {
+        $(#[$meta])*
+        pub struct $name { $( $(#[$fmeta])* pub $field: $ty, )* }
+        record_tables!(@fields $name { $( $field: $ty, )* });
+        impl Field for $name {
+            fn put(&self, o: &mut Object, _key: &str) {
+                self.write_fields(o);
+            }
+            fn take(o: &Object, _key: &str) -> Result<Self, RecordError> {
+                Self::read_fields(o)
+            }
+        }
+        record_tables!($($rest)*);
+    };
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident { $( $(#[$fmeta:meta])* pub $field:ident: $ty:ty, )* }
+        $($rest:tt)*
+    ) => {
+        $(#[$meta])*
+        pub struct $name { $( $(#[$fmeta])* pub $field: $ty, )* }
+        record_tables!(@fields $name { $( $field: $ty, )* });
+        record_tables!(@nested $name);
+        record_tables!($($rest)*);
+    };
+}
+
+record_tables! {
+    // Defined in the workloads crate; a record nests it under `scale`.
+    impl ScaleConfig {
+        instr_factor: f64,
+        seed: u64,
+    }
+
+    /// Deterministic per-core-group metrics of a heterogeneous cell, in the
+    /// machine's group order.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct GroupMetric {
+        /// Group name from the machine description.
+        pub name: String,
+        /// Cores in the group.
+        pub cores: u32,
+        /// The group's clock divider.
+        pub clock_divider: u32,
+        /// Task instances the group executed in detail.
+        pub detailed_tasks: u64,
+        /// Instructions the group executed.
+        pub instructions: u64,
+        /// Base-clock ticks the group's cores spent running tasks.
+        pub busy_ticks: u64,
+    }
+
+    /// Deterministic metrics of a reference (full-detail) cell.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct RefMetrics {
+        /// Simulated execution time in cycles.
+        pub total_cycles: u64,
+        /// Task instances simulated (all of them, in detail).
+        pub detailed_tasks: u64,
+        /// Dynamic instructions simulated.
+        pub instructions: u64,
+        /// Per-core-group metrics — present exactly for heterogeneous
+        /// machines (same pattern as the adaptive-only `ci_*` fields:
+        /// homogeneous records do not carry the key at all).
+        pub groups: Option<Vec<GroupMetric>>,
+        /// Task-latency percentiles and stall attribution (record format v5).
+        pub perf: PerfProfile,
+    }
+
+    #[flatten]
+    /// Task-latency percentiles and machine-wide stall attribution of one
+    /// simulated run — the record-format-v5 extension of the JSONL schema.
+    ///
+    /// Latencies are simulated base-clock cycles per task instance; stall
+    /// fields are global base-clock core-ticks summed across all core groups,
+    /// in the fixed taxonomy of `tasksim`'s cycle accounting. Every record
+    /// that carries metrics of a run carries every key below, flat in its
+    /// metrics object.
+    #[derive(Debug, Clone, Copy, Default, PartialEq)]
+    pub struct PerfProfile {
+        /// Median task latency (cycles).
+        pub lat_p50: f64,
+        /// 99th-percentile task latency (cycles).
+        pub lat_p99: f64,
+        /// 99.9th-percentile task latency (cycles).
+        pub lat_p999: f64,
+        /// Ticks stalled on a full reorder buffer behind a compute op.
+        pub stall_rob_full: u64,
+        /// Ticks stalled on serialized dependencies (div/fence/mispredict).
+        pub stall_dep_wait: u64,
+        /// Ticks stalled on L1-hit load latency at the ROB head.
+        pub stall_l1_wait: u64,
+        /// Ticks stalled on shared-cache load latency at the ROB head.
+        pub stall_l2_wait: u64,
+        /// Ticks stalled on DRAM load latency at the ROB head.
+        pub stall_dram_wait: u64,
+        /// Ticks stalled acquiring an MSHR for an outstanding miss.
+        pub stall_mshr_full: u64,
+        /// Ticks stalled behind bank/channel service queues.
+        pub stall_contention: u64,
+        /// Ticks cores sat idle with no ready task assigned.
+        pub stall_idle: u64,
+    }
+
+    /// Deterministic metrics of a sampled (or clustered) cell.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct EvalMetrics {
+        /// Absolute percent error of predicted vs reference cycles.
+        pub error_percent: f64,
+        /// Predicted total cycles (sampled run).
+        pub predicted_cycles: u64,
+        /// Reference total cycles.
+        pub reference_cycles: u64,
+        /// Fraction of instructions simulated in detail.
+        pub detail_fraction: f64,
+        /// Instances simulated in detail.
+        pub detailed_tasks: u64,
+        /// Instances fast-forwarded.
+        pub fast_tasks: u64,
+        /// Instructions simulated in detail.
+        pub detailed_instructions: u64,
+        /// Instructions fast-forwarded.
+        pub fast_instructions: u64,
+        /// Total resamples triggered.
+        pub resamples: u64,
+        /// Resamples triggered by the periodic policy.
+        pub resamples_policy: u64,
+        /// Resamples triggered by new task types.
+        pub resamples_new_type: u64,
+        /// Resamples triggered by concurrency changes.
+        pub resamples_concurrency: u64,
+        /// Resamples triggered by empty histories.
+        pub resamples_empty: u64,
+        /// `(type, size-class)` clusters formed (clustered cells only).
+        pub clusters: Option<u64>,
+        /// Configured relative-CI target (adaptive cells only).
+        pub ci_target: Option<f64>,
+        /// Configured confidence level as a fraction, e.g. `0.95` (adaptive
+        /// cells only).
+        pub ci_confidence: Option<f64>,
+        /// Largest achieved per-cluster relative CI half-width at the end of
+        /// the run (adaptive cells with ≥ 2 samples in some cluster).
+        pub ci_max: Option<f64>,
+        /// Mean achieved per-cluster relative CI half-width (same condition).
+        pub ci_mean: Option<f64>,
+        /// Sampling units observed by the adaptive controller.
+        pub ci_units: Option<u64>,
+        /// Units that converged (stopped sampling) by CI or cutoff.
+        pub ci_converged: Option<u64>,
+        /// Configured pilot samples per stratum (stratified cells only).
+        pub strat_pilot: Option<u64>,
+        /// Configured total detailed budget (stratified cells only).
+        pub strat_budget: Option<u64>,
+        /// Detailed instances Neyman-allocated after the pilot phase, summed
+        /// across strata (stratified cells only).
+        pub strat_allocated: Option<u64>,
+        /// `(cluster, concurrency-band)` re-openings triggered by sustained
+        /// parallelism shifts (adaptive and stratified cells).
+        pub strat_reopened: Option<u64>,
+        /// Task-latency percentiles and stall attribution of the sampled run
+        /// itself (record format v5).
+        pub perf: PerfProfile,
+    }
+
+    /// Deterministic metrics of a variation cell: per-type-normalized IPC
+    /// deviation boxplot (percent).
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct VariationMetrics {
+        /// 5th percentile.
+        pub p5: f64,
+        /// First quartile.
+        pub q1: f64,
+        /// Median.
+        pub median: f64,
+        /// Third quartile.
+        pub q3: f64,
+        /// 95th percentile.
+        pub p95: f64,
+        /// Smallest deviation.
+        pub min: f64,
+        /// Largest deviation.
+        pub max: f64,
+        /// Number of task-instance samples.
+        pub samples: u64,
+    }
+
+    /// Deterministic metrics of an exploration cell: a sampled run with no
+    /// reference comparison (design-space sweeps rank designs by predicted
+    /// cycles; running a detailed reference per candidate would defeat the
+    /// point of sampling).
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct ExploreMetrics {
+        /// Predicted total cycles — the design-ranking criterion.
+        pub predicted_cycles: u64,
+        /// Fraction of instructions simulated in detail.
+        pub detail_fraction: f64,
+        /// Instances simulated in detail.
+        pub detailed_tasks: u64,
+        /// Instances fast-forwarded.
+        pub fast_tasks: u64,
+        /// Instructions simulated in detail.
+        pub detailed_instructions: u64,
+        /// Instructions fast-forwarded.
+        pub fast_instructions: u64,
+        /// Total resamples triggered.
+        pub resamples: u64,
+    }
+
+    /// The canonical (deterministic) record of one computed cell.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct CellRecord {
+        /// The cell's content hash (32 hex chars).
+        pub cell: String,
+        /// Benchmark name.
+        pub bench: String,
+        /// Machine name.
+        pub machine: String,
+        /// Simulated worker threads.
+        pub workers: u32,
+        /// Workload scale.
+        pub scale: ScaleConfig,
+        /// Kind tag (`reference`/`sampled`/`clustered`/`variation`/`explore`).
+        pub kind: String,
+        /// Deterministic metrics, shaped by `kind`.
+        pub metrics: CellMetrics,
+    }
+
+    /// The advisory (wall-clock) side of a computed cell.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct CellTiming {
+        /// Host seconds of this cell's own simulation.
+        pub wall_seconds: f64,
+        /// Host seconds of the reference run it was compared against (sampled
+        /// and clustered cells only).
+        pub reference_wall_seconds: Option<f64>,
+        /// Wall-clock speedup over the reference (sampled/clustered only).
+        pub speedup: Option<f64>,
+        /// Detailed-mode simulation throughput of this cell's own run, in
+        /// instructions per host second — the figure of merit of the batched
+        /// trace pipeline. `None` when no detailed instructions ran.
+        pub detailed_instr_per_sec: Option<f64>,
+    }
+
+    /// One store entry: record + timing, as persisted in a cache file.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct StoredCell {
+        /// Canonical record.
+        pub record: CellRecord,
+        /// Timing measured by the run that computed the cell.
+        pub timing: CellTiming,
+    }
 }
 
 impl PerfProfile {
     /// Builds the profile from a simulation result: percentiles straight
     /// from the engine, stall categories summed across core groups.
-    pub fn from_result(result: &tasksim::SimResult) -> Self {
+    pub fn from_result(result: &SimResult) -> Self {
         let mut p = PerfProfile {
             lat_p50: result.task_latency.p50,
             lat_p99: result.task_latency.p99,
             lat_p999: result.task_latency.p999,
-            stall_rob_full: 0,
-            stall_dep_wait: 0,
-            stall_l1_wait: 0,
-            stall_l2_wait: 0,
-            stall_dram_wait: 0,
-            stall_mshr_full: 0,
-            stall_contention: 0,
-            stall_idle: 0,
+            ..PerfProfile::default()
         };
         for a in &result.cycle_accounts {
             p.stall_rob_full += a.rob_full;
@@ -117,88 +465,6 @@ impl PerfProfile {
         }
         p
     }
-}
-
-/// Deterministic metrics of a sampled (or clustered) cell.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EvalMetrics {
-    /// Absolute percent error of predicted vs reference cycles.
-    pub error_percent: f64,
-    /// Predicted total cycles (sampled run).
-    pub predicted_cycles: u64,
-    /// Reference total cycles.
-    pub reference_cycles: u64,
-    /// Fraction of instructions simulated in detail.
-    pub detail_fraction: f64,
-    /// Instances simulated in detail.
-    pub detailed_tasks: u64,
-    /// Instances fast-forwarded.
-    pub fast_tasks: u64,
-    /// Instructions simulated in detail.
-    pub detailed_instructions: u64,
-    /// Instructions fast-forwarded.
-    pub fast_instructions: u64,
-    /// Total resamples triggered.
-    pub resamples: u64,
-    /// Resamples triggered by the periodic policy.
-    pub resamples_policy: u64,
-    /// Resamples triggered by new task types.
-    pub resamples_new_type: u64,
-    /// Resamples triggered by concurrency changes.
-    pub resamples_concurrency: u64,
-    /// Resamples triggered by empty histories.
-    pub resamples_empty: u64,
-    /// `(type, size-class)` clusters formed (clustered cells only).
-    pub clusters: Option<u64>,
-    /// Configured relative-CI target (adaptive cells only).
-    pub ci_target: Option<f64>,
-    /// Configured confidence level as a fraction, e.g. `0.95` (adaptive
-    /// cells only).
-    pub ci_confidence: Option<f64>,
-    /// Largest achieved per-cluster relative CI half-width at the end of
-    /// the run (adaptive cells with ≥ 2 samples in some cluster).
-    pub ci_max: Option<f64>,
-    /// Mean achieved per-cluster relative CI half-width (same condition).
-    pub ci_mean: Option<f64>,
-    /// Sampling units observed by the adaptive controller.
-    pub ci_units: Option<u64>,
-    /// Units that converged (stopped sampling) by CI or cutoff.
-    pub ci_converged: Option<u64>,
-    /// Configured pilot samples per stratum (stratified cells only).
-    pub strat_pilot: Option<u64>,
-    /// Configured total detailed budget (stratified cells only).
-    pub strat_budget: Option<u64>,
-    /// Detailed instances Neyman-allocated after the pilot phase, summed
-    /// across strata (stratified cells only).
-    pub strat_allocated: Option<u64>,
-    /// `(cluster, concurrency-band)` re-openings triggered by sustained
-    /// parallelism shifts (adaptive and stratified cells).
-    pub strat_reopened: Option<u64>,
-    /// Task-latency percentiles and stall attribution of the sampled run
-    /// itself (record format v5).
-    pub perf: PerfProfile,
-}
-
-/// Deterministic metrics of a variation cell: per-type-normalized IPC
-/// deviation boxplot (percent).
-#[derive(Debug, Clone, PartialEq)]
-pub struct VariationMetrics {
-    /// 5th percentile.
-    pub p5: f64,
-    /// First quartile.
-    pub q1: f64,
-    /// Median.
-    pub median: f64,
-    /// Third quartile.
-    pub q3: f64,
-    /// 95th percentile.
-    pub p95: f64,
-    /// Smallest deviation.
-    pub min: f64,
-    /// Largest deviation.
-    pub max: f64,
-    /// Number of task-instance samples.
-    pub samples: u64,
 }
 
 impl VariationMetrics {
@@ -220,28 +486,6 @@ impl VariationMetrics {
     pub fn whisker_halfwidth(&self) -> f64 {
         self.p95.abs().max(self.p5.abs())
     }
-}
-
-/// Deterministic metrics of an exploration cell: a sampled run with no
-/// reference comparison (design-space sweeps rank designs by predicted
-/// cycles; running a detailed reference per candidate would defeat the
-/// point of sampling).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExploreMetrics {
-    /// Predicted total cycles — the design-ranking criterion.
-    pub predicted_cycles: u64,
-    /// Fraction of instructions simulated in detail.
-    pub detail_fraction: f64,
-    /// Instances simulated in detail.
-    pub detailed_tasks: u64,
-    /// Instances fast-forwarded.
-    pub fast_tasks: u64,
-    /// Instructions simulated in detail.
-    pub detailed_instructions: u64,
-    /// Instructions fast-forwarded.
-    pub fast_instructions: u64,
-    /// Total resamples triggered.
-    pub resamples: u64,
 }
 
 /// Kind-specific deterministic metrics.
@@ -292,39 +536,61 @@ impl CellMetrics {
     }
 }
 
-/// The canonical (deterministic) record of one computed cell.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CellRecord {
-    /// The cell's content hash (32 hex chars).
-    pub cell: String,
-    /// Benchmark name.
-    pub bench: String,
-    /// Machine name.
-    pub machine: String,
-    /// Simulated worker threads.
-    pub workers: u32,
-    /// Workload scale.
-    pub scale: ScaleConfig,
-    /// Kind tag (`reference`/`sampled`/`clustered`/`variation`).
-    pub kind: String,
-    /// Deterministic metrics.
-    pub metrics: CellMetrics,
+/// The metrics object is the one value whose shape is not fixed: it
+/// follows the record's kind tag, read from the same parent object.
+impl Field for CellMetrics {
+    fn put(&self, o: &mut Object, key: &str) {
+        match self {
+            CellMetrics::Reference(m) => m.put(o, key),
+            CellMetrics::Eval(m) => m.put(o, key),
+            CellMetrics::Variation(m) => m.put(o, key),
+            CellMetrics::Explore(m) => m.put(o, key),
+        }
+    }
+    fn take(o: &Object, key: &str) -> Result<Self, RecordError> {
+        Ok(match String::take(o, "kind")?.as_str() {
+            "reference" => CellMetrics::Reference(Field::take(o, key)?),
+            "sampled" | "clustered" => CellMetrics::Eval(Box::new(Field::take(o, key)?)),
+            "variation" => CellMetrics::Variation(Field::take(o, key)?),
+            "explore" => CellMetrics::Explore(Field::take(o, key)?),
+            other => return Err(RecordError::Shape(format!("unknown kind {other:?}"))),
+        })
+    }
 }
 
-/// The advisory (wall-clock) side of a computed cell.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CellTiming {
-    /// Host seconds of this cell's own simulation.
-    pub wall_seconds: f64,
-    /// Host seconds of the reference run it was compared against (sampled
-    /// and clustered cells only).
-    pub reference_wall_seconds: Option<f64>,
-    /// Wall-clock speedup over the reference (sampled/clustered only).
-    pub speedup: Option<f64>,
-    /// Detailed-mode simulation throughput of this cell's own run, in
-    /// instructions per host second — the figure of merit of the batched
-    /// trace pipeline. `None` when no detailed instructions ran.
-    pub detailed_instr_per_sec: Option<f64>,
+impl CellRecord {
+    /// The record of the cell `spec`, whose content hash is `cell`.
+    pub fn new(cell: &str, spec: &CellSpec, metrics: CellMetrics) -> Self {
+        Self {
+            cell: cell.to_string(),
+            bench: spec.bench.name().to_string(),
+            machine: spec.machine.name.clone(),
+            workers: spec.workers,
+            scale: spec.scale,
+            kind: spec.kind.tag().to_string(),
+            metrics,
+        }
+    }
+
+    /// The canonical JSON encoding — the bytes the determinism guarantee
+    /// covers (and one line of the emitted JSONL artefact).
+    pub fn to_json(&self) -> String {
+        self.to_value().to_json()
+    }
+}
+
+impl CellTiming {
+    /// The timing of `run`, compared against the wall time of `reference`
+    /// when the cell has one.
+    pub fn new(run: &SimResult, reference: Option<&SimResult>) -> Self {
+        let compared = reference.map(|r| ExperimentOutcome::compare(run, r));
+        Self {
+            wall_seconds: run.wall_seconds,
+            reference_wall_seconds: compared.as_ref().map(|c| c.reference_wall_seconds),
+            speedup: compared.map(|c| c.speedup),
+            detailed_instr_per_sec: run.detailed_instr_per_sec(),
+        }
+    }
 }
 
 /// A computed (or cache-loaded) cell: spec + record + timing.
@@ -357,333 +623,18 @@ impl CellOutcome {
     }
 }
 
-fn scale_json(scale: &ScaleConfig) -> Value {
-    let mut o = Object::new();
-    o.set("instr_factor", Value::Num(scale.instr_factor));
-    o.set("seed", Value::Num(scale.seed as f64));
-    Value::Obj(o)
-}
-
-fn perf_json(o: &mut Object, p: &PerfProfile) {
-    o.set("lat_p50", Value::Num(p.lat_p50));
-    o.set("lat_p99", Value::Num(p.lat_p99));
-    o.set("lat_p999", Value::Num(p.lat_p999));
-    for (key, value) in [
-        ("stall_rob_full", p.stall_rob_full),
-        ("stall_dep_wait", p.stall_dep_wait),
-        ("stall_l1_wait", p.stall_l1_wait),
-        ("stall_l2_wait", p.stall_l2_wait),
-        ("stall_dram_wait", p.stall_dram_wait),
-        ("stall_mshr_full", p.stall_mshr_full),
-        ("stall_contention", p.stall_contention),
-        ("stall_idle", p.stall_idle),
-    ] {
-        o.set(key, Value::Num(value as f64));
-    }
-}
-
-fn metrics_json(metrics: &CellMetrics) -> Value {
-    let mut o = Object::new();
-    match metrics {
-        CellMetrics::Reference(m) => {
-            o.set("total_cycles", Value::Num(m.total_cycles as f64));
-            o.set("detailed_tasks", Value::Num(m.detailed_tasks as f64));
-            o.set("instructions", Value::Num(m.instructions as f64));
-            if let Some(groups) = &m.groups {
-                let arr = groups
-                    .iter()
-                    .map(|g| {
-                        let mut go = Object::new();
-                        go.set("name", Value::Str(g.name.clone()));
-                        go.set("cores", Value::Num(g.cores as f64));
-                        go.set("clock_divider", Value::Num(g.clock_divider as f64));
-                        go.set("detailed_tasks", Value::Num(g.detailed_tasks as f64));
-                        go.set("instructions", Value::Num(g.instructions as f64));
-                        go.set("busy_ticks", Value::Num(g.busy_ticks as f64));
-                        Value::Obj(go)
-                    })
-                    .collect();
-                o.set("groups", Value::Arr(arr));
-            }
-            perf_json(&mut o, &m.perf);
-        }
-        CellMetrics::Eval(m) => {
-            o.set("error_percent", Value::Num(m.error_percent));
-            o.set("predicted_cycles", Value::Num(m.predicted_cycles as f64));
-            o.set("reference_cycles", Value::Num(m.reference_cycles as f64));
-            o.set("detail_fraction", Value::Num(m.detail_fraction));
-            o.set("detailed_tasks", Value::Num(m.detailed_tasks as f64));
-            o.set("fast_tasks", Value::Num(m.fast_tasks as f64));
-            o.set("detailed_instructions", Value::Num(m.detailed_instructions as f64));
-            o.set("fast_instructions", Value::Num(m.fast_instructions as f64));
-            o.set("resamples", Value::Num(m.resamples as f64));
-            o.set("resamples_policy", Value::Num(m.resamples_policy as f64));
-            o.set("resamples_new_type", Value::Num(m.resamples_new_type as f64));
-            o.set("resamples_concurrency", Value::Num(m.resamples_concurrency as f64));
-            o.set("resamples_empty", Value::Num(m.resamples_empty as f64));
-            if let Some(c) = m.clusters {
-                o.set("clusters", Value::Num(c as f64));
-            }
-            for (key, value) in [
-                ("ci_target", m.ci_target),
-                ("ci_confidence", m.ci_confidence),
-                ("ci_max", m.ci_max),
-                ("ci_mean", m.ci_mean),
-            ] {
-                if let Some(v) = value {
-                    o.set(key, Value::Num(v));
-                }
-            }
-            for (key, value) in [
-                ("ci_units", m.ci_units),
-                ("ci_converged", m.ci_converged),
-                ("strat_pilot", m.strat_pilot),
-                ("strat_budget", m.strat_budget),
-                ("strat_allocated", m.strat_allocated),
-                ("strat_reopened", m.strat_reopened),
-            ] {
-                if let Some(v) = value {
-                    o.set(key, Value::Num(v as f64));
-                }
-            }
-            perf_json(&mut o, &m.perf);
-        }
-        CellMetrics::Variation(m) => {
-            o.set("p5", Value::Num(m.p5));
-            o.set("q1", Value::Num(m.q1));
-            o.set("median", Value::Num(m.median));
-            o.set("q3", Value::Num(m.q3));
-            o.set("p95", Value::Num(m.p95));
-            o.set("min", Value::Num(m.min));
-            o.set("max", Value::Num(m.max));
-            o.set("samples", Value::Num(m.samples as f64));
-        }
-        CellMetrics::Explore(m) => {
-            o.set("predicted_cycles", Value::Num(m.predicted_cycles as f64));
-            o.set("detail_fraction", Value::Num(m.detail_fraction));
-            o.set("detailed_tasks", Value::Num(m.detailed_tasks as f64));
-            o.set("fast_tasks", Value::Num(m.fast_tasks as f64));
-            o.set("detailed_instructions", Value::Num(m.detailed_instructions as f64));
-            o.set("fast_instructions", Value::Num(m.fast_instructions as f64));
-            o.set("resamples", Value::Num(m.resamples as f64));
-        }
-    }
-    Value::Obj(o)
-}
-
-impl CellRecord {
-    /// The canonical JSON encoding — the bytes the determinism guarantee
-    /// covers (and one line of the emitted JSONL artefact).
-    pub fn to_json(&self) -> String {
-        let mut o = Object::new();
-        o.set("cell", Value::Str(self.cell.clone()));
-        o.set("bench", Value::Str(self.bench.clone()));
-        o.set("machine", Value::Str(self.machine.clone()));
-        o.set("workers", Value::Num(self.workers as f64));
-        o.set("scale", scale_json(&self.scale));
-        o.set("kind", Value::Str(self.kind.clone()));
-        o.set("metrics", metrics_json(&self.metrics));
-        Value::Obj(o).to_json()
-    }
-}
-
-/// A corrupt or incompatible store entry.
-#[derive(Debug)]
-pub enum RecordError {
-    /// The JSON did not parse.
-    Parse(ParseError),
-    /// The JSON parsed but is missing or mistypes a field.
-    Shape(String),
-}
-
-impl std::fmt::Display for RecordError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RecordError::Parse(e) => write!(f, "{e}"),
-            RecordError::Shape(s) => write!(f, "malformed record: {s}"),
-        }
-    }
-}
-
-impl std::error::Error for RecordError {}
-
-fn shape(field: &str) -> RecordError {
-    RecordError::Shape(format!("missing or mistyped field {field:?}"))
-}
-
-fn parse_groups(o: &Object) -> Result<Option<Vec<GroupMetric>>, RecordError> {
-    let Some(v) = o.get("groups") else { return Ok(None) };
-    let Value::Arr(items) = v else {
-        return Err(RecordError::Shape("groups is not an array".to_string()));
-    };
-    let mut groups = Vec::with_capacity(items.len());
-    for item in items {
-        let Value::Obj(g) = item else {
-            return Err(RecordError::Shape("group entry is not an object".to_string()));
-        };
-        groups.push(GroupMetric {
-            name: g.str("name").ok_or_else(|| shape("groups.name"))?.to_string(),
-            cores: g.u64("cores").ok_or_else(|| shape("groups.cores"))? as u32,
-            clock_divider: g.u64("clock_divider").ok_or_else(|| shape("groups.clock_divider"))?
-                as u32,
-            detailed_tasks: g
-                .u64("detailed_tasks")
-                .ok_or_else(|| shape("groups.detailed_tasks"))?,
-            instructions: g.u64("instructions").ok_or_else(|| shape("groups.instructions"))?,
-            busy_ticks: g.u64("busy_ticks").ok_or_else(|| shape("groups.busy_ticks"))?,
-        });
-    }
-    Ok(Some(groups))
-}
-
-fn parse_perf(o: &Object) -> Result<PerfProfile, RecordError> {
-    Ok(PerfProfile {
-        lat_p50: o.num("lat_p50").ok_or_else(|| shape("lat_p50"))?,
-        lat_p99: o.num("lat_p99").ok_or_else(|| shape("lat_p99"))?,
-        lat_p999: o.num("lat_p999").ok_or_else(|| shape("lat_p999"))?,
-        stall_rob_full: o.u64("stall_rob_full").ok_or_else(|| shape("stall_rob_full"))?,
-        stall_dep_wait: o.u64("stall_dep_wait").ok_or_else(|| shape("stall_dep_wait"))?,
-        stall_l1_wait: o.u64("stall_l1_wait").ok_or_else(|| shape("stall_l1_wait"))?,
-        stall_l2_wait: o.u64("stall_l2_wait").ok_or_else(|| shape("stall_l2_wait"))?,
-        stall_dram_wait: o.u64("stall_dram_wait").ok_or_else(|| shape("stall_dram_wait"))?,
-        stall_mshr_full: o.u64("stall_mshr_full").ok_or_else(|| shape("stall_mshr_full"))?,
-        stall_contention: o.u64("stall_contention").ok_or_else(|| shape("stall_contention"))?,
-        stall_idle: o.u64("stall_idle").ok_or_else(|| shape("stall_idle"))?,
-    })
-}
-
-fn parse_metrics(kind: &str, o: &Object) -> Result<CellMetrics, RecordError> {
-    match kind {
-        "reference" => Ok(CellMetrics::Reference(RefMetrics {
-            total_cycles: o.u64("total_cycles").ok_or_else(|| shape("total_cycles"))?,
-            detailed_tasks: o.u64("detailed_tasks").ok_or_else(|| shape("detailed_tasks"))?,
-            instructions: o.u64("instructions").ok_or_else(|| shape("instructions"))?,
-            groups: parse_groups(o)?,
-            perf: parse_perf(o)?,
-        })),
-        "sampled" | "clustered" => Ok(CellMetrics::Eval(Box::new(EvalMetrics {
-            error_percent: o.num("error_percent").ok_or_else(|| shape("error_percent"))?,
-            predicted_cycles: o.u64("predicted_cycles").ok_or_else(|| shape("predicted_cycles"))?,
-            reference_cycles: o.u64("reference_cycles").ok_or_else(|| shape("reference_cycles"))?,
-            detail_fraction: o.num("detail_fraction").ok_or_else(|| shape("detail_fraction"))?,
-            detailed_tasks: o.u64("detailed_tasks").ok_or_else(|| shape("detailed_tasks"))?,
-            fast_tasks: o.u64("fast_tasks").ok_or_else(|| shape("fast_tasks"))?,
-            detailed_instructions: o
-                .u64("detailed_instructions")
-                .ok_or_else(|| shape("detailed_instructions"))?,
-            fast_instructions: o
-                .u64("fast_instructions")
-                .ok_or_else(|| shape("fast_instructions"))?,
-            resamples: o.u64("resamples").ok_or_else(|| shape("resamples"))?,
-            resamples_policy: o.u64("resamples_policy").ok_or_else(|| shape("resamples_policy"))?,
-            resamples_new_type: o
-                .u64("resamples_new_type")
-                .ok_or_else(|| shape("resamples_new_type"))?,
-            resamples_concurrency: o
-                .u64("resamples_concurrency")
-                .ok_or_else(|| shape("resamples_concurrency"))?,
-            resamples_empty: o.u64("resamples_empty").ok_or_else(|| shape("resamples_empty"))?,
-            clusters: o.u64("clusters"),
-            ci_target: o.num("ci_target"),
-            ci_confidence: o.num("ci_confidence"),
-            ci_max: o.num("ci_max"),
-            ci_mean: o.num("ci_mean"),
-            ci_units: o.u64("ci_units"),
-            ci_converged: o.u64("ci_converged"),
-            strat_pilot: o.u64("strat_pilot"),
-            strat_budget: o.u64("strat_budget"),
-            strat_allocated: o.u64("strat_allocated"),
-            strat_reopened: o.u64("strat_reopened"),
-            perf: parse_perf(o)?,
-        }))),
-        "explore" => Ok(CellMetrics::Explore(ExploreMetrics {
-            predicted_cycles: o.u64("predicted_cycles").ok_or_else(|| shape("predicted_cycles"))?,
-            detail_fraction: o.num("detail_fraction").ok_or_else(|| shape("detail_fraction"))?,
-            detailed_tasks: o.u64("detailed_tasks").ok_or_else(|| shape("detailed_tasks"))?,
-            fast_tasks: o.u64("fast_tasks").ok_or_else(|| shape("fast_tasks"))?,
-            detailed_instructions: o
-                .u64("detailed_instructions")
-                .ok_or_else(|| shape("detailed_instructions"))?,
-            fast_instructions: o
-                .u64("fast_instructions")
-                .ok_or_else(|| shape("fast_instructions"))?,
-            resamples: o.u64("resamples").ok_or_else(|| shape("resamples"))?,
-        })),
-        "variation" => Ok(CellMetrics::Variation(VariationMetrics {
-            p5: o.num("p5").ok_or_else(|| shape("p5"))?,
-            q1: o.num("q1").ok_or_else(|| shape("q1"))?,
-            median: o.num("median").ok_or_else(|| shape("median"))?,
-            q3: o.num("q3").ok_or_else(|| shape("q3"))?,
-            p95: o.num("p95").ok_or_else(|| shape("p95"))?,
-            min: o.num("min").ok_or_else(|| shape("min"))?,
-            max: o.num("max").ok_or_else(|| shape("max"))?,
-            samples: o.u64("samples").ok_or_else(|| shape("samples"))?,
-        })),
-        other => Err(RecordError::Shape(format!("unknown kind {other:?}"))),
-    }
-}
-
-/// One store entry: record + timing, as persisted in a cache file.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StoredCell {
-    /// Canonical record.
-    pub record: CellRecord,
-    /// Timing measured by the run that computed the cell.
-    pub timing: CellTiming,
-}
-
 impl StoredCell {
     /// Serializes the store-file content.
     pub fn to_json(&self) -> String {
-        let record =
-            Value::parse(&self.record.to_json()).expect("canonical record encodes valid JSON");
-        let mut timing = Object::new();
-        timing.set("wall_seconds", Value::Num(self.timing.wall_seconds));
-        if let Some(w) = self.timing.reference_wall_seconds {
-            timing.set("reference_wall_seconds", Value::Num(w));
-        }
-        if let Some(s) = self.timing.speedup {
-            timing.set("speedup", Value::Num(s));
-        }
-        if let Some(t) = self.timing.detailed_instr_per_sec {
-            timing.set("detailed_instr_per_sec", Value::Num(t));
-        }
-        let mut o = Object::new();
-        o.set("record", record);
-        o.set("timing", Value::Obj(timing));
-        Value::Obj(o).to_json()
+        self.to_value().to_json()
     }
 
     /// Parses a store-file content.
     pub fn from_json(text: &str) -> Result<Self, RecordError> {
-        let v = Value::parse(text).map_err(RecordError::Parse)?;
-        let Value::Obj(top) = v else {
-            return Err(RecordError::Shape("top level is not an object".to_string()));
-        };
-        let r = top.obj("record").ok_or_else(|| shape("record"))?;
-        let scale = r.obj("scale").ok_or_else(|| shape("scale"))?;
-        let kind = r.str("kind").ok_or_else(|| shape("kind"))?.to_string();
-        let metrics_obj = r.obj("metrics").ok_or_else(|| shape("metrics"))?;
-        let record = CellRecord {
-            cell: r.str("cell").ok_or_else(|| shape("cell"))?.to_string(),
-            bench: r.str("bench").ok_or_else(|| shape("bench"))?.to_string(),
-            machine: r.str("machine").ok_or_else(|| shape("machine"))?.to_string(),
-            workers: r.u64("workers").ok_or_else(|| shape("workers"))? as u32,
-            scale: ScaleConfig {
-                instr_factor: scale.num("instr_factor").ok_or_else(|| shape("instr_factor"))?,
-                seed: scale.u64("seed").ok_or_else(|| shape("seed"))?,
-            },
-            metrics: parse_metrics(&kind, metrics_obj)?,
-            kind,
-        };
-        let t = top.obj("timing").ok_or_else(|| shape("timing"))?;
-        let timing = CellTiming {
-            wall_seconds: t.num("wall_seconds").ok_or_else(|| shape("wall_seconds"))?,
-            reference_wall_seconds: t.num("reference_wall_seconds"),
-            speedup: t.num("speedup"),
-            detailed_instr_per_sec: t.num("detailed_instr_per_sec"),
-        };
-        Ok(StoredCell { record, timing })
+        match Value::parse(text).map_err(RecordError::Parse)? {
+            Value::Obj(top) => Self::read_fields(&top),
+            _ => Err(RecordError::Shape("top level is not an object".to_string())),
+        }
     }
 }
 
@@ -726,6 +677,16 @@ mod tests {
                 strat_reopened: None,
                 perf: sample_perf(),
             })),
+        }
+    }
+
+    /// The timing of a cell with no reference and no detailed instructions.
+    fn timing(wall_seconds: f64) -> CellTiming {
+        CellTiming {
+            wall_seconds,
+            reference_wall_seconds: None,
+            speedup: None,
+            detailed_instr_per_sec: None,
         }
     }
 
@@ -827,12 +788,7 @@ mod tests {
         ] {
             let stored = StoredCell {
                 record: CellRecord { kind: kind.to_string(), metrics, ..eval_record() },
-                timing: CellTiming {
-                    wall_seconds: 1.5,
-                    reference_wall_seconds: None,
-                    speedup: None,
-                    detailed_instr_per_sec: None,
-                },
+                timing: timing(1.5),
             };
             let back = StoredCell::from_json(&stored.to_json()).unwrap();
             assert_eq!(back, stored, "{kind}");
@@ -898,43 +854,7 @@ mod tests {
 
     #[test]
     fn heterogeneous_group_metrics_round_trip() {
-        let groups = vec![
-            GroupMetric {
-                name: "big".to_string(),
-                cores: 2,
-                clock_divider: 1,
-                detailed_tasks: 700,
-                instructions: 7_000_000,
-                busy_ticks: 4_100_000,
-            },
-            GroupMetric {
-                name: "little".to_string(),
-                cores: 2,
-                clock_divider: 2,
-                detailed_tasks: 324,
-                instructions: 2_700_000,
-                busy_ticks: 3_900_000,
-            },
-        ];
-        let stored = StoredCell {
-            record: CellRecord {
-                kind: "reference".to_string(),
-                metrics: CellMetrics::Reference(RefMetrics {
-                    total_cycles: 5_000_000,
-                    detailed_tasks: 1024,
-                    instructions: 9_700_000,
-                    groups: Some(groups),
-                    perf: sample_perf(),
-                }),
-                ..eval_record()
-            },
-            timing: CellTiming {
-                wall_seconds: 1.0,
-                reference_wall_seconds: None,
-                speedup: None,
-                detailed_instr_per_sec: None,
-            },
-        };
+        let stored = StoredCell { record: heterogeneous_record(), timing: timing(1.0) };
         let text = stored.to_json();
         // The exact JSONL shape the hetero CI grep pins.
         assert!(text.contains("\"groups\":[{\"name\":\"big\""), "{text}");
@@ -1014,18 +934,178 @@ mod tests {
         assert!(StoredCell::from_json("not json").is_err());
         assert!(StoredCell::from_json("{}").is_err());
         assert!(StoredCell::from_json("{\"record\":{},\"timing\":{}}").is_err());
-        let mut good = StoredCell {
-            record: eval_record(),
-            timing: CellTiming {
-                wall_seconds: 1.0,
-                reference_wall_seconds: None,
-                speedup: None,
-                detailed_instr_per_sec: None,
-            },
-        }
-        .to_json();
+        let mut good = StoredCell { record: eval_record(), timing: timing(1.0) }.to_json();
         good = good.replace("\"error_percent\":3.25", "\"error_percent\":\"three\"");
         assert!(StoredCell::from_json(&good).is_err());
+    }
+
+    #[test]
+    fn u32_fields_reject_values_beyond_32_bits() {
+        let text = StoredCell { record: eval_record(), timing: timing(1.0) }.to_json();
+        // 2^32 + 2 used to load as `workers: 2`.
+        let wide = text.replace("\"workers\":4", "\"workers\":4294967298");
+        assert!(matches!(StoredCell::from_json(&wide), Err(RecordError::Shape(_))), "{wide}");
+        let edge = text.replace("\"workers\":4", "\"workers\":4294967295");
+        assert_eq!(StoredCell::from_json(&edge).unwrap().record.workers, u32::MAX);
+        let hetero = StoredCell { record: heterogeneous_record(), timing: timing(1.0) }.to_json();
+        for (key, value) in [("cores", 2), ("clock_divider", 1)] {
+            let wide = hetero.replacen(
+                &format!("\"{key}\":{value}"),
+                &format!("\"{key}\":{}", (1u64 << 32) + value),
+                1,
+            );
+            assert_ne!(wide, hetero);
+            assert!(matches!(StoredCell::from_json(&wide), Err(RecordError::Shape(_))), "{key}");
+        }
+    }
+
+    fn heterogeneous_record() -> CellRecord {
+        let group = |name: &str, clock_divider| GroupMetric {
+            name: name.to_string(),
+            cores: 2,
+            clock_divider,
+            detailed_tasks: 512,
+            instructions: 4_000_000,
+            busy_ticks: 3_000_000,
+        };
+        CellRecord {
+            kind: "reference".to_string(),
+            metrics: CellMetrics::Reference(RefMetrics {
+                total_cycles: 5_000_000,
+                detailed_tasks: 1024,
+                instructions: 8_000_000,
+                groups: Some(vec![group("big", 1), group("little", 2)]),
+                perf: sample_perf(),
+            }),
+            ..eval_record()
+        }
+    }
+
+    /// Every variant of `v` with exactly one object key removed, anywhere
+    /// in the tree, labelled with the dotted path of the removed key.
+    fn without_each_key(v: &Value) -> Vec<(String, Value)> {
+        match v {
+            Value::Obj(o) => {
+                let mut out = Vec::new();
+                for key in o.keys() {
+                    let mut rest = Object::new();
+                    for k in o.keys().filter(|k| *k != key) {
+                        rest.set(k, o.get(k).unwrap().clone());
+                    }
+                    out.push((key.to_string(), Value::Obj(rest)));
+                    for (path, inner) in without_each_key(o.get(key).unwrap()) {
+                        let mut copy = o.clone();
+                        copy.set(key, inner);
+                        out.push((format!("{key}.{path}"), Value::Obj(copy)));
+                    }
+                }
+                out
+            }
+            Value::Arr(items) => (0..items.len())
+                .flat_map(|i| {
+                    without_each_key(&items[i]).into_iter().map(move |(path, inner)| {
+                        let mut copy = items.clone();
+                        copy[i] = inner;
+                        (format!("{i}.{path}"), Value::Arr(copy))
+                    })
+                })
+                .collect(),
+            _ => Vec::new(),
+        }
+    }
+
+    /// The keys a record may lack; every other key is required.
+    const OPTIONAL_KEYS: [&str; 15] = [
+        "groups",
+        "clusters",
+        "ci_target",
+        "ci_confidence",
+        "ci_max",
+        "ci_mean",
+        "ci_units",
+        "ci_converged",
+        "strat_pilot",
+        "strat_budget",
+        "strat_allocated",
+        "strat_reopened",
+        "reference_wall_seconds",
+        "speedup",
+        "detailed_instr_per_sec",
+    ];
+
+    #[test]
+    fn required_keys_are_required_and_optional_keys_read_as_none() {
+        let mut clustered = eval_record();
+        clustered.kind = "clustered".to_string();
+        let CellMetrics::Eval(ref mut m) = clustered.metrics else { unreachable!() };
+        m.clusters = Some(5);
+        m.ci_target = Some(0.05);
+        m.ci_confidence = Some(0.95);
+        m.ci_max = Some(0.04);
+        m.ci_mean = Some(0.02);
+        m.ci_units = Some(6);
+        m.ci_converged = Some(5);
+        m.strat_pilot = Some(4);
+        m.strat_budget = Some(64);
+        m.strat_allocated = Some(44);
+        m.strat_reopened = Some(1);
+        let variation = CellRecord {
+            kind: "variation".to_string(),
+            metrics: CellMetrics::Variation(VariationMetrics {
+                p5: -4.5,
+                q1: -1.0,
+                median: 0.0,
+                q3: 1.0,
+                p95: 4.5,
+                min: -9.0,
+                max: 8.0,
+                samples: 64,
+            }),
+            ..eval_record()
+        };
+        let explore = CellRecord {
+            kind: "explore".to_string(),
+            metrics: CellMetrics::Explore(ExploreMetrics {
+                predicted_cycles: 1000,
+                detail_fraction: 0.25,
+                detailed_tasks: 2,
+                fast_tasks: 6,
+                detailed_instructions: 200,
+                fast_instructions: 600,
+                resamples: 1,
+            }),
+            ..eval_record()
+        };
+        let timing = CellTiming {
+            wall_seconds: 0.5,
+            reference_wall_seconds: Some(2.0),
+            speedup: Some(4.0),
+            detailed_instr_per_sec: Some(1.5e7),
+        };
+        let mut optional_seen = std::collections::BTreeSet::new();
+        for record in [heterogeneous_record(), clustered, variation, explore] {
+            let kind = record.kind.clone();
+            let full = StoredCell { record, timing: timing.clone() }.to_json();
+            for (path, stripped) in without_each_key(&Value::parse(&full).unwrap()) {
+                let text = stripped.to_json();
+                let key = path.rsplit('.').next().unwrap();
+                match StoredCell::from_json(&text) {
+                    Ok(back) => {
+                        assert!(
+                            OPTIONAL_KEYS.contains(&key),
+                            "{kind}: required {path} not required"
+                        );
+                        // Absent on the way in, absent (None) on the way out.
+                        assert_eq!(back.to_json(), text, "{kind}: {path}");
+                        optional_seen.insert(key.to_string());
+                    }
+                    Err(_) => {
+                        assert!(!OPTIONAL_KEYS.contains(&key), "{kind}: optional {path} rejected")
+                    }
+                }
+            }
+        }
+        assert_eq!(optional_seen.len(), OPTIONAL_KEYS.len(), "every optional key exercised");
     }
 
     #[test]

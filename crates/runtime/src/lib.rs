@@ -15,8 +15,8 @@
 //! * [`depgraph`] — OmpSs dependence analysis (RAW, WAR, WAW over regions)
 //!   producing a DAG in compressed sparse row form, plus the incremental
 //!   ready-set used during execution;
-//! * [`scheduler`] — dynamic schedulers (FIFO — the Nanos++ default — LIFO,
-//!   and a size-tiered variant for big.LITTLE machines);
+//! * [`scheduler`] — the dynamic scheduler interface and the FIFO policy
+//!   (the Nanos++ default);
 //! * [`program`] — a complete task-based program: types + instances + DAG.
 //!   A task's region annotations are consumed by the dependence analysis
 //!   when it is added; the program keeps only the resulting edges.
@@ -52,5 +52,5 @@ pub use depgraph::{DependenceGraph, ReadySet};
 pub use ingest::program_from_ingested;
 pub use program::{Program, ProgramBuilder};
 pub use regions::{AccessMode, RegionAccess};
-pub use scheduler::{FifoScheduler, LifoScheduler, Scheduler, SizeTieredScheduler, WorkerId};
+pub use scheduler::{FifoScheduler, Scheduler, WorkerId};
 pub use task::{TaskInstance, TaskInstanceId, TaskType, TaskTypeId};

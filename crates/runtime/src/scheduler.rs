@@ -6,13 +6,9 @@
 //! between runs, defeating classical sampled simulation. The simulator asks
 //! a [`Scheduler`] which task an idle worker should run next.
 //!
-//! * [`FifoScheduler`] — ready tasks run in readiness order (the Nanos++
-//!   default breadth-first policy);
-//! * [`LifoScheduler`] — newest-ready-first (depth-first, cache-friendlier);
-//! * [`SizeTieredScheduler`] — big and little queues by task size, for
-//!   heterogeneous machines.
+//! [`FifoScheduler`] runs ready tasks in readiness order (the Nanos++
+//! default breadth-first policy).
 
-use crate::program::Program;
 use crate::task::TaskInstanceId;
 use std::collections::VecDeque;
 
@@ -84,104 +80,9 @@ impl Scheduler for FifoScheduler {
     }
 }
 
-/// Depth-first LIFO scheduler: runs the most recently readied task first.
-#[derive(Debug, Default, Clone)]
-pub struct LifoScheduler {
-    stack: Vec<TaskInstanceId>,
-}
-
-impl LifoScheduler {
-    /// Creates an empty LIFO scheduler.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Scheduler for LifoScheduler {
-    fn task_ready(&mut self, task: TaskInstanceId) {
-        self.stack.push(task);
-    }
-
-    fn pick(&mut self, _worker: WorkerId) -> Option<TaskInstanceId> {
-        self.stack.pop()
-    }
-
-    fn ready_count(&self) -> usize {
-        self.stack.len()
-    }
-
-    fn name(&self) -> &'static str {
-        "lifo"
-    }
-}
-
-/// Size-tiered scheduler for heterogeneous (big.LITTLE) machines: tasks at
-/// or above an instruction-count threshold queue as "big" work, the rest as
-/// "little" work. Workers below `big_workers` (the machine's leading big
-/// group — the engine assigns group cores the lowest ids in listed order)
-/// prefer the big queue, the others the little queue; both fall back to the
-/// other queue rather than idle, so the policy shapes placement without
-/// ever leaving a core unused while work is ready. Each queue is FIFO and
-/// the whole policy is deterministic.
-#[derive(Debug, Clone)]
-pub struct SizeTieredScheduler {
-    big: VecDeque<TaskInstanceId>,
-    little: VecDeque<TaskInstanceId>,
-    /// Per-instance instruction counts, indexed by `TaskInstanceId`.
-    instructions: Vec<u64>,
-    big_workers: u32,
-    threshold: u64,
-}
-
-impl SizeTieredScheduler {
-    /// Builds the size table from a program. Workers `0..big_workers`
-    /// prefer tasks of at least `threshold` instructions.
-    pub fn from_program(program: &Program, big_workers: u32, threshold: u64) -> Self {
-        let instructions = program.instances().iter().map(|inst| inst.instructions()).collect();
-        Self { big: VecDeque::new(), little: VecDeque::new(), instructions, big_workers, threshold }
-    }
-
-    /// Median-threshold convenience: big work is anything at or above the
-    /// program's median task size, and the split adapts to the workload.
-    pub fn median_split(program: &Program, big_workers: u32) -> Self {
-        let mut sizes: Vec<u64> =
-            program.instances().iter().map(|inst| inst.instructions()).collect();
-        sizes.sort_unstable();
-        let threshold = sizes.get(sizes.len() / 2).copied().unwrap_or(0);
-        Self::from_program(program, big_workers, threshold)
-    }
-}
-
-impl Scheduler for SizeTieredScheduler {
-    fn task_ready(&mut self, task: TaskInstanceId) {
-        if self.instructions[task.index()] >= self.threshold {
-            self.big.push_back(task);
-        } else {
-            self.little.push_back(task);
-        }
-    }
-
-    fn pick(&mut self, worker: WorkerId) -> Option<TaskInstanceId> {
-        if worker.0 < self.big_workers {
-            self.big.pop_front().or_else(|| self.little.pop_front())
-        } else {
-            self.little.pop_front().or_else(|| self.big.pop_front())
-        }
-    }
-
-    fn ready_count(&self) -> usize {
-        self.big.len() + self.little.len()
-    }
-
-    fn name(&self) -> &'static str {
-        "size-tiered"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use taskpoint_trace::TraceSpec;
 
     fn t(i: u64) -> TaskInstanceId {
         TaskInstanceId(i)
@@ -201,75 +102,7 @@ mod tests {
     }
 
     #[test]
-    fn lifo_is_last_in_first_out() {
-        let mut s = LifoScheduler::new();
-        s.task_ready(t(0));
-        s.task_ready(t(1));
-        assert_eq!(s.pick(WorkerId(0)), Some(t(1)));
-        assert_eq!(s.pick(WorkerId(0)), Some(t(0)));
-        assert_eq!(s.pick(WorkerId(0)), None);
-    }
-
-    #[test]
     fn scheduler_names() {
         assert_eq!(FifoScheduler::new().name(), "fifo");
-        assert_eq!(LifoScheduler::new().name(), "lifo");
-        let p = tiered_program();
-        assert_eq!(SizeTieredScheduler::from_program(&p, 1, 100).name(), "size-tiered");
-    }
-
-    /// Tasks 0..4 are 1000-instruction "big" work, 4..8 are 10-instruction
-    /// "little" work.
-    fn tiered_program() -> Program {
-        let mut b = Program::builder("tiered");
-        let ty = b.add_type("w");
-        for i in 0..8u64 {
-            let instrs = if i < 4 { 1000 } else { 10 };
-            b.add_task(ty, TraceSpec::synthetic(i, instrs), &[]);
-        }
-        b.build()
-    }
-
-    #[test]
-    fn size_tiered_routes_by_threshold() {
-        let p = tiered_program();
-        let mut s = SizeTieredScheduler::from_program(&p, 2, 100);
-        for i in 0..8 {
-            s.task_ready(t(i));
-        }
-        assert_eq!(s.ready_count(), 8);
-        // Big worker 0 drains the big queue first, in FIFO order.
-        assert_eq!(s.pick(WorkerId(0)), Some(t(0)));
-        assert_eq!(s.pick(WorkerId(1)), Some(t(1)));
-        // Little worker 2 gets little work while big work remains.
-        assert_eq!(s.pick(WorkerId(2)), Some(t(4)));
-        assert_eq!(s.ready_count(), 5);
-    }
-
-    #[test]
-    fn size_tiered_falls_back_instead_of_idling() {
-        let p = tiered_program();
-        let mut s = SizeTieredScheduler::from_program(&p, 1, 100);
-        // Only little work ready: the big worker must take it.
-        s.task_ready(t(5));
-        assert_eq!(s.pick(WorkerId(0)), Some(t(5)));
-        // Only big work ready: a little worker must take it.
-        s.task_ready(t(1));
-        assert_eq!(s.pick(WorkerId(3)), Some(t(1)));
-        assert_eq!(s.ready_count(), 0);
-        assert_eq!(s.pick(WorkerId(0)), None);
-    }
-
-    #[test]
-    fn median_split_adapts_to_the_workload() {
-        let p = tiered_program();
-        let s = SizeTieredScheduler::median_split(&p, 2);
-        // Sizes sorted: [10,10,10,10,1000,1000,1000,1000] -> median 1000.
-        assert_eq!(s.threshold, 1000);
-        let mut s = s;
-        s.task_ready(t(0)); // 1000 instructions -> big queue
-        s.task_ready(t(7)); // 10 instructions -> little queue
-        assert_eq!(s.pick(WorkerId(0)), Some(t(0)));
-        assert_eq!(s.pick(WorkerId(1)), Some(t(7)));
     }
 }

@@ -68,7 +68,6 @@ pub struct Simulation<'p> {
     scheduler: Box<dyn Scheduler>,
     noise: Option<NoiseModel>,
     collect_reports: bool,
-    prewarm: bool,
     traces: Box<dyn TraceProvider>,
     block_capacity: usize,
     telemetry: Telemetry,
@@ -82,7 +81,6 @@ pub struct SimulationBuilder<'p> {
     scheduler: Option<Box<dyn Scheduler>>,
     noise: Option<NoiseModel>,
     collect_reports: bool,
-    prewarm: bool,
     traces: Option<Box<dyn TraceProvider>>,
     block_capacity: usize,
     telemetry: Telemetry,
@@ -98,7 +96,6 @@ impl<'p> Simulation<'p> {
             scheduler: None,
             noise: None,
             collect_reports: false,
-            prewarm: true,
             traces: None,
             block_capacity: BLOCK_CAPACITY,
             telemetry: Telemetry::disabled(),
@@ -144,16 +141,13 @@ impl<'p> Simulation<'p> {
             scheduler,
             noise,
             collect_reports,
-            prewarm,
             traces,
             block_capacity,
             telemetry: _,
         } = self;
         let wall_start = Instant::now();
         let mut mem = MemorySystem::new(&machine, num_workers);
-        if prewarm {
-            prewarm_memory(&mut mem, program, machine.line_size);
-        }
+        prewarm_memory(&mut mem, program, machine.line_size);
         // Worker cores are components 0..num_workers, assigned to groups
         // in the machine's listed order (group 0 gets the lowest ids, so
         // the idle policy "lowest id first" prefers the leading — big —
@@ -927,14 +921,6 @@ impl<'p> SimulationBuilder<'p> {
         self
     }
 
-    /// Enables/disables last-level-cache pre-warming with the program's
-    /// data footprint (default: enabled; see the engine docs). Disable to
-    /// model a completely cold machine.
-    pub fn prewarm(mut self, yes: bool) -> Self {
-        self.prewarm = yes;
-        self
-    }
-
     /// Installs a trace provider (default: [`struct@ProceduralTraces`], which
     /// regenerates every stream from its
     /// [`TraceSpec`](taskpoint_trace::TraceSpec)). Pass a
@@ -1006,7 +992,6 @@ impl<'p> SimulationBuilder<'p> {
             scheduler: self.scheduler.unwrap_or_else(|| Box::new(FifoScheduler::new())),
             noise: self.noise,
             collect_reports: self.collect_reports,
-            prewarm: self.prewarm,
             traces: self.traces.unwrap_or_else(|| Box::new(ProceduralTraces)),
             block_capacity: self.block_capacity,
             telemetry: self.telemetry,

@@ -26,7 +26,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::column::{self, SharedKindColumn};
+use crate::column::SharedKindColumn;
 use crate::encode::DecodeError;
 use crate::inst::{InstKind, Instruction};
 use crate::pattern::AddressStream;
@@ -257,7 +257,7 @@ impl TraceSource for SpecSource {
         block.clear();
         let n = (block.capacity() as u64).min(self.remaining) as usize;
         // Phase 1: the kind column (code RNG only, drawn once per column).
-        column::lock(&self.kinds).copy_into(self.next_kind, n, &mut block.kinds);
+        self.kinds.borrow_mut().copy_into(self.next_kind, n, &mut block.kinds);
         self.next_kind += n;
         // Phase 2: the address/size columns (data RNG only). The phases
         // consume disjoint RNG streams, so splitting them preserves each

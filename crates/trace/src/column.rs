@@ -12,10 +12,11 @@
 //! Sharing never changes a stream: a column's `i`-th kind is a pure
 //! function of the code seed and the mix, whichever source drew it first.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::block::SpecSource;
 use crate::inst::InstKind;
@@ -39,14 +40,15 @@ pub struct KindColumn {
     kinds: Vec<InstKind>,
 }
 
-/// A column shared by the sources reading it, possibly on several threads.
-pub(crate) type SharedKindColumn = Arc<Mutex<KindColumn>>;
+/// A column shared by the sources of one run reading it. A run reads its
+/// streams on one thread, so the sharing needs no lock.
+pub(crate) type SharedKindColumn = Rc<RefCell<KindColumn>>;
 
 impl KindColumn {
-    /// An empty column over the code of `spec`'s task type, behind the
-    /// lock its sources share.
+    /// An empty column over the code of `spec`'s task type, ready to be
+    /// shared by its sources.
     pub(crate) fn shared(spec: &TraceSpec) -> SharedKindColumn {
-        Arc::new(Mutex::new(Self {
+        Rc::new(RefCell::new(Self {
             mix: spec.mix().clone(),
             code_rng: Xoshiro256pp::seed_from_u64(spec.code_seed()),
             kinds: Vec::new(),
@@ -74,13 +76,6 @@ impl KindColumn {
     }
 }
 
-/// Locks a column or a column map. Both are valid after every single
-/// update (one kind drawn, one column inserted), so a panic while one was
-/// held leaves nothing to repair.
-pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 /// The columns of one simulation run, keyed by `(code_seed, mix)`.
 ///
 /// Columns are created when the first source of their type is asked for,
@@ -93,13 +88,13 @@ pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// the kinds of every stream read for the whole run.
 #[derive(Default)]
 pub struct KindColumns {
-    columns: Mutex<BTreeMap<(u64, [u64; 11]), SharedKindColumn>>,
+    columns: RefCell<BTreeMap<(u64, [u64; 11]), SharedKindColumn>>,
 }
 
 impl KindColumns {
     /// An empty map.
     pub const fn new() -> Self {
-        Self { columns: Mutex::new(BTreeMap::new()) }
+        Self { columns: RefCell::new(BTreeMap::new()) }
     }
 
     /// A fresh source over `spec`'s stream whose kinds come from the
@@ -107,16 +102,15 @@ impl KindColumns {
     /// exactly the stream of [`TraceSpec::source`].
     pub fn source(&self, spec: &TraceSpec) -> SpecSource {
         let key = (spec.code_seed(), spec.mix().cumulative_bits());
-        let column = {
-            let mut columns = lock(&self.columns);
-            Arc::clone(columns.entry(key).or_insert_with(|| KindColumn::shared(spec)))
-        };
+        let column = Rc::clone(
+            self.columns.borrow_mut().entry(key).or_insert_with(|| KindColumn::shared(spec)),
+        );
         spec.source_over(column)
     }
 
     /// Number of columns created so far.
     pub fn len(&self) -> usize {
-        lock(&self.columns).len()
+        self.columns.borrow().len()
     }
 
     /// Whether no column has been created yet.
