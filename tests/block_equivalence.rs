@@ -448,3 +448,49 @@ fn full_scale_sampled_runs_match_goldens() {
         assert_eq!((l.count, l.p50, l.p99, l.p999), g.latency, "{what}: latency percentiles");
     }
 }
+
+/// A lazy sampled run on the big.LITTLE machine, captured from the engine
+/// before the worker-core refactor: the only golden that drives fast
+/// (burst) tasks through a clock-divider-2 group. Pins the cycle count,
+/// the detailed/fast split, the per-group task counts, busy ticks and
+/// instructions, and every cycle account.
+#[test]
+fn big_little_sampled_run_matches_golden() {
+    use taskpoint_repro::sim::CycleAccount;
+    use taskpoint_repro::taskpoint::{TaskPointConfig, TaskPointController};
+    let program = Benchmark::Cholesky.generate(&ScaleConfig::quick());
+    let r = Simulation::builder(&program, MachineConfig::big_little(2, 2))
+        .workers(4)
+        .build()
+        .run(&mut TaskPointController::new(TaskPointConfig::lazy()));
+    assert_eq!(r.total_cycles, 1_391_019, "total_cycles");
+    assert_eq!((r.detailed_tasks, r.fast_tasks), (91, 19_509), "detailed/fast tasks");
+    let groups: Vec<(&str, u64, u64, u64, u64)> = r
+        .groups
+        .iter()
+        .map(|g| (g.name.as_str(), g.detailed_tasks, g.fast_tasks, g.busy_ticks, g.instructions))
+        .collect();
+    assert_eq!(
+        groups,
+        [("big", 56, 13_001, 2_771_815, 965_748), ("little", 35, 6508, 2_774_124, 483_921)],
+        "per-group tasks, busy ticks and instructions"
+    );
+    let account = |name: &str, issue, dep_wait, dram_wait, fast_fwd, idle| CycleAccount {
+        name: name.to_string(),
+        cores: 2,
+        issue,
+        dep_wait,
+        dram_wait,
+        fast_fwd,
+        idle,
+        ..CycleAccount::default()
+    };
+    assert_eq!(
+        r.cycle_accounts,
+        [
+            account("big", 10_569, 756, 0, 2_760_490, 10_223),
+            account("little", 5610, 892, 4270, 2_763_352, 7914),
+        ],
+        "cycle accounts"
+    );
+}

@@ -142,3 +142,23 @@ fn adaptive_runs_emit_one_convergence_event_per_converged_cluster() {
     );
     assert!(count_action(FidelityAction::Sampled) >= accuracy.converged_units());
 }
+
+/// Golden checksums of the canonical telemetry stream, captured from the
+/// engine before the worker-core refactor: a recording detailed reference
+/// run and a recording adaptive run. Unlike the same-build comparison
+/// above, these pin the stream across engine changes — one moved event,
+/// counter or tick changes the checksum.
+#[test]
+fn telemetry_streams_match_goldens() {
+    let (_, reference) = observed_reference(2);
+    assert_eq!(reference.fnv64(), 0xf201_b45e_5fd1_be84, "reference run: telemetry stream drifted");
+    let program = Benchmark::Spmv.generate(&ScaleConfig::quick());
+    let telemetry = Telemetry::recording();
+    let sim = Simulation::builder(&program, MachineConfig::tiny_test())
+        .workers(2)
+        .telemetry(telemetry.clone())
+        .build();
+    taskpoint::run(sim, TaskPointConfig::adaptive(0.1), None);
+    let adaptive = telemetry.take_report().expect("recording handle yields a report");
+    assert_eq!(adaptive.fnv64(), 0x2e6c_16e6_d2ec_b249, "adaptive run: telemetry stream drifted");
+}
