@@ -26,7 +26,7 @@ use taskpoint::{ExperimentOutcome, RunOutcome, TaskPointConfig, Telemetry};
 use taskpoint_runtime::program_from_ingested;
 use taskpoint_trace::IngestedTrace;
 use taskpoint_workloads::external::{synthesize, ExternalWorkload};
-use tasksim::{DetailedOnly, MachineConfig, RecordedTraces, Simulation};
+use tasksim::{DetailedOnly, MachineConfig, RecordedTraces, Simulation, MAX_WORKERS};
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -115,6 +115,19 @@ fn parse_flags(rest: &[String], with_value: &[&str]) -> Result<(Flags, Vec<Strin
     Ok((flags, positional))
 }
 
+/// The `--workers` value of `simulate` and `timeline` (default 2). Counts
+/// outside `1..=MAX_WORKERS` are usage errors, rejected before the
+/// simulator would panic on them.
+fn parse_workers(flags: &[(String, String)]) -> Result<u32, String> {
+    match flags.iter().find(|(f, _)| f == "workers") {
+        None => Ok(2),
+        Some((_, v)) => match v.parse::<u32>() {
+            Ok(n) if (1..=MAX_WORKERS).contains(&n) => Ok(n),
+            _ => Err(format!("--workers needs an integer in 1..={MAX_WORKERS}, got {v:?}")),
+        },
+    }
+}
+
 fn cmd_inspect(path: &Path) -> ExitCode {
     match load(path) {
         Ok(trace) => {
@@ -162,17 +175,10 @@ fn cmd_convert(path: &Path, flags: &[(String, String)]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn cmd_simulate(path: &Path, flags: &[(String, String)]) -> ExitCode {
+fn cmd_simulate(path: &Path, workers: u32) -> ExitCode {
     let trace = match load(path) {
         Ok(t) => t,
         Err(e) => return fail(e),
-    };
-    let workers = match flags.iter().find(|(f, _)| f == "workers") {
-        None => 2,
-        Some((_, v)) => match v.parse::<u32>() {
-            Ok(n) if n > 0 => n,
-            _ => return fail(format!("--workers needs a positive integer, got {v:?}")),
-        },
     };
     print_stats(&trace);
     let program = program_from_ingested("ingested", &trace);
@@ -204,7 +210,7 @@ fn cmd_simulate(path: &Path, flags: &[(String, String)]) -> ExitCode {
 /// resulting schedule as a textual Gantt chart. With `--out DIR` it also
 /// exports the Chrome trace-event JSON and the `*.tptrace` timeline, and
 /// proves the export round-trips by re-parsing it through the ingest path.
-fn cmd_timeline(path: &Path, flags: &[(String, String)]) -> ExitCode {
+fn cmd_timeline(path: &Path, workers: u32, flags: &[(String, String)]) -> ExitCode {
     let trace = match load(path) {
         Ok(t) => t,
         Err(e) => return fail(e),
@@ -217,10 +223,6 @@ fn cmd_timeline(path: &Path, flags: &[(String, String)]) -> ExitCode {
                 _ => Err(fail(format!("--{name} needs a positive integer, got {v:?}"))),
             },
         }
-    };
-    let workers = match parse_num("workers", 2) {
-        Ok(n) => n,
-        Err(code) => return code,
     };
     let width = match parse_num("width", 100) {
         Ok(n) => n,
@@ -372,18 +374,56 @@ fn main() -> ExitCode {
             Ok(p) => cmd_convert(Path::new(p), &flags),
             Err(code) => code,
         },
-        "simulate" => match one_positional("TRACE file") {
-            Ok(p) => cmd_simulate(Path::new(p), &flags),
-            Err(code) => code,
-        },
-        "timeline" => match one_positional("TRACE file") {
-            Ok(p) => cmd_timeline(Path::new(p), &flags),
-            Err(code) => code,
-        },
+        "simulate" | "timeline" => {
+            let path = match one_positional("TRACE file") {
+                Ok(p) => Path::new(p),
+                Err(code) => return code,
+            };
+            let workers = match parse_workers(&flags) {
+                Ok(n) => n,
+                Err(e) => {
+                    eprintln!("error: {e}");
+                    return usage();
+                }
+            };
+            if command == "simulate" {
+                cmd_simulate(path, workers)
+            } else {
+                cmd_timeline(path, workers, &flags)
+            }
+        }
         "synth" => match one_positional("fixture NAME") {
             Ok(n) => cmd_synth(n, &flags),
             Err(code) => code,
         },
         _ => usage(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn workers_flag(value: &str) -> Flags {
+        vec![("workers".to_string(), value.to_string())]
+    }
+
+    #[test]
+    fn workers_default_to_two() {
+        assert_eq!(parse_workers(&[]), Ok(2));
+    }
+
+    #[test]
+    fn workers_accept_the_simulator_range() {
+        assert_eq!(parse_workers(&workers_flag("1")), Ok(1));
+        assert_eq!(parse_workers(&workers_flag(&MAX_WORKERS.to_string())), Ok(MAX_WORKERS));
+    }
+
+    #[test]
+    fn workers_outside_the_range_are_rejected() {
+        for bad in ["0", "65", "-1", "4294967296", "two", ""] {
+            let err = parse_workers(&workers_flag(bad)).expect_err(bad);
+            assert!(err.contains("1..=64"), "{bad}: {err}");
+        }
     }
 }

@@ -123,6 +123,10 @@ pub struct MemoryConfig {
 /// simulated time.
 pub const MAX_CLOCK_DIVIDER: u32 = 1 << 20;
 
+/// Largest accepted worker (core) count of a simulation: the coherence
+/// directory tracks the sharers of a line in a `u64` mask.
+pub const MAX_WORKERS: u32 = 64;
+
 /// A named group of identical cores within a heterogeneous machine.
 ///
 /// Groups are listed big-to-little by convention: worker ids are assigned

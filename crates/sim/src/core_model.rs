@@ -171,6 +171,12 @@ impl RobCore {
         self.clock_divider = divider;
     }
 
+    /// The clock divider set by [`RobCore::set_clock_divider`] (1 unless
+    /// changed).
+    pub(crate) fn clock_divider(&self) -> u64 {
+        self.clock_divider
+    }
+
     /// Converts a core-local cycle to the global base-clock tick it occurs
     /// at. The `== 1` fast path keeps the homogeneous hot loop free of a
     /// multiply per memory access.

@@ -1,38 +1,36 @@
 //! The discrete-event multi-core engine.
 //!
-//! Executes a [`Program`] on a simulated machine: each worker core is a
-//! [`Component`] driven by the deterministic [`EventScheduler`] (ties
-//! break on stable component id), the runtime scheduler hands ready task
-//! instances to idle workers, and a [`ModeController`] decides per task
-//! instance whether it runs through the detailed core model or is
-//! fast-forwarded at a prescribed IPC. Mode switching therefore happens
-//! exactly at task boundaries, matching the paper's mechanism; tasks that
-//! started before a global mode transition simply finish in the mode they
-//! started in.
+//! Executes a [`Program`] on a simulated machine: the deterministic
+//! [`EventScheduler`] wakes worker cores in `(tick, worker id)` order, the
+//! runtime scheduler hands ready task instances to idle workers, and a
+//! [`ModeController`] decides per task instance whether it runs through
+//! the detailed core model or is fast-forwarded at a prescribed IPC. Mode
+//! switching therefore happens exactly at task boundaries, matching the
+//! paper's mechanism; tasks that started before a global mode transition
+//! simply finish in the mode they started in.
 //!
-//! Detailed cores still advance in bounded time chunks (causal skew on
-//! shared state never exceeds one chunk), but the time base is now the
-//! machine's **base clock**: a core in a group with clock divider `d`
-//! runs its pipeline in core-local cycles and occupies the event timeline
-//! only on multiples of `d` (see the [`event`](crate::event) module docs
-//! for the conversion rules). Homogeneous machines run every core at
-//! divider 1, where all conversions are identities — results are
-//! bit-identical to the pre-event lockstep engine (pinned by
-//! `tests/block_equivalence.rs`).
+//! Detailed cores advance in bounded time chunks (causal skew on shared
+//! state never exceeds one chunk) on the machine's **base clock**: a core
+//! in a group with clock divider `d` runs its pipeline in core-local
+//! cycles and wakes only on multiples of `d` (see the
+//! [`event`](crate::event) module docs for the conversion rules). A
+//! homogeneous machine is one implicit divider-1 group, where all
+//! conversions are identities — results are bit-identical to the
+//! pre-event lockstep engine (pinned by `tests/block_equivalence.rs`).
 //!
 //! The engine is single-threaded and fully deterministic: event ties
-//! break on component id, schedulers are deterministic, and all
-//! randomness (trace content, mispredictions, noise) is derived from
-//! per-instance seeds.
+//! break on worker id, schedulers are deterministic, and all randomness
+//! (trace content, mispredictions, noise) is derived from per-instance
+//! seeds.
 //!
 //! Detailed tasks consume their instruction stream through the batched
 //! block pipeline: a [`TraceProvider`] hands each task a
 //! [`TraceSource`] (procedural by default, recorded via
-//! [`RecordedTraces`](crate::traces::RecordedTraces)), the core component
-//! refills a structure-of-arrays [`InstBlock`], and
-//! [`RobCore::execute_block`] walks it. Chunk boundaries are enforced per
-//! instruction inside the block walk, so simulated timing is bit-identical
-//! for every block capacity (pinned by `tests/block_equivalence.rs`).
+//! [`RecordedTraces`](crate::traces::RecordedTraces)), the worker refills
+//! a structure-of-arrays [`InstBlock`], and [`RobCore::execute_block`]
+//! walks it. Chunk boundaries are enforced per instruction inside the
+//! block walk, so simulated timing is bit-identical for every block
+//! capacity (pinned by `tests/block_equivalence.rs`).
 
 use std::time::Instant;
 
@@ -43,12 +41,12 @@ use taskpoint_telemetry::{NopSink, SimEvent, Sink, Telemetry};
 use taskpoint_trace::{InstBlock, MemRegion, TraceSource, BLOCK_CAPACITY};
 
 use crate::burst::burst_duration;
-use crate::config::MachineConfig;
+use crate::config::{CoreGroupConfig, MachineConfig, MAX_WORKERS};
 use crate::core_model::{RobCore, TaskParams};
 use crate::core_model::{
     NUM_STALLS, STALL_CONTENTION, STALL_DEP, STALL_DRAM, STALL_L1, STALL_L2, STALL_MSHR, STALL_ROB,
 };
-use crate::event::{Component, ComponentId, EventCtx, EventScheduler};
+use crate::event::EventScheduler;
 use crate::hierarchy::MemorySystem;
 use crate::mode::{ExecMode, ModeController, TaskStart};
 use crate::noise::NoiseModel;
@@ -73,32 +71,27 @@ pub struct Simulation<'p> {
     telemetry: Telemetry,
 }
 
-/// Builder for [`Simulation`].
+/// Builder for [`Simulation`]: holds the simulation with its defaults
+/// filled in; [`build`](SimulationBuilder::build) validates it.
 pub struct SimulationBuilder<'p> {
-    program: &'p Program,
-    machine: MachineConfig,
-    workers: u32,
-    scheduler: Option<Box<dyn Scheduler>>,
-    noise: Option<NoiseModel>,
-    collect_reports: bool,
-    traces: Option<Box<dyn TraceProvider>>,
-    block_capacity: usize,
-    telemetry: Telemetry,
+    sim: Simulation<'p>,
 }
 
 impl<'p> Simulation<'p> {
     /// Starts building a simulation of `program` on `machine`.
     pub fn builder(program: &'p Program, machine: MachineConfig) -> SimulationBuilder<'p> {
         SimulationBuilder {
-            program,
-            machine,
-            workers: 1,
-            scheduler: None,
-            noise: None,
-            collect_reports: false,
-            traces: None,
-            block_capacity: BLOCK_CAPACITY,
-            telemetry: Telemetry::disabled(),
+            sim: Simulation {
+                program,
+                machine,
+                workers: 1,
+                scheduler: Box::new(FifoScheduler::new()),
+                noise: None,
+                collect_reports: false,
+                traces: Box::new(ProceduralTraces),
+                block_capacity: BLOCK_CAPACITY,
+                telemetry: Telemetry::disabled(),
+            },
         }
     }
 
@@ -148,91 +141,73 @@ impl<'p> Simulation<'p> {
         let wall_start = Instant::now();
         let mut mem = MemorySystem::new(&machine, num_workers);
         prewarm_memory(&mut mem, program, machine.line_size);
-        // Worker cores are components 0..num_workers, assigned to groups
-        // in the machine's listed order (group 0 gets the lowest ids, so
-        // the idle policy "lowest id first" prefers the leading — big —
-        // group). A homogeneous machine is one implicit divider-1 group.
-        let mut components = Vec::with_capacity(num_workers as usize);
-        if machine.core_groups.is_empty() {
-            for w in 0..num_workers {
-                components.push(CoreComponent::new(
-                    w,
-                    RobCore::new(&machine.core),
-                    1,
-                    0,
-                    machine.chunk_cycles,
-                ));
-            }
-        } else {
-            let mut w = 0u32;
-            for (gi, g) in machine.core_groups.iter().enumerate() {
-                let cfg = g.core.as_ref().unwrap_or(&machine.core);
-                for _ in 0..g.cores {
-                    let mut core = RobCore::new(cfg);
-                    core.set_clock_divider(g.clock_divider as u64);
-                    components.push(CoreComponent::new(
-                        w,
-                        core,
-                        g.clock_divider as u64,
-                        gi as u32,
-                        machine.chunk_cycles,
-                    ));
-                    w += 1;
-                }
-            }
-        }
-        let group_stats: Vec<GroupStats> = machine
-            .core_groups
-            .iter()
-            .map(|g| GroupStats {
-                name: g.name.clone(),
-                cores: g.cores,
-                clock_divider: g.clock_divider,
-                detailed_tasks: 0,
-                fast_tasks: 0,
-                instructions: 0,
-                busy_ticks: 0,
-            })
-            .collect();
-        // Cycle-accounting buckets: one per configured group, or a single
-        // synthetic `all` group on homogeneous machines (where `groups`
-        // stays empty but the taxonomy is still wanted).
-        let cycle_accounts: Vec<CycleAccount> = if machine.core_groups.is_empty() {
-            vec![CycleAccount {
+        // A homogeneous machine is one implicit divider-1 group `all`.
+        let implicit;
+        let groups = if machine.core_groups.is_empty() {
+            implicit = [CoreGroupConfig {
                 name: "all".to_string(),
                 cores: num_workers,
-                ..CycleAccount::default()
-            }]
+                clock_divider: 1,
+                core: None,
+            }];
+            &implicit[..]
         } else {
-            machine
-                .core_groups
-                .iter()
-                .map(|g| CycleAccount {
-                    name: g.name.clone(),
-                    cores: g.cores,
-                    ..CycleAccount::default()
-                })
-                .collect()
+            &machine.core_groups[..]
         };
+        // Worker ids are assigned in the listed group order (group 0 gets
+        // the lowest ids, so the idle policy "lowest id first" prefers the
+        // leading — big — group).
+        let mut workers = Vec::with_capacity(num_workers as usize);
+        for (gi, g) in groups.iter().enumerate() {
+            for _ in 0..g.cores {
+                let mut core = RobCore::new(g.core.as_ref().unwrap_or(&machine.core));
+                core.set_clock_divider(g.clock_divider as u64);
+                workers.push(Worker {
+                    core,
+                    group: gi as u32,
+                    local_time: 0,
+                    running: None,
+                    spare_block: None,
+                });
+            }
+        }
         let mut engine = Engine {
             program,
             mem,
-            components,
+            workers,
+            chunk_cycles: machine.chunk_cycles,
             scheduler,
             ready_set: program.graph().ready_set(),
             ready_at: vec![0; program.num_instances()],
             sched: EventScheduler::new(),
             idle: (0..num_workers).rev().collect(),
             running_count: 0,
-            num_workers,
             noise,
             collect_reports,
             traces,
             block_capacity,
             stats: RunStats::default(),
             reports: Vec::new(),
-            group_stats,
-            cycle_accounts,
+            group_stats: groups
+                .iter()
+                .map(|g| GroupStats {
+                    name: g.name.clone(),
+                    cores: g.cores,
+                    clock_divider: g.clock_divider,
+                    detailed_tasks: 0,
+                    fast_tasks: 0,
+                    instructions: 0,
+                    busy_ticks: 0,
+                })
+                .collect(),
+            cycle_accounts: groups
+                .iter()
+                .map(|g| CycleAccount {
+                    name: g.name.clone(),
+                    cores: g.cores,
+                    ..CycleAccount::default()
+                })
+                .collect(),
             latencies: Vec::new(),
             sink,
         };
@@ -254,6 +229,12 @@ impl<'p> Simulation<'p> {
             "simulation stalled with {} tasks pending (scheduler lost tasks?)",
             engine.ready_set.pending()
         );
+        // Only configured groups are reported: homogeneous results (and
+        // their records) carry no `groups`, while the cycle accounts keep
+        // the implicit `all` group.
+        if machine.core_groups.is_empty() {
+            engine.group_stats.clear();
+        }
         engine.finalize_cycle_accounts();
         engine.emit_final_counters();
         let task_latency = engine.latency_percentiles();
@@ -286,7 +267,10 @@ impl<'p> Simulation<'p> {
 struct Engine<'p, S: Sink> {
     program: &'p Program,
     mem: MemorySystem,
-    components: Vec<CoreComponent>,
+    /// Worker cores, indexed by worker id.
+    workers: Vec<Worker>,
+    /// The machine's [`MachineConfig::chunk_cycles`].
+    chunk_cycles: u64,
     scheduler: Box<dyn Scheduler>,
     ready_set: ReadySet,
     /// Earliest start cycle of each task: the maximum completion time of
@@ -299,18 +283,17 @@ struct Engine<'p, S: Sink> {
     /// Idle worker ids, kept sorted descending so `pop` yields lowest id.
     idle: Vec<u32>,
     running_count: u32,
-    num_workers: u32,
     noise: Option<NoiseModel>,
     collect_reports: bool,
     traces: Box<dyn TraceProvider>,
     block_capacity: usize,
     stats: RunStats,
     reports: Vec<TaskReport>,
-    /// Per-group accumulators, in machine group order (empty for
-    /// homogeneous machines).
+    /// Per-group accumulators, in machine group order (the implicit `all`
+    /// group on homogeneous machines, dropped before the result).
     group_stats: Vec<GroupStats>,
-    /// Cycle-accounting buckets, in machine group order (one synthetic
-    /// `all` entry for homogeneous machines). Global base-clock ticks.
+    /// Cycle-accounting buckets, in machine group order (the implicit
+    /// `all` group on homogeneous machines). Global base-clock ticks.
     cycle_accounts: Vec<CycleAccount>,
     /// Duration of every completed task, for exact latency percentiles
     /// (one u64 per task — always on, unlike `reports`).
@@ -322,25 +305,22 @@ struct Engine<'p, S: Sink> {
 
 impl<'p, S: Sink> Engine<'p, S> {
     fn event_loop<C: ModeController>(&mut self, controller: &mut C) {
-        while let Some((t, id)) = self.sched.pop() {
-            self.sink.counter("scheduler.pops", id.0, 1);
-            // Tick the component with split borrows of the shared fabric,
-            // then re-schedule it from its own next_tick — components
-            // never touch the event heap directly.
-            let completion = {
-                let mut ctx =
-                    EventCtx::new(t, id, &mut self.mem, self.program, self.noise.as_ref());
-                self.components[id.index()].tick(&mut ctx);
-                ctx.into_completion()
-            };
-            if let Some(next) = self.components[id.index()].next_tick() {
-                self.sched.schedule(next, id);
-            }
-            // Completion effects run synchronously, inside this event:
-            // deferring them to a same-tick follow-up event would batch
-            // completions and change observable concurrency values.
-            if let Some(report) = completion {
-                self.complete(report, controller);
+        while let Some((t, w)) = self.sched.pop() {
+            self.sink.counter("scheduler.pops", w, 1);
+            let step = self.workers[w as usize].advance(
+                w,
+                t,
+                self.chunk_cycles,
+                &mut self.mem,
+                self.program,
+                self.noise.as_ref(),
+            );
+            match step {
+                Step::Wake(next) => self.sched.schedule(next, w),
+                // Completion effects run synchronously, inside this event:
+                // deferring them to a same-tick follow-up event would batch
+                // completions and change observable concurrency values.
+                Step::Done(report) => self.complete(report, controller),
             }
         }
     }
@@ -370,16 +350,13 @@ impl<'p, S: Sink> Engine<'p, S> {
             instructions: report.instructions,
             concurrency: report.concurrency,
         });
-        if !self.group_stats.is_empty() {
-            let g = self.components[w as usize].group as usize;
-            let gs = &mut self.group_stats[g];
-            match report.mode {
-                SimMode::Detailed => gs.detailed_tasks += 1,
-                SimMode::Fast => gs.fast_tasks += 1,
-            }
-            gs.instructions += report.instructions;
-            gs.busy_ticks += report.end - report.start;
+        let gs = &mut self.group_stats[self.workers[w as usize].group as usize];
+        match report.mode {
+            SimMode::Detailed => gs.detailed_tasks += 1,
+            SimMode::Fast => gs.fast_tasks += 1,
         }
+        gs.instructions += report.instructions;
+        gs.busy_ticks += report.end - report.start;
         self.account_task(&report);
         self.latencies.push(report.end - report.start);
         self.sink.observe("task.latency", 0, report.end - report.start);
@@ -394,7 +371,7 @@ impl<'p, S: Sink> Engine<'p, S> {
         }
         let scheduler = &mut self.scheduler;
         self.ready_set.complete(self.program.graph(), report.task, |t| scheduler.task_ready(t));
-        self.components[w as usize].local_time = report.end;
+        self.workers[w as usize].local_time = report.end;
         // `idle` is sorted descending; `w` is not in it.
         let at = self.idle.partition_point(|&i| i > w);
         self.idle.insert(at, w);
@@ -410,8 +387,9 @@ impl<'p, S: Sink> Engine<'p, S> {
                 self.idle.push(w);
                 break;
             };
-            let widx = w as usize;
-            let start = self.components[widx].local_time.max(now).max(self.ready_at[task.index()]);
+            let total_workers = self.workers.len() as u32;
+            let worker = &mut self.workers[w as usize];
+            let start = worker.local_time.max(now).max(self.ready_at[task.index()]);
             let inst = self.program.instance(task);
             self.running_count += 1;
             let ctx = TaskStart {
@@ -421,7 +399,7 @@ impl<'p, S: Sink> Engine<'p, S> {
                 worker: WorkerId(w),
                 time: start,
                 concurrency: self.running_count,
-                total_workers: self.num_workers,
+                total_workers,
             };
             let mode = controller.mode_for_task(&ctx);
             self.sink.event(SimEvent::TaskAssigned {
@@ -431,20 +409,20 @@ impl<'p, S: Sink> Engine<'p, S> {
                 type_id: inst.type_id().0,
                 detailed: matches!(mode, ExecMode::Detailed),
             });
-            match mode {
+            let divider = worker.core.clock_divider();
+            let wake = match mode {
                 ExecMode::Detailed => {
                     let spec = inst.trace();
-                    let comp = &mut self.components[widx];
                     // The pipeline clock lives on the core-local grid: the
                     // first local cycle at or after the global start.
                     // Divider 1 (homogeneous) makes this the identity.
-                    let local_start = start.div_ceil(comp.divider);
-                    comp.core.reset(local_start);
-                    let block = comp
+                    let local_start = start.div_ceil(divider);
+                    worker.core.reset(local_start);
+                    let block = worker
                         .spare_block
                         .take()
                         .unwrap_or_else(|| InstBlock::with_capacity(self.block_capacity));
-                    comp.running = Some(Running::Detailed {
+                    worker.running = Some(Running::Detailed(DetailedTask {
                         task,
                         source: self.traces.source(task, spec),
                         block,
@@ -464,28 +442,18 @@ impl<'p, S: Sink> Engine<'p, S> {
                         start,
                         executed: 0,
                         concurrency: self.running_count,
-                    });
-                    comp.local_time = start;
-                    comp.next_tick = Some(local_start * comp.divider);
+                    }));
+                    local_start * divider
                 }
                 ExecMode::Fast { ipc } => {
-                    let comp = &mut self.components[widx];
                     // A slower clock stretches the burst on the global
                     // timeline by the divider.
-                    let end = start + burst_duration(inst.instructions(), ipc) * comp.divider;
-                    comp.running = Some(Running::Burst {
-                        task,
-                        start,
-                        end,
-                        instructions: inst.instructions(),
-                        concurrency: self.running_count,
-                    });
-                    comp.local_time = start;
-                    comp.next_tick = Some(end);
+                    worker.running =
+                        Some(Running::Burst { task, start, concurrency: self.running_count });
+                    start + burst_duration(inst.instructions(), ipc) * divider
                 }
-            }
-            let next = self.components[widx].next_tick().expect("fresh task is scheduled");
-            self.sched.schedule(next, ComponentId(w));
+            };
+            self.sched.schedule(wake, w);
         }
         self.sink.event(SimEvent::QueueDepth {
             tick: now,
@@ -509,11 +477,11 @@ impl<'p, S: Sink> Engine<'p, S> {
     fn account_task(&mut self, report: &TaskReport) {
         let w = report.worker.0 as usize;
         let busy = report.end - report.start;
-        let g = self.components[w].group as usize;
+        let g = self.workers[w].group as usize;
         match report.mode {
             SimMode::Fast => self.cycle_accounts[g].fast_fwd += busy,
             SimMode::Detailed => {
-                let stalls: [u64; NUM_STALLS] = self.components[w].core.stall_global_ticks();
+                let stalls: [u64; NUM_STALLS] = self.workers[w].core.stall_global_ticks();
                 let acct = &mut self.cycle_accounts[g];
                 let mut remaining = busy;
                 let take = |cat: usize, remaining: &mut u64| -> u64 {
@@ -653,6 +621,23 @@ struct RunStats {
     max_end: u64,
 }
 
+/// One worker core: the pipeline model, its group and the task it runs.
+struct Worker {
+    /// The pipeline model; also the single source of the group's clock
+    /// divider.
+    core: RobCore,
+    /// Index into the machine's groups (0, the implicit `all` group, on
+    /// homogeneous machines).
+    group: u32,
+    /// End of the worker's last task on the global timeline: its next task
+    /// starts no earlier.
+    local_time: u64,
+    running: Option<Running>,
+    /// Cleared instruction block recycled across this worker's detailed
+    /// tasks.
+    spare_block: Option<InstBlock>,
+}
+
 /// What a worker core is currently doing.
 ///
 /// `Detailed` dwarfs `Burst` (it carries the trace source, the refill
@@ -660,85 +645,129 @@ struct RunStats {
 /// boxing it would only add a pointer chase on the hot path.
 #[allow(clippy::large_enum_variant)]
 enum Running {
-    Detailed {
-        task: TaskInstanceId,
-        /// Producer of the task's instruction stream (procedural or
-        /// recorded, via the simulation's [`TraceProvider`]).
-        source: Box<dyn TraceSource>,
-        /// The current batch of instructions, consumed from `cursor`.
-        block: InstBlock,
-        cursor: usize,
-        data_rng: Xoshiro256pp,
-        code_rng: Xoshiro256pp,
-        params: TaskParams,
-        start: u64,
-        executed: u64,
-        concurrency: u32,
-    },
+    Detailed(DetailedTask),
+    /// A fast-forwarded task; its single event fires at its end.
     Burst {
         task: TaskInstanceId,
         start: u64,
-        end: u64,
-        instructions: u64,
         concurrency: u32,
     },
 }
 
-/// One bounded time chunk of detailed execution: refills `block` from
-/// `source` as needed and advances `core` until the chunk boundary or the
-/// end of the stream. Returns `true` when the task's stream is exhausted.
-#[allow(clippy::too_many_arguments)]
-fn run_detailed_chunk(
-    core: &mut RobCore,
-    worker: u32,
-    divider: u64,
-    chunk_cycles: u64,
-    now: u64,
-    source: &mut dyn TraceSource,
-    block: &mut InstBlock,
-    cursor: &mut usize,
-    executed: &mut u64,
+/// A task running through the detailed core model, advanced in place one
+/// bounded chunk per event.
+struct DetailedTask {
+    task: TaskInstanceId,
+    /// Producer of the task's instruction stream (procedural or recorded,
+    /// via the simulation's [`TraceProvider`]).
+    source: Box<dyn TraceSource>,
+    /// The current batch of instructions, consumed from `cursor`.
+    block: InstBlock,
+    cursor: usize,
+    data_rng: Xoshiro256pp,
+    code_rng: Xoshiro256pp,
     params: TaskParams,
-    mem: &mut MemorySystem,
-    data_rng: &mut Xoshiro256pp,
-    code_rng: &mut Xoshiro256pp,
-) -> bool {
-    // Events for this core fire only on multiples of its divider, so the
-    // local-cycle conversion is exact.
-    let t_local = now / divider;
-    let chunk_end = core.dispatch_cycle().max(t_local) + chunk_cycles;
-    let mut finished = false;
-    // Batched consumption: refill the SoA block from the trace source,
-    // then let the core model walk it. The chunk boundary is enforced
-    // inside `execute_block`, so timing is bit-identical to
-    // per-instruction execution for any block capacity.
-    while core.dispatch_cycle() < chunk_end {
-        if *cursor == block.len() {
-            if source.fill(block) == 0 {
-                finished = true;
-                break;
+    start: u64,
+    executed: u64,
+    concurrency: u32,
+}
+
+/// What one event did to a worker: its task continues at a later global
+/// tick, or it finished (a worker runs one task at a time, so an event
+/// completes at most one).
+enum Step {
+    Wake(u64),
+    Done(TaskReport),
+}
+
+impl Worker {
+    /// Advances the running task of worker `id` at global tick `now`: one
+    /// bounded chunk of detailed execution, or the end of a burst.
+    fn advance(
+        &mut self,
+        id: u32,
+        now: u64,
+        chunk_cycles: u64,
+        mem: &mut MemorySystem,
+        program: &Program,
+        noise: Option<&NoiseModel>,
+    ) -> Step {
+        if let Some(Running::Detailed(t)) = &mut self.running {
+            let divider = self.core.clock_divider();
+            // Events for this core fire only on multiples of its divider,
+            // so the local-cycle conversion is exact.
+            let chunk_end = self.core.dispatch_cycle().max(now / divider) + chunk_cycles;
+            // Batched consumption: refill the SoA block from the trace
+            // source, then let the core model walk it. The chunk boundary
+            // is enforced inside `execute_block`, so timing is
+            // bit-identical to per-instruction execution for any block
+            // capacity. The loop only falls through once the stream is
+            // exhausted.
+            loop {
+                if self.core.dispatch_cycle() >= chunk_end {
+                    return Step::Wake(self.core.dispatch_cycle() * divider);
+                }
+                if t.cursor == t.block.len() {
+                    if t.source.fill(&mut t.block) == 0 {
+                        break;
+                    }
+                    t.cursor = 0;
+                }
+                let n = self.core.execute_block(
+                    id,
+                    &t.block,
+                    t.cursor,
+                    chunk_end,
+                    t.params,
+                    mem,
+                    &mut t.data_rng,
+                    &mut t.code_rng,
+                );
+                t.cursor += n;
+                t.executed += n as u64;
             }
-            *cursor = 0;
         }
-        let n =
-            core.execute_block(worker, block, *cursor, chunk_end, params, mem, data_rng, code_rng);
-        *cursor += n;
-        *executed += n as u64;
+        let report = match self.running.take().expect("scheduled worker runs a task") {
+            Running::Detailed(mut t) => {
+                // Park the block for the worker's next detailed task
+                // (refill allocations are per worker, not per task).
+                t.block.clear();
+                self.spare_block = Some(t.block);
+                let inst = program.instance(t.task);
+                TaskReport {
+                    task: t.task,
+                    type_id: inst.type_id(),
+                    worker: WorkerId(id),
+                    start: t.start,
+                    end: detailed_end(&self.core, t.start, noise, inst.trace().seed()),
+                    instructions: t.executed,
+                    mode: SimMode::Detailed,
+                    concurrency: t.concurrency,
+                }
+            }
+            Running::Burst { task, start, concurrency } => {
+                let inst = program.instance(task);
+                TaskReport {
+                    task,
+                    type_id: inst.type_id(),
+                    worker: WorkerId(id),
+                    start,
+                    end: now,
+                    instructions: inst.instructions(),
+                    mode: SimMode::Fast,
+                    concurrency,
+                }
+            }
+        };
+        Step::Done(report)
     }
-    finished
 }
 
 /// End time of a finished detailed task on the global timeline: the final
 /// commit, floored to one cycle after start, with the noise model's
 /// per-task duration factor applied when present.
-fn detailed_end(
-    core: &RobCore,
-    divider: u64,
-    start: u64,
-    noise: Option<&NoiseModel>,
-    task_seed: u64,
-) -> u64 {
-    let raw_end = (core.last_commit() * divider).max(start + 1);
+fn detailed_end(core: &RobCore, start: u64, noise: Option<&NoiseModel>, task_seed: u64) -> u64 {
+    let raw_end = (core.last_commit() * core.clock_divider()).max(start + 1);
     match noise {
         Some(n) => {
             let f = n.factor(task_seed);
@@ -749,175 +778,31 @@ fn detailed_end(
     }
 }
 
-/// One worker core as a schedulable [`Component`].
-///
-/// Owns the pipeline model, the group membership and the clock divider;
-/// everything shared (caches, DRAM, the program, noise) arrives through
-/// the [`EventCtx`]. The fields the engine coordinates through
-/// (`running`, `local_time`, `next_tick`, `spare_block`) are private
-/// plumbing, not part of the component contract.
-struct CoreComponent {
-    /// Worker id — also the component's [`ComponentId`] and the scheduler
-    /// tie-breaker.
-    id: u32,
-    core: RobCore,
-    /// Clock divider of the core's group (1 for homogeneous machines).
-    divider: u64,
-    /// Index into the machine's `core_groups` (0 for homogeneous).
-    group: u32,
-    chunk_cycles: u64,
-    /// The core's notion of "now" on the global timeline, used when the
-    /// next task is assigned.
-    local_time: u64,
-    running: Option<Running>,
-    /// Cleared instruction block recycled across this worker's detailed
-    /// tasks.
-    spare_block: Option<InstBlock>,
-    /// When this core next needs the event scheduler (`None` while idle).
-    next_tick: Option<u64>,
-}
-
-impl CoreComponent {
-    fn new(id: u32, core: RobCore, divider: u64, group: u32, chunk_cycles: u64) -> Self {
-        Self {
-            id,
-            core,
-            divider,
-            group,
-            chunk_cycles,
-            local_time: 0,
-            running: None,
-            spare_block: None,
-            next_tick: None,
-        }
-    }
-}
-
-impl Component for CoreComponent {
-    fn name(&self) -> &str {
-        "core"
-    }
-
-    fn next_tick(&self) -> Option<u64> {
-        self.next_tick
-    }
-
-    fn tick(&mut self, ctx: &mut EventCtx<'_>) {
-        let running = self.running.take().expect("scheduled core has a task");
-        match running {
-            Running::Detailed {
-                task,
-                mut source,
-                mut block,
-                mut cursor,
-                mut data_rng,
-                mut code_rng,
-                params,
-                start,
-                mut executed,
-                concurrency,
-            } => {
-                let finished = run_detailed_chunk(
-                    &mut self.core,
-                    self.id,
-                    self.divider,
-                    self.chunk_cycles,
-                    ctx.now(),
-                    source.as_mut(),
-                    &mut block,
-                    &mut cursor,
-                    &mut executed,
-                    params,
-                    ctx.mem,
-                    &mut data_rng,
-                    &mut code_rng,
-                );
-                if finished {
-                    // Park the block for the worker's next detailed task
-                    // (refill allocations are per worker, not per task).
-                    block.clear();
-                    self.spare_block = Some(block);
-                    let end = detailed_end(
-                        &self.core,
-                        self.divider,
-                        start,
-                        ctx.noise,
-                        ctx.program.instance(task).trace().seed(),
-                    );
-                    let report = TaskReport {
-                        task,
-                        type_id: ctx.program.instance(task).type_id(),
-                        worker: WorkerId(self.id),
-                        start,
-                        end,
-                        instructions: executed,
-                        mode: SimMode::Detailed,
-                        concurrency,
-                    };
-                    self.next_tick = None;
-                    ctx.complete(report);
-                } else {
-                    let now_local = self.core.dispatch_cycle();
-                    self.local_time = now_local * self.divider;
-                    self.running = Some(Running::Detailed {
-                        task,
-                        source,
-                        block,
-                        cursor,
-                        data_rng,
-                        code_rng,
-                        params,
-                        start,
-                        executed,
-                        concurrency,
-                    });
-                    self.next_tick = Some(now_local * self.divider);
-                }
-            }
-            Running::Burst { task, start, end, instructions, concurrency } => {
-                debug_assert_eq!(ctx.now(), end);
-                let report = TaskReport {
-                    task,
-                    type_id: ctx.program.instance(task).type_id(),
-                    worker: WorkerId(self.id),
-                    start,
-                    end,
-                    instructions,
-                    mode: SimMode::Fast,
-                    concurrency,
-                };
-                self.next_tick = None;
-                ctx.complete(report);
-            }
-        }
-    }
-}
-
 impl<'p> SimulationBuilder<'p> {
-    /// Sets the number of simulated worker threads (default 1, max 64).
-    /// For a heterogeneous machine this must equal the sum of its group
-    /// sizes.
+    /// Sets the number of simulated worker threads (default 1, max
+    /// [`MAX_WORKERS`]). For a heterogeneous machine this must equal the
+    /// sum of its group sizes.
     pub fn workers(mut self, n: u32) -> Self {
-        self.workers = n;
+        self.sim.workers = n;
         self
     }
 
     /// Installs a scheduler (default: [`FifoScheduler`]).
     pub fn scheduler(mut self, s: Box<dyn Scheduler>) -> Self {
-        self.scheduler = Some(s);
+        self.sim.scheduler = s;
         self
     }
 
     /// Enables the system-noise model ("native execution" stand-in).
     pub fn noise(mut self, n: NoiseModel) -> Self {
-        self.noise = Some(n);
+        self.sim.noise = Some(n);
         self
     }
 
     /// Collects per-task reports into the result (needed by the variation
     /// figures; costs memory proportional to the instance count).
     pub fn collect_reports(mut self, yes: bool) -> Self {
-        self.collect_reports = yes;
+        self.sim.collect_reports = yes;
         self
     }
 
@@ -927,7 +812,7 @@ impl<'p> SimulationBuilder<'p> {
     /// [`RecordedTraces`](crate::traces::RecordedTraces) bundle to drive
     /// the simulation from pre-recorded streams.
     pub fn traces(mut self, provider: Box<dyn TraceProvider>) -> Self {
-        self.traces = Some(provider);
+        self.sim.traces = provider;
         self
     }
 
@@ -937,7 +822,7 @@ impl<'p> SimulationBuilder<'p> {
     /// engine over [`NopSink`], compiling the instrumentation out
     /// entirely (golden results are pinned bit-identical either way).
     pub fn telemetry(mut self, t: Telemetry) -> Self {
-        self.telemetry = t;
+        self.sim.telemetry = t;
         self
     }
 
@@ -963,7 +848,7 @@ impl<'p> SimulationBuilder<'p> {
     ///
     /// Panics (at [`build`](SimulationBuilder::build)) if `capacity` is 0.
     pub fn block_capacity(mut self, capacity: usize) -> Self {
-        self.block_capacity = capacity;
+        self.sim.block_capacity = capacity;
         self
     }
 
@@ -971,31 +856,22 @@ impl<'p> SimulationBuilder<'p> {
     ///
     /// # Panics
     ///
-    /// Panics if the worker count is 0 or exceeds 64, the block capacity
-    /// is 0, the machine configuration is invalid, or a heterogeneous
-    /// machine's group sizes do not sum to the worker count.
+    /// Panics if the worker count is 0 or exceeds [`MAX_WORKERS`], the
+    /// block capacity is 0, the machine configuration is invalid, or a
+    /// heterogeneous machine's group sizes do not sum to the worker count.
     pub fn build(self) -> Simulation<'p> {
-        assert!(self.workers >= 1 && self.workers <= 64, "1..=64 workers");
-        assert!(self.block_capacity >= 1, "instruction block needs capacity >= 1");
-        self.machine.validate();
-        if let Some(total) = self.machine.total_group_cores() {
+        let sim = self.sim;
+        assert!((1..=MAX_WORKERS).contains(&sim.workers), "1..={MAX_WORKERS} workers");
+        assert!(sim.block_capacity >= 1, "instruction block needs capacity >= 1");
+        sim.machine.validate();
+        if let Some(total) = sim.machine.total_group_cores() {
             assert_eq!(
-                total, self.workers,
+                total, sim.workers,
                 "core groups define {total} cores but the simulation has {} workers",
-                self.workers
+                sim.workers
             );
         }
-        Simulation {
-            program: self.program,
-            machine: self.machine,
-            workers: self.workers,
-            scheduler: self.scheduler.unwrap_or_else(|| Box::new(FifoScheduler::new())),
-            noise: self.noise,
-            collect_reports: self.collect_reports,
-            traces: self.traces.unwrap_or_else(|| Box::new(ProceduralTraces)),
-            block_capacity: self.block_capacity,
-            telemetry: self.telemetry,
-        }
+        sim
     }
 }
 

@@ -24,7 +24,7 @@
 //!   workload-independent bandwidth term.
 
 use crate::cache::{AccessOutcome, SetAssocCache};
-use crate::config::MachineConfig;
+use crate::config::{MachineConfig, MAX_WORKERS};
 use taskpoint_telemetry::Histogram;
 
 /// Result of one memory access.
@@ -166,23 +166,6 @@ impl SnoopFilter {
     }
 }
 
-/// The memory system is a *passive* [`Component`](crate::event::Component):
-/// it never schedules events of its own. Cores advance its bandwidth and
-/// contention queues synchronously, from inside their accesses, at the exact
-/// global tick the access occurs — which keeps shared-state causality on
-/// the chunk granularity the engine already enforces.
-impl crate::event::Component for MemorySystem {
-    fn name(&self) -> &str {
-        "memory-hierarchy"
-    }
-
-    fn next_tick(&self) -> Option<u64> {
-        None
-    }
-
-    fn tick(&mut self, _ctx: &mut crate::event::EventCtx<'_>) {}
-}
-
 /// The complete memory system of the simulated machine.
 #[derive(Debug, Clone)]
 pub struct MemorySystem {
@@ -221,10 +204,11 @@ impl MemorySystem {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid or `cores == 0`.
+    /// Panics if the configuration is invalid or `cores` is outside
+    /// `1..=`[`MAX_WORKERS`].
     pub fn new(config: &MachineConfig, cores: u32) -> Self {
         config.validate();
-        assert!(cores > 0 && cores <= 64, "1..=64 cores supported (snoop mask is u64)");
+        assert!((1..=MAX_WORKERS).contains(&cores), "1..={MAX_WORKERS} cores supported");
         let mut private = Vec::new();
         let mut private_latency = Vec::new();
         let mut shared = Vec::new();

@@ -55,10 +55,10 @@ pub mod traces;
 pub use burst::burst_duration;
 pub use config::{
     CacheLevelConfig, CoreConfig, CoreGroupConfig, KindLatencies, MachineConfig,
-    MachineConfigError, MemoryConfig, MAX_CLOCK_DIVIDER,
+    MachineConfigError, MemoryConfig, MAX_CLOCK_DIVIDER, MAX_WORKERS,
 };
 pub use engine::{Simulation, SimulationBuilder};
-pub use event::{Component, ComponentId, EventCtx, EventScheduler};
+pub use event::EventScheduler;
 pub use hierarchy::{LevelStats, MemorySystem};
 pub use mode::{DetailedOnly, ExecMode, FixedIpc, ModeController, TaskStart};
 pub use noise::NoiseModel;

@@ -44,22 +44,6 @@ impl NoiseModel {
     }
 }
 
-/// The noise model is a *passive* [`Component`](crate::event::Component):
-/// it holds no clock of its own and is consulted synchronously (via
-/// [`EventCtx::noise`](crate::event::EventCtx)) when a core completes a
-/// detailed task.
-impl crate::event::Component for NoiseModel {
-    fn name(&self) -> &str {
-        "noise-model"
-    }
-
-    fn next_tick(&self) -> Option<u64> {
-        None
-    }
-
-    fn tick(&mut self, _ctx: &mut crate::event::EventCtx<'_>) {}
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,7 +1,7 @@
 //! Allocation discipline of the detailed hot path's instruction blocks.
 //!
 //! The engine keeps one `InstBlock` per worker and recycles it across
-//! task boundaries (`CoreComponent::spare_block`): a finished task's
+//! task boundaries (`Worker::spare_block`): a finished task's
 //! block is cleared and handed to the worker's next detailed task. This
 //! file pins that discipline with the process-wide construction counter
 //! `InstBlock::blocks_allocated()`.

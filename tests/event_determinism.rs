@@ -2,31 +2,24 @@
 //!
 //! The bit-identity guarantee of the event refactor rests on one
 //! invariant: the [`EventScheduler`]'s pop order is a pure function of
-//! the scheduled multiset — `(tick, component id)` ascending — and does
-//! not depend on insertion order or on the heap's initial capacity.
-//! These properties pin that invariant directly, complementing the
-//! golden-grid equivalence tests in `block_equivalence.rs`.
+//! the scheduled multiset — `(tick, worker id)` ascending — and does not
+//! depend on insertion order. These properties pin that invariant
+//! directly, complementing the golden-grid equivalence tests in
+//! `block_equivalence.rs`.
 
 use proptest::prelude::*;
-use taskpoint_repro::sim::{ComponentId, EventScheduler};
+use taskpoint_repro::sim::EventScheduler;
 
 /// Pops every pending event, in scheduler order.
 fn drain(sched: &mut EventScheduler) -> Vec<(u64, u32)> {
-    let mut out = Vec::new();
-    while let Some((tick, id)) = sched.pop() {
-        out.push((tick, id.0));
-    }
-    out
+    std::iter::from_fn(|| sched.pop()).collect()
 }
 
 /// Fills a scheduler from an event list.
-fn filled(events: &[(u64, u32)], capacity: Option<usize>) -> EventScheduler {
-    let mut sched = match capacity {
-        Some(c) => EventScheduler::with_capacity(c),
-        None => EventScheduler::new(),
-    };
+fn filled(events: &[(u64, u32)]) -> EventScheduler {
+    let mut sched = EventScheduler::new();
     for &(tick, id) in events {
-        sched.schedule(tick, ComponentId(id));
+        sched.schedule(tick, id);
     }
     sched
 }
@@ -55,7 +48,7 @@ proptest! {
     fn pop_order_is_the_sorted_multiset(
         events in prop::collection::vec((0u64..50, 0u32..8), 0..64),
     ) {
-        let popped = drain(&mut filled(&events, None));
+        let popped = drain(&mut filled(&events));
         let mut expected = events.clone();
         expected.sort_unstable();
         prop_assert_eq!(popped, expected);
@@ -66,23 +59,12 @@ proptest! {
         events in prop::collection::vec((0u64..50, 0u32..8), 0..64),
         seed in any::<u64>(),
     ) {
-        let baseline = drain(&mut filled(&events, None));
+        let baseline = drain(&mut filled(&events));
         let permuted = shuffled(&events, seed);
-        prop_assert_eq!(drain(&mut filled(&permuted, None)), baseline.clone());
+        prop_assert_eq!(drain(&mut filled(&permuted)), baseline.clone());
         let mut reversed = events.clone();
         reversed.reverse();
-        prop_assert_eq!(drain(&mut filled(&reversed, None)), baseline);
-    }
-
-    #[test]
-    fn pop_order_is_invariant_under_heap_capacity(
-        events in prop::collection::vec((0u64..1_000_000, 0u32..32), 0..48),
-        extra in 0usize..64,
-    ) {
-        let baseline = drain(&mut filled(&events, None));
-        for capacity in [0, 1, events.len(), events.len() + extra] {
-            prop_assert_eq!(drain(&mut filled(&events, Some(capacity))), baseline.clone());
-        }
+        prop_assert_eq!(drain(&mut filled(&reversed)), baseline);
     }
 
     #[test]
@@ -93,15 +75,15 @@ proptest! {
         // Draining after a partial fill + refill still pops the merged
         // multiset in order from the point of the refill: the scheduler
         // holds no hidden state beyond the pending set.
-        let mut sched = filled(&first, None);
+        let mut sched = filled(&first);
         let head = sched.pop();
         for &(tick, id) in &second {
-            sched.schedule(tick, ComponentId(id));
+            sched.schedule(tick, id);
         }
         let rest = drain(&mut sched);
         let mut expected: Vec<(u64, u32)> = first.clone();
         expected.sort_unstable();
-        prop_assert_eq!(head.map(|(t, id)| (t, id.0)), Some(expected[0]));
+        prop_assert_eq!(head, Some(expected[0]));
         expected.remove(0);
         expected.extend(&second);
         expected.sort_unstable();
