@@ -16,6 +16,8 @@
 //! `inspect`/`convert`/`simulate` auto-detect the text vs binary encoding.
 //! Malformed input exits with status 1 and the typed
 //! [`IngestError`](taskpoint_trace::IngestError) message; it never panics.
+//! A bad command line, including a `--workers` count outside
+//! `1..=`[`MAX_WORKERS`], prints the usage and exits with status 2.
 //! The on-disk formats are specified byte-by-byte in
 //! `docs/TRACE_FORMATS.md`.
 
