@@ -99,7 +99,7 @@ E:0:300
         assert_eq!(p.instance(TaskInstanceId(0)).instructions(), 2);
         assert_eq!(p.instance(TaskInstanceId(1)).instructions(), 1);
         // Event rates propagate from the type declaration.
-        let spec = p.instance(TaskInstanceId(0)).trace();
+        let spec = p.spec(TaskInstanceId(0));
         assert_eq!(spec.branch_mispredict_rate(), 0.05);
         assert_eq!(spec.dependency_rate(), 0.4);
         // The recorded dependences become DAG edges.
@@ -115,8 +115,9 @@ E:0:300
         let trace = IngestedTrace::parse_text(TRACE).unwrap();
         let p = program_from_ingested("ext", &trace);
         for inst in p.instances() {
-            assert!(inst.trace().iter().all(|i| !i.kind.is_memory()));
-            assert_eq!(inst.trace().iter().count() as u64, inst.instructions());
+            let spec = p.spec(inst.id());
+            assert!(spec.iter().all(|i| !i.kind.is_memory()));
+            assert_eq!(spec.iter().count() as u64, inst.instructions());
         }
     }
 }

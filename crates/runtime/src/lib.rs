@@ -10,16 +10,19 @@
 //! This crate reproduces that model at the level of detail architectural
 //! simulation needs:
 //!
-//! * [`task`] — task types, task instances and their identifiers;
+//! * [`task`] — task types, task codes, task instances and their
+//!   identifiers;
 //! * [`regions`] — region access annotations (`in`/`out`/`inout`);
 //! * [`depgraph`] — OmpSs dependence analysis (RAW, WAR, WAW over regions)
 //!   producing a DAG in compressed sparse row form, plus the incremental
 //!   ready-set used during execution;
 //! * [`scheduler`] — the dynamic scheduler interface and the FIFO policy
 //!   (the Nanos++ default);
-//! * [`program`] — a complete task-based program: types + instances + DAG.
-//!   A task's region annotations are consumed by the dependence analysis
-//!   when it is added; the program keeps only the resulting edges.
+//! * [`program`] — a complete task-based program: types + codes +
+//!   instances + DAG. A task's trace spec is split when it is added: the
+//!   code part is interned once per program, the instance keeps its own
+//!   data. Its region annotations are consumed by the dependence analysis;
+//!   the program keeps only the resulting edges.
 //!
 //! # Example
 //!

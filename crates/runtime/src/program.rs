@@ -1,16 +1,16 @@
 //! Complete task-based programs.
 //!
 //! A [`Program`] is what a workload generator produces and what the
-//! simulator consumes: the task types, every task instance (with its trace
-//! spec) and the dependence DAG derived from the instances' region
-//! annotations.
+//! simulator consumes: the task types, the distinct task codes, every task
+//! instance (its own data and the index of the code it runs) and the
+//! dependence DAG derived from the instances' region annotations.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::sync::OnceLock;
 
 use crate::depgraph::{DependenceGraph, DependenceGraphBuilder};
 use crate::regions::RegionAccess;
-use crate::task::{TaskInstance, TaskInstanceId, TaskType, TaskTypeId};
+use crate::task::{CodeBits, TaskCode, TaskInstance, TaskInstanceId, TaskType, TaskTypeId};
 use taskpoint_trace::{MemRegion, TraceSpec};
 
 /// An immutable task-based program.
@@ -18,6 +18,7 @@ use taskpoint_trace::{MemRegion, TraceSpec};
 pub struct Program {
     name: String,
     types: Vec<TaskType>,
+    codes: Vec<TaskCode>,
     instances: Vec<TaskInstance>,
     graph: DependenceGraph,
     /// [`data_regions`](Self::data_regions), computed on first use.
@@ -30,8 +31,11 @@ impl Program {
         ProgramBuilder {
             name: name.into(),
             types: Vec::new(),
+            codes: Vec::new(),
+            code_index: HashMap::new(),
             instances: Vec::new(),
             instances_per_type: Vec::new(),
+            last_code: Vec::new(),
             graph: DependenceGraphBuilder::new(),
         }
     }
@@ -54,6 +58,20 @@ impl Program {
     /// Looks up one instance.
     pub fn instance(&self, id: TaskInstanceId) -> &TaskInstance {
         &self.instances[id.index()]
+    }
+
+    /// Number of distinct task codes: bitwise-distinct code parts (code
+    /// seed, mix, access pattern and rates) of the instances' trace specs,
+    /// each kept once.
+    pub fn num_codes(&self) -> usize {
+        self.codes.len()
+    }
+
+    /// The trace spec of one instance, reassembled from its data and its
+    /// code: bitwise equal to the spec it was added with.
+    pub fn spec(&self, id: TaskInstanceId) -> TraceSpec {
+        let inst = &self.instances[id.index()];
+        self.codes[inst.code()].spec(inst)
     }
 
     /// Looks up one task type.
@@ -81,7 +99,7 @@ impl Program {
         self.instances.iter().map(TaskInstance::instructions).sum()
     }
 
-    /// The distinct non-empty data regions of the program's trace specs
+    /// The distinct non-empty data regions of the program's instances
     /// (each instance's footprint, then its shared region), newest
     /// instance first, each region listed once at its newest use.
     ///
@@ -94,7 +112,7 @@ impl Program {
             let mut seen = HashSet::new();
             let mut regions = Vec::new();
             for inst in self.instances.iter().rev() {
-                for region in [inst.trace().footprint(), inst.trace().shared()] {
+                for region in [inst.footprint(), inst.shared()] {
                     if !region.is_empty() && seen.insert(region) {
                         regions.push(region);
                     }
@@ -132,9 +150,16 @@ impl Program {
 pub struct ProgramBuilder {
     name: String,
     types: Vec<TaskType>,
+    codes: Vec<TaskCode>,
+    /// The index in `codes` of each code, by its bits.
+    code_index: HashMap<CodeBits, u32>,
     instances: Vec<TaskInstance>,
     /// Instances added per type, indexed by `TaskTypeId`.
     instances_per_type: Vec<usize>,
+    /// The code of each type's latest instance and its bits, indexed by
+    /// `TaskTypeId`: consecutive instances of a type nearly always run the
+    /// same code.
+    last_code: Vec<Option<(u32, CodeBits)>>,
     graph: DependenceGraphBuilder,
 }
 
@@ -144,12 +169,15 @@ impl ProgramBuilder {
         let id = TaskTypeId(self.types.len() as u32);
         self.types.push(TaskType::new(id, name));
         self.instances_per_type.push(0);
+        self.last_code.push(None);
         id
     }
 
     /// Creates a task instance of `type_id` with the given trace and region
     /// annotations; returns its id. Dependences on earlier tasks are derived
-    /// immediately, and the annotations are not kept.
+    /// immediately, and the annotations are not kept. The trace's code part
+    /// is interned in the program's code table; the instance keeps its data
+    /// part and the code's index.
     ///
     /// # Panics
     ///
@@ -165,10 +193,30 @@ impl ProgramBuilder {
             .get_mut(type_id.0 as usize)
             .unwrap_or_else(|| panic!("undeclared task type {type_id}"));
         *count += 1;
+        let code = self.intern(type_id, &trace);
         let id = TaskInstanceId(self.instances.len() as u64);
         self.graph.add_task(id, accesses);
-        self.instances.push(TaskInstance::new(id, type_id, trace));
+        self.instances.push(TaskInstance::new(id, type_id, code, &trace));
         id
+    }
+
+    /// The index of `trace`'s code in the table, added if new. Checks the
+    /// code of the type's previous instance first, then the bits map.
+    fn intern(&mut self, type_id: TaskTypeId, trace: &TraceSpec) -> u32 {
+        let bits = TaskCode::bits_of(trace);
+        let last = &mut self.last_code[type_id.0 as usize];
+        if let Some((code, last_bits)) = last {
+            if *last_bits == bits {
+                return *code;
+            }
+        }
+        let next = u32::try_from(self.codes.len()).expect("fewer than 2^32 task codes");
+        let code = *self.code_index.entry(bits).or_insert(next);
+        if code == next {
+            self.codes.push(TaskCode::of(trace));
+        }
+        *last = Some((code, bits));
+        code
     }
 
     /// Number of instances added so far.
@@ -186,10 +234,15 @@ impl ProgramBuilder {
         for (ty, &count) in self.types.iter().zip(&self.instances_per_type) {
             assert!(count > 0, "task type {} ({}) has no instances", ty.id().0, ty.name());
         }
+        // Both tables live as long as the program: drop the growth slack.
+        let (mut codes, mut instances) = (self.codes, self.instances);
+        codes.shrink_to_fit();
+        instances.shrink_to_fit();
         Program {
             name: self.name,
             types: self.types,
-            instances: self.instances,
+            codes,
+            instances,
             graph: self.graph.build(),
             data_regions: OnceLock::new(),
         }

@@ -6,7 +6,7 @@
 //! statement in the source code are said to be of the same task type."*
 //! TaskPoint leverages task types as its sampling-unit classes.
 
-use taskpoint_trace::{TraceSource, TraceSpec};
+use taskpoint_trace::{AccessPattern, InstructionMix, MemRegion, TraceSpec};
 
 /// Identifier of a task type (a task declaration in the source program).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -63,23 +63,110 @@ impl TaskType {
     }
 }
 
-/// A task instance: one dynamic execution with its own trace.
+/// The code of a task: the part of a [`TraceSpec`] every instance running
+/// it shares. It fixes the instruction kind sequence (code seed and mix),
+/// how memory is walked (access pattern) and the event rates.
 ///
-/// Its region annotations are not kept: the dependence analysis consumes
-/// them when the task is added, and the resulting edges live in the
-/// program's [`DependenceGraph`](crate::depgraph::DependenceGraph).
-#[derive(Debug, Clone, PartialEq)]
+/// A [`Program`](crate::Program) keeps each distinct code once and an
+/// instance names its code by index. Codes are told apart by bit pattern
+/// ([`CodeBits`]), so a rate of `-0.0` is a different code from `0.0`.
+#[derive(Debug, Clone)]
+pub(crate) struct TaskCode {
+    code_seed: u64,
+    mix: InstructionMix,
+    pattern: AccessPattern,
+    branch_mispredict_rate: f64,
+    dependency_rate: f64,
+}
+
+/// The bit pattern of a [`TaskCode`]: code seed, 11 cumulative mix words,
+/// three pattern words and the two rates. Equal bits, equal code.
+pub(crate) type CodeBits = [u64; 17];
+
+impl TaskCode {
+    /// The code part of `spec`.
+    pub(crate) fn of(spec: &TraceSpec) -> Self {
+        Self {
+            code_seed: spec.code_seed(),
+            mix: spec.mix().clone(),
+            pattern: spec.pattern(),
+            branch_mispredict_rate: spec.branch_mispredict_rate(),
+            dependency_rate: spec.dependency_rate(),
+        }
+    }
+
+    /// The bits of the code part of `spec`, computed without copying it.
+    pub(crate) fn bits_of(spec: &TraceSpec) -> CodeBits {
+        let mut bits = [0; 17];
+        bits[0] = spec.code_seed();
+        bits[1..12].copy_from_slice(&spec.mix().cumulative_bits());
+        bits[12..15].copy_from_slice(&spec.pattern().bits());
+        bits[15] = spec.branch_mispredict_rate().to_bits();
+        bits[16] = spec.dependency_rate().to_bits();
+        bits
+    }
+
+    /// The spec of `inst`, an instance running this code: bitwise equal to
+    /// the spec the instance was added with.
+    pub(crate) fn spec(&self, inst: &TaskInstance) -> TraceSpec {
+        TraceSpec::builder()
+            .seed(inst.seed)
+            .code_seed(self.code_seed)
+            .instructions(inst.instructions)
+            .mix(self.mix.clone())
+            .pattern(self.pattern)
+            .footprint(inst.footprint)
+            .shared(inst.shared)
+            .branch_mispredict_rate(self.branch_mispredict_rate)
+            .dependency_rate(self.dependency_rate)
+            .build()
+    }
+}
+
+/// A task instance: one dynamic execution of a task's code over its own
+/// data.
+///
+/// It holds only what differs between instances: its data seed,
+/// instruction count and memory regions. The code it runs is an index
+/// into its program's code table, and
+/// [`Program::spec`](crate::Program::spec) reassembles the full
+/// [`TraceSpec`]. Its region annotations are not kept either: the
+/// dependence analysis consumes them when the task is added, and the
+/// resulting edges live in the program's
+/// [`DependenceGraph`](crate::depgraph::DependenceGraph).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TaskInstance {
     id: TaskInstanceId,
     type_id: TaskTypeId,
-    trace: TraceSpec,
+    code: u32,
+    seed: u64,
+    instructions: u64,
+    footprint: MemRegion,
+    shared: MemRegion,
 }
 
+// A program holds hundreds of thousands of instances: keep one at a
+// cache line.
+const _: () = assert!(std::mem::size_of::<TaskInstance>() == 64);
+
 impl TaskInstance {
-    /// Creates a task instance. Normally done through
-    /// [`ProgramBuilder::add_task`](crate::program::ProgramBuilder::add_task).
-    pub fn new(id: TaskInstanceId, type_id: TaskTypeId, trace: TraceSpec) -> Self {
-        Self { id, type_id, trace }
+    /// The data part of `spec`, for instance `id` of `type_id` running
+    /// code `code` of its program.
+    pub(crate) fn new(
+        id: TaskInstanceId,
+        type_id: TaskTypeId,
+        code: u32,
+        spec: &TraceSpec,
+    ) -> Self {
+        Self {
+            id,
+            type_id,
+            code,
+            seed: spec.seed(),
+            instructions: spec.instructions(),
+            footprint: spec.footprint(),
+            shared: spec.shared(),
+        }
     }
 
     /// The instance's identifier (== creation order).
@@ -92,22 +179,31 @@ impl TaskInstance {
         self.type_id
     }
 
-    /// The instance's dynamic instruction stream.
-    pub fn trace(&self) -> &TraceSpec {
-        &self.trace
+    /// The index of the instance's code in its program's code table.
+    pub(crate) fn code(&self) -> usize {
+        self.code as usize
     }
 
-    /// A fresh [`TraceSource`] over the instance's instruction stream,
-    /// positioned at the start — what workloads hand the simulator's
-    /// batched detailed pipeline.
-    pub fn trace_source(&self) -> Box<dyn TraceSource> {
-        Box::new(self.trace.source())
+    /// The seed of the instance's data-dependent behaviour (see
+    /// [`TraceSpec::seed`]).
+    pub fn seed(&self) -> u64 {
+        self.seed
     }
 
     /// Dynamic instruction count — the `I_i` of the paper's fast-forward
     /// formula `C_i = I_i / IPC_T`.
     pub fn instructions(&self) -> u64 {
-        self.trace.instructions()
+        self.instructions
+    }
+
+    /// The instance's private data footprint.
+    pub fn footprint(&self) -> MemRegion {
+        self.footprint
+    }
+
+    /// The shared region the instance's atomics target (may be empty).
+    pub fn shared(&self) -> MemRegion {
+        self.shared
     }
 }
 
@@ -122,28 +218,26 @@ mod tests {
     }
 
     #[test]
-    fn instance_exposes_trace_instruction_count() {
-        let trace = TraceSpec::synthetic(0, 777);
-        let inst = TaskInstance::new(TaskInstanceId(0), TaskTypeId(0), trace);
-        assert_eq!(inst.instructions(), 777);
-    }
-
-    #[test]
     fn index_round_trips() {
         assert_eq!(TaskInstanceId(17).index(), 17);
     }
 
     #[test]
-    fn trace_source_streams_the_instance_trace() {
-        use taskpoint_trace::InstBlock;
-        let trace = TraceSpec::synthetic(5, 300);
-        let inst = TaskInstance::new(TaskInstanceId(0), TaskTypeId(0), trace.clone());
-        let mut src = inst.trace_source();
-        let mut block = InstBlock::new();
-        let mut got = Vec::new();
-        while src.fill(&mut block) > 0 {
-            got.extend(block.iter());
-        }
-        assert!(got.iter().copied().eq(trace.iter()));
+    fn code_and_instance_reassemble_the_spec() {
+        let spec = TraceSpec::builder()
+            .seed(5)
+            .code_seed(9)
+            .instructions(777)
+            .mix(InstructionMix::memory_bound())
+            .pattern(AccessPattern::Gather { hot_probability: 0.5, hot_fraction: 0.25 })
+            .footprint(MemRegion::new(0x1000, 4096))
+            .shared(MemRegion::new(0x9000, 64))
+            .branch_mispredict_rate(0.1)
+            .dependency_rate(0.3)
+            .build();
+        let inst = TaskInstance::new(TaskInstanceId(0), TaskTypeId(0), 0, &spec);
+        assert_eq!(inst.instructions(), 777);
+        assert_eq!(inst.seed(), 5);
+        assert_eq!(TaskCode::of(&spec).spec(&inst), spec);
     }
 }

@@ -412,7 +412,7 @@ impl<'p, S: Sink> Engine<'p, S> {
             let divider = worker.core.clock_divider();
             let wake = match mode {
                 ExecMode::Detailed => {
-                    let spec = inst.trace();
+                    let spec = self.program.spec(task);
                     // The pipeline clock lives on the core-local grid: the
                     // first local cycle at or after the global start.
                     // Divider 1 (homogeneous) makes this the identity.
@@ -424,7 +424,7 @@ impl<'p, S: Sink> Engine<'p, S> {
                         .unwrap_or_else(|| InstBlock::with_capacity(self.block_capacity));
                     worker.running = Some(Running::Detailed(DetailedTask {
                         task,
-                        source: self.traces.source(task, spec),
+                        source: self.traces.source(task, &spec),
                         block,
                         cursor: 0,
                         data_rng: Xoshiro256pp::seed_from_u64(mix_seed(&[
@@ -739,7 +739,7 @@ impl Worker {
                     type_id: inst.type_id(),
                     worker: WorkerId(id),
                     start: t.start,
-                    end: detailed_end(&self.core, t.start, noise, inst.trace().seed()),
+                    end: detailed_end(&self.core, t.start, noise, inst.seed()),
                     instructions: t.executed,
                     mode: SimMode::Detailed,
                     concurrency: t.concurrency,

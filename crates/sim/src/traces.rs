@@ -130,7 +130,7 @@ impl RecordedTraces {
     pub fn record_program(program: &Program) -> Self {
         let mut bundle = Self::new();
         for inst in program.instances() {
-            let bytes = encode::encode(inst.trace().iter());
+            let bytes = encode::encode(program.spec(inst.id()).iter());
             let trace = RecordedTrace::new(bytes).expect("encode emits valid records");
             bundle.per_task.insert(inst.id().0, trace);
         }
@@ -309,8 +309,9 @@ mod tests {
         recorded.verify_against(&p).unwrap();
         let procedural = ProceduralTraces;
         for inst in p.instances() {
-            let from_recording = drain(recorded.source(inst.id(), inst.trace()));
-            let from_spec = drain(procedural.source(inst.id(), inst.trace()));
+            let spec = p.spec(inst.id());
+            let from_recording = drain(recorded.source(inst.id(), &spec));
+            let from_spec = drain(procedural.source(inst.id(), &spec));
             assert_eq!(from_recording, from_spec, "task {}", inst.id());
         }
         // All four instances share one type's code: one column served them.
@@ -323,7 +324,7 @@ mod tests {
         let bundle = RecordedTraces::new();
         assert!(bundle.is_empty());
         let inst = &p.instances()[1];
-        let got = drain(bundle.source(inst.id(), inst.trace()));
+        let got = drain(bundle.source(inst.id(), &p.spec(inst.id())));
         assert_eq!(got.len() as u64, inst.instructions());
     }
 
@@ -386,8 +387,7 @@ E:0:6
         // Dense ids line up, so the bundle verifies against the program.
         bundle.verify_against(&program).unwrap();
         // The replayed stream is the recorded one, not the fallback spec.
-        let got =
-            drain(bundle.source(TaskInstanceId(0), program.instance(TaskInstanceId(0)).trace()));
+        let got = drain(bundle.source(TaskInstanceId(0), &program.spec(TaskInstanceId(0))));
         assert_eq!(
             got,
             vec![

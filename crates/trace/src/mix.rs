@@ -58,7 +58,7 @@ impl InstructionMix {
 
     /// The cumulative distribution's bit patterns. Mixes with equal bits
     /// draw identical kind sequences from identical RNG streams.
-    pub(crate) fn cumulative_bits(&self) -> [u64; 11] {
+    pub fn cumulative_bits(&self) -> [u64; 11] {
         self.cumulative.map(f64::to_bits)
     }
 

@@ -68,6 +68,25 @@ impl AccessPattern {
         AccessPattern::Strided { stride, streams }
     }
 
+    /// Three words that tell patterns apart bit for bit: a variant tag and
+    /// the variant's two parameters (zero where it has fewer), floats as
+    /// their bit patterns. Patterns with equal bits walk memory
+    /// identically.
+    pub fn bits(&self) -> [u64; 3] {
+        match *self {
+            AccessPattern::Sequential { stride } => [0, u64::from(stride), 0],
+            AccessPattern::Strided { stride, streams } => {
+                [1, u64::from(stride), u64::from(streams)]
+            }
+            AccessPattern::Random => [2, 0, 0],
+            AccessPattern::Gather { hot_probability, hot_fraction } => {
+                [3, hot_probability.to_bits(), hot_fraction.to_bits()]
+            }
+            AccessPattern::PointerChase => [4, 0, 0],
+            AccessPattern::Stencil { planes, plane_stride } => [5, u64::from(planes), plane_stride],
+        }
+    }
+
     /// Validates parameter ranges; called by the trace builder.
     ///
     /// # Panics
@@ -381,6 +400,24 @@ mod tests {
         }
         let wrapped = s.next_addr(InstKind::Load, &mut rng);
         assert_eq!(wrapped, a0);
+    }
+
+    #[test]
+    fn bits_tell_every_pattern_apart() {
+        let patterns = [
+            AccessPattern::sequential(8),
+            AccessPattern::strided(8, 1),
+            AccessPattern::Random,
+            AccessPattern::Gather { hot_probability: 0.0, hot_fraction: 1.0 },
+            AccessPattern::Gather { hot_probability: -0.0, hot_fraction: 1.0 },
+            AccessPattern::PointerChase,
+            AccessPattern::Stencil { planes: 8, plane_stride: 1 },
+        ];
+        for (i, a) in patterns.iter().enumerate() {
+            for (j, b) in patterns.iter().enumerate() {
+                assert_eq!(a.bits() == b.bits(), i == j, "{a:?} vs {b:?}");
+            }
+        }
     }
 
     #[test]

@@ -544,8 +544,7 @@ mod tests {
         let p = histogram::generate(&ScaleConfig::quick());
         check(histogram::INFO, &p);
         // Atomics must target the shared bins.
-        let spec = p.instances()[0].trace();
-        assert!(!spec.shared().is_empty());
+        assert!(!p.instances()[0].shared().is_empty());
     }
 
     #[test]
@@ -595,6 +594,6 @@ mod tests {
         let sb: Vec<u64> = b.instances().iter().map(|i| i.instructions()).collect();
         assert_eq!(sa, sb);
         // ... but different trace content seeds.
-        assert_ne!(a.instances()[0].trace().seed(), b.instances()[0].trace().seed());
+        assert_ne!(a.instances()[0].seed(), b.instances()[0].seed());
     }
 }

@@ -275,29 +275,30 @@ mod tests {
         let scale = ScaleConfig::quick();
         let a = Benchmark::Freqmine.generate(&scale);
         let b = Benchmark::Freqmine.generate(&scale);
-        let sa: Vec<u64> = a.instances().iter().map(|i| i.trace().seed()).collect();
-        let sb: Vec<u64> = b.instances().iter().map(|i| i.trace().seed()).collect();
+        let sa: Vec<u64> = a.instances().iter().map(|i| i.seed()).collect();
+        let sb: Vec<u64> = b.instances().iter().map(|i| i.seed()).collect();
         assert_eq!(sa, sb);
     }
 
     #[test]
     fn every_benchmark_hands_out_working_trace_sources() {
         // The simulator consumes workloads through the batched block
-        // pipeline: each instance must hand out a TraceSource whose
+        // pipeline: each instance's spec must hand out a TraceSource whose
         // batched stream matches the per-instruction iterator exactly.
-        use taskpoint_trace::InstBlock;
+        use taskpoint_trace::{InstBlock, TraceSource};
         let scale = ScaleConfig::quick();
         for b in Benchmark::ALL {
             let p = b.generate(&scale);
             let inst = &p.instances()[p.num_instances() / 2];
-            let mut source = inst.trace_source();
+            let spec = p.spec(inst.id());
+            let mut source = spec.source();
             let mut block = InstBlock::new();
             let mut batched = Vec::new();
             while source.fill(&mut block) > 0 {
                 batched.extend(block.iter());
             }
             assert_eq!(batched.len() as u64, inst.instructions(), "{b}");
-            assert!(batched.iter().copied().eq(inst.trace().iter()), "{b}: stream mismatch");
+            assert!(batched.iter().copied().eq(spec.iter()), "{b}: stream mismatch");
         }
     }
 }

@@ -558,8 +558,8 @@ mod tests {
     fn canneal_shares_one_netlist() {
         let p = canneal::generate(&ScaleConfig::quick());
         check(canneal::INFO, &p);
-        let a = p.instances()[0].trace().footprint();
-        let z = p.instances()[16383].trace().footprint();
+        let a = p.instances()[0].footprint();
+        let z = p.instances()[16383].footprint();
         assert_eq!(a, z, "all swap batches walk the same netlist");
     }
 

@@ -73,7 +73,7 @@ fn ingested_bundle_replays_bit_identically_to_direct_replay() {
         bundle.verify_against(&program).unwrap();
         for task in trace.tasks() {
             let id = TaskInstanceId(task.index);
-            let via_bundle = drain(bundle.source(id, program.instance(id).trace()));
+            let via_bundle = drain(bundle.source(id, &program.spec(id)));
             let direct = RecordedTrace::from_arc(Arc::clone(&task.bytes)).unwrap();
             let via_direct = drain(Box::new(direct));
             assert_eq!(via_bundle, via_direct, "{}: task {}", workload.name(), task.index);

@@ -35,13 +35,13 @@ fn run_counting<C: ModeController>(program: &Program, controller: &mut C) -> (Si
 /// Sum over the run's `(code_seed, mix)` columns of the longest instance
 /// it simulated in detail, and the number of such columns.
 fn longest_detailed_per_column(program: &Program, result: &SimResult) -> (u64, usize) {
-    let mut columns: Vec<(u64, &InstructionMix, u64)> = Vec::new();
+    let mut columns: Vec<(u64, InstructionMix, u64)> = Vec::new();
     for report in result.reports.iter().filter(|r| r.mode == SimMode::Detailed) {
-        let spec = program.instance(report.task).trace();
-        let key = (spec.code_seed(), spec.mix());
-        match columns.iter_mut().find(|(seed, mix, _)| (*seed, *mix) == key) {
+        let spec = program.spec(report.task);
+        let (seed, mix) = (spec.code_seed(), spec.mix());
+        match columns.iter_mut().find(|c| c.0 == seed && c.1 == *mix) {
             Some(column) => column.2 = column.2.max(spec.instructions()),
-            None => columns.push((key.0, key.1, spec.instructions())),
+            None => columns.push((seed, mix.clone(), spec.instructions())),
         }
     }
     (columns.iter().map(|c| c.2).sum(), columns.len())
