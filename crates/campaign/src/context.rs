@@ -102,6 +102,7 @@ fn reference_result_from_stored(stored: &StoredCell, workers: u32) -> SimResult 
     SimResult {
         total_cycles: m.total_cycles,
         wall_seconds: stored.timing.wall_seconds,
+        setup_seconds: stored.timing.setup_seconds.unwrap_or(0.0),
         detailed_tasks: m.detailed_tasks,
         fast_tasks: 0,
         detailed_instructions: m.instructions,

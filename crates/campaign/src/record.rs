@@ -422,6 +422,10 @@ record_tables! {
     pub struct CellTiming {
         /// Host seconds of this cell's own simulation.
         pub wall_seconds: f64,
+        /// The part of `wall_seconds` before the simulation handed out its
+        /// first task (memory system, last-level prewarm, cores). `None`
+        /// when a stored entry lacks the key.
+        pub setup_seconds: Option<f64>,
         /// Host seconds of the reference run it was compared against (sampled
         /// and clustered cells only).
         pub reference_wall_seconds: Option<f64>,
@@ -586,6 +590,7 @@ impl CellTiming {
         let compared = reference.map(|r| ExperimentOutcome::compare(run, r));
         Self {
             wall_seconds: run.wall_seconds,
+            setup_seconds: Some(run.setup_seconds),
             reference_wall_seconds: compared.as_ref().map(|c| c.reference_wall_seconds),
             speedup: compared.map(|c| c.speedup),
             detailed_instr_per_sec: run.detailed_instr_per_sec(),
@@ -684,6 +689,7 @@ mod tests {
     fn timing(wall_seconds: f64) -> CellTiming {
         CellTiming {
             wall_seconds,
+            setup_seconds: None,
             reference_wall_seconds: None,
             speedup: None,
             detailed_instr_per_sec: None,
@@ -737,6 +743,7 @@ mod tests {
             record: eval_record(),
             timing: CellTiming {
                 wall_seconds: 0.05,
+                setup_seconds: Some(0.01),
                 reference_wall_seconds: Some(0.93),
                 speedup: Some(18.6),
                 detailed_instr_per_sec: Some(2.9e7),
@@ -809,6 +816,7 @@ mod tests {
             record,
             timing: CellTiming {
                 wall_seconds: 0.2,
+                setup_seconds: Some(0.01),
                 reference_wall_seconds: Some(1.0),
                 speedup: Some(5.0),
                 detailed_instr_per_sec: None,
@@ -834,6 +842,7 @@ mod tests {
             record,
             timing: CellTiming {
                 wall_seconds: 0.2,
+                setup_seconds: Some(0.01),
                 reference_wall_seconds: Some(1.0),
                 speedup: Some(5.0),
                 detailed_instr_per_sec: None,
@@ -885,6 +894,7 @@ mod tests {
             record: eval_record(),
             timing: CellTiming {
                 wall_seconds: 0.2,
+                setup_seconds: Some(0.01),
                 reference_wall_seconds: Some(1.0),
                 speedup: Some(5.0),
                 detailed_instr_per_sec: None,
@@ -1015,7 +1025,7 @@ mod tests {
     }
 
     /// The keys a record may lack; every other key is required.
-    const OPTIONAL_KEYS: [&str; 15] = [
+    const OPTIONAL_KEYS: [&str; 16] = [
         "groups",
         "clusters",
         "ci_target",
@@ -1028,6 +1038,7 @@ mod tests {
         "strat_budget",
         "strat_allocated",
         "strat_reopened",
+        "setup_seconds",
         "reference_wall_seconds",
         "speedup",
         "detailed_instr_per_sec",
@@ -1078,6 +1089,7 @@ mod tests {
         };
         let timing = CellTiming {
             wall_seconds: 0.5,
+            setup_seconds: Some(0.01),
             reference_wall_seconds: Some(2.0),
             speedup: Some(4.0),
             detailed_instr_per_sec: Some(1.5e7),
@@ -1121,6 +1133,7 @@ mod tests {
             record: eval_record(),
             timing: CellTiming {
                 wall_seconds: 0.5,
+                setup_seconds: Some(0.01),
                 reference_wall_seconds: Some(10.0),
                 speedup: Some(20.0),
                 detailed_instr_per_sec: None,

@@ -252,6 +252,7 @@ mod tests {
             },
             timing: CellTiming {
                 wall_seconds: 0.1,
+                setup_seconds: Some(0.01),
                 reference_wall_seconds: None,
                 speedup: None,
                 detailed_instr_per_sec: None,

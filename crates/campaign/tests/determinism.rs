@@ -193,8 +193,9 @@ fn golden_record_bytes_of_every_shape() {
         })
         .collect();
     let (own, compared) = (
-        "cell,cached,wall_seconds,detailed_instr_per_sec",
-        "cell,cached,wall_seconds,reference_wall_seconds,speedup,detailed_instr_per_sec",
+        "cell,cached,wall_seconds,setup_seconds,detailed_instr_per_sec",
+        "cell,cached,wall_seconds,setup_seconds,reference_wall_seconds,speedup,\
+         detailed_instr_per_sec",
     );
     assert_eq!(keys, [own, own, compared, compared, compared, compared, own, own]);
 }

@@ -55,6 +55,7 @@ mod tests {
         SimResult {
             total_cycles: cycles,
             wall_seconds: wall,
+            setup_seconds: 0.0,
             detailed_tasks: 0,
             fast_tasks: 0,
             detailed_instructions: detailed_instr,

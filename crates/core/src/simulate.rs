@@ -334,7 +334,7 @@ mod tests {
         // Everything but the host wall time, in exact (`Debug`) form, with
         // the per-unit sample counts in key order.
         let bits = |o: &RunOutcome| {
-            let result = SimResult { wall_seconds: 0.0, ..o.result.clone() };
+            let result = SimResult { wall_seconds: 0.0, setup_seconds: 0.0, ..o.result.clone() };
             let samples: std::collections::BTreeMap<_, _> = o.stats.valid_samples.iter().collect();
             let stats = SamplingStats { valid_samples: Default::default(), ..o.stats.clone() };
             format!("{result:?} {stats:?} {samples:?} {:?}", o.accuracy)

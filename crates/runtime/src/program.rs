@@ -103,10 +103,10 @@ impl Program {
     /// (each instance's footprint, then its shared region), newest
     /// instance first, each region listed once at its newest use.
     ///
-    /// This is the order an initialization phase leaves data resident in
-    /// (the most recently initialized data last touched), which the
-    /// simulator's last-level-cache prewarm replays. Computed on first use
-    /// and kept, so runs sharing one program walk its instances once.
+    /// The simulator's last-level-cache prewarm walks this list in order,
+    /// so the region whose newest use is the *earliest* instance is
+    /// touched last and wins a set conflict. Computed on first use and
+    /// kept, so runs sharing one program walk its instances once.
     pub fn data_regions(&self) -> &[MemRegion] {
         self.data_regions.get_or_init(|| {
             let mut seen = HashSet::new();

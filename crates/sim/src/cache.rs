@@ -6,6 +6,8 @@
 //! evaluation are ≤ 20, so linear probing within a set is faster than any
 //! clever structure.
 
+use std::ops::Range;
+
 /// Outcome of a cache access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessOutcome {
@@ -19,6 +21,10 @@ pub enum AccessOutcome {
 /// addresses are byte addresses shifted right by the line bits, so hitting
 /// `u64::MAX` would require an address far beyond the 64-bit space.
 const EMPTY: u64 = u64::MAX;
+
+/// Sets per placement window of [`SetAssocCache::fill_runs`]: 256 sets of
+/// a 20-way cache are 40 KiB of tags.
+const FILL_WINDOW_SETS: u64 = 256;
 
 /// A set-associative, write-allocate cache with true-LRU replacement,
 /// indexed by line address (byte address >> log2(line size)).
@@ -156,29 +162,49 @@ impl SetAssocCache {
         self.misses = 0;
     }
 
-    /// Fills a cold cache from line touches listed most recent first,
-    /// leaving exactly the tags that replaying the touches oldest first
-    /// through [`access`](Self::access) would leave.
+    /// Fills a cold cache from an initialization walk given as disjoint
+    /// runs of line addresses, most recent run first, each run's lines
+    /// touched in ascending order (its highest line is its most recent
+    /// touch). Leaves exactly the tags that replaying the walk oldest
+    /// first through [`access`](Self::access) would leave.
     ///
     /// Under LRU a set ends up holding its `assoc` most recently touched
-    /// distinct lines, MRU first. Walking the touches newest first, a
-    /// line's first appearance is its last touch, so each line goes into
-    /// the set's first empty way unless it is already there or the set is
-    /// full (every later appearance is older). No rotations and no hit or
-    /// miss counts. Filled ways stay contiguous from the front, so one scan
-    /// that stops at the line or at the first empty way decides both.
+    /// distinct lines, MRU first. The runs are disjoint, so every line
+    /// appears once: taking them newest first (runs in order, each high to
+    /// low), a line goes into its set's next free way, or nowhere once
+    /// the set is full (every later line is older). A per-set count finds
+    /// the next way, so there is no probe, no rotation and no hit or miss
+    /// count. The runs are split at windows of [`FILL_WINDOW_SETS`] sets
+    /// and placed window by window, so the tag rows being written stay in
+    /// the host's caches; each set's lines still arrive in walk order.
     ///
     /// The cache must be cold (fresh or [`reset`](Self::reset)): lines
     /// already resident would count as newer than every touch.
-    pub fn fill_recent_first(&mut self, lines: impl IntoIterator<Item = u64>) {
-        for line in lines {
-            for way in self.ways_mut(line) {
-                if *way == line {
-                    break;
-                }
-                if *way == EMPTY {
-                    *way = line;
-                    break;
+    pub(crate) fn fill_runs(&mut self, runs: &[Range<u64>]) {
+        let window = FILL_WINDOW_SETS.min(self.set_mask + 1);
+        // Pieces of each run, highest first, that stay inside one aligned
+        // block of `window` lines: those map to consecutive sets of one
+        // window. A stable sort by window keeps each set's lines in order.
+        let mut pieces: Vec<(u64, Range<u64>)> = Vec::new();
+        for run in runs {
+            let mut hi = run.end;
+            while hi > run.start {
+                let lo = run.start.max((hi - 1) / window * window);
+                pieces.push((((hi - 1) & self.set_mask) / window, lo..hi));
+                hi = lo;
+            }
+        }
+        pieces.sort_by_key(|&(w, _)| w);
+        // `assoc` came in as a `u32`, so the per-set counts fit one.
+        let assoc = self.assoc;
+        let mut filled = vec![0u32; (self.set_mask + 1) as usize];
+        for (_, piece) in pieces {
+            for line in piece.rev() {
+                let set = (line & self.set_mask) as usize;
+                let count = &mut filled[set];
+                if (*count as usize) < assoc {
+                    self.tags[set * assoc + *count as usize] = line;
+                    *count += 1;
                 }
             }
         }
@@ -229,7 +255,9 @@ impl SetAssocCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::first_touch_runs;
     use proptest::prelude::*;
+    use taskpoint_trace::MemRegion;
 
     fn small() -> SetAssocCache {
         // 4 sets x 2 ways x 64B lines = 512 B
@@ -320,26 +348,60 @@ mod tests {
         SetAssocCache::new(512, 2, 48);
     }
 
+    /// Builds a region list from generated `(kind, a, b, pick)` tuples:
+    /// a fresh region at an unaligned base and length, or — relative to
+    /// an earlier region — a duplicate, a region starting where it ends,
+    /// or a region nested inside it.
+    fn regions_of(shapes: &[(u8, u64, u64, usize)]) -> Vec<MemRegion> {
+        let mut regions: Vec<MemRegion> = Vec::new();
+        for &(kind, a, b, pick) in shapes {
+            let earlier = (!regions.is_empty()).then(|| regions[pick % regions.len()]);
+            regions.push(match (kind, earlier) {
+                (1, Some(r)) => r,
+                (2, Some(r)) => MemRegion::new(r.end(), 1 + b % 400),
+                (3, Some(r)) => {
+                    let base = r.base + a % r.len;
+                    MemRegion::new(base, 1 + b % (r.end() - base))
+                }
+                _ => MemRegion::new(a, 1 + b),
+            });
+        }
+        regions
+    }
+
     proptest! {
-        /// The most-recent-first fill leaves the tags a sequential `access`
-        /// replay leaves, on small geometries (1–8 sets, 1–5 ways) and
-        /// touch streams built from runs of consecutive lines. Runs may
-        /// overlap, repeat lines and overflow a set many times over.
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// The whole prewarm path — regions to first-touch runs to tags —
+        /// leaves the tags that replaying the walk (each region's lines
+        /// ascending, regions in order) through `access` leaves, with no
+        /// hit or miss counted, on 1–8 sets × 1–5 ways. Regions have
+        /// unaligned bases and lengths, repeat, touch, overlap and nest,
+        /// span more lines than there are sets, and overflow sets.
         #[test]
-        fn recent_first_fill_equals_access_replay(
+        fn run_fill_equals_access_replay(
             log2_sets in 0u32..4,
             assoc in 1u32..6,
-            runs in prop::collection::vec((0u64..48, 1u64..24), 0..12),
+            shapes in prop::collection::vec(
+                (0u8..4, 0u64..3072, 0u64..1600, 0usize..12),
+                0..12,
+            ),
         ) {
             let size = (1u64 << log2_sets) * assoc as u64 * 64;
-            let touches: Vec<u64> =
-                runs.iter().flat_map(|&(first, len)| first..first + len).collect();
+            let regions = regions_of(&shapes);
             let mut replayed = SetAssocCache::new(size, assoc, 64);
-            for &line in &touches {
-                replayed.access(line);
+            let mut touched = std::collections::BTreeSet::new();
+            for r in &regions {
+                for line in r.base >> 6..=(r.end() - 1) >> 6 {
+                    replayed.access(line);
+                    touched.insert(line);
+                }
             }
+            let runs = first_touch_runs(&regions, 6);
+            let run_lines: u64 = runs.iter().map(|r| r.end - r.start).sum();
+            prop_assert_eq!(run_lines, touched.len() as u64);
             let mut filled = SetAssocCache::new(size, assoc, 64);
-            filled.fill_recent_first(touches.iter().rev().copied());
+            filled.fill_runs(&runs);
             prop_assert_eq!(&filled.tags, &replayed.tags);
             prop_assert_eq!((filled.hits(), filled.misses()), (0, 0));
         }

@@ -32,6 +32,8 @@
 //! block walk, so simulated timing is bit-identical for every block
 //! capacity (pinned by `tests/block_equivalence.rs`).
 
+use std::collections::BTreeMap;
+use std::ops::Range;
 use std::time::Instant;
 
 use taskpoint_runtime::{FifoScheduler, Program, ReadySet, Scheduler, TaskInstanceId, WorkerId};
@@ -218,6 +220,7 @@ impl<'p> Simulation<'p> {
                     .event(SimEvent::TypeDecl { id: ty.id().0, name: ty.name().to_string() });
             }
         }
+        let setup_seconds = wall_start.elapsed().as_secs_f64();
         for root in program.graph().roots() {
             engine.scheduler.task_ready(root);
         }
@@ -242,6 +245,7 @@ impl<'p> Simulation<'p> {
         SimResult {
             total_cycles: engine.stats.max_end,
             wall_seconds: wall_start.elapsed().as_secs_f64(),
+            setup_seconds,
             detailed_tasks: engine.stats.detailed_tasks,
             fast_tasks: engine.stats.fast_tasks,
             detailed_instructions: engine.stats.detailed_instructions,
@@ -583,32 +587,68 @@ fn prewarm_memory(mem: &mut MemorySystem, program: &Program, line_size: u32) {
     if capacity == 0 {
         return;
     }
-    // The init walk touches the program's distinct regions newest instance
-    // first, so the "most recently initialized" data (what an init phase
-    // leaves resident) wins the capacity race. Deduplicating regions keeps
-    // tiled programs, which annotate the same block in thousands of
-    // instances, from spending the budget on LRU churn.
+    // The init walk touches the program's distinct regions in
+    // `data_regions` order, each from its lowest line to its highest. That
+    // list runs from the newest instance to the oldest, so the region whose
+    // newest use is the *earliest* instance is the walk's last touch and
+    // wins a set conflict. Deduplicating regions keeps tiled programs,
+    // which annotate the same block in thousands of instances, from
+    // spending the budget on LRU churn.
     let regions = program.data_regions();
     let shift = line_size.trailing_zeros();
-    let lines = |r: &MemRegion| (r.base >> shift)..=((r.end() - 1) >> shift);
     // All-or-nothing: if the program's distinct data exceeds the last
     // level, partial prewarming would split instances of one task type into
     // a fast (resident) and a slow (DRAM) class that does not exist in
     // reality — real init leaves *every* task's data equally (non-)resident.
     // When the data does not fit, nothing is prewarmed and every instance
-    // pays the same DRAM first-touch costs.
-    let total_lines: u64 = regions
-        .iter()
-        .map(|r| {
-            let l = lines(r);
-            l.end() - l.start() + 1
-        })
-        .sum();
+    // pays the same DRAM first-touch costs. Lines that several regions
+    // share count once per region.
+    let total_lines: u64 =
+        regions.iter().map(|r| line_span(r, shift)).map(|l| l.end - l.start).sum();
     if total_lines > capacity as u64 {
         return;
     }
-    // The walk's touches newest first: last region, last line first.
-    mem.prewarm_shared(regions.iter().rev().flat_map(|r| lines(r).rev()));
+    mem.prewarm_shared(&first_touch_runs(regions, shift));
+}
+
+/// The lines of `region` at `1 << shift`-byte lines (`region` non-empty).
+fn line_span(region: &MemRegion, shift: u32) -> Range<u64> {
+    (region.base >> shift)..((region.end() - 1) >> shift) + 1
+}
+
+/// The lines that walking `regions` in order (each region's lines
+/// ascending) touches, as disjoint runs, the most recently touched first.
+///
+/// Taken newest first, a line's first appearance is its last touch: each
+/// region, from the last to the first, contributes its line span minus
+/// every line a later region already covered, the pieces highest first.
+/// `covered` holds the union of the spans seen so far as disjoint,
+/// non-touching `start → end` intervals, so each region costs a few
+/// `O(log R)` map operations.
+pub(crate) fn first_touch_runs(regions: &[MemRegion], shift: u32) -> Vec<Range<u64>> {
+    let mut covered: BTreeMap<u64, u64> = BTreeMap::new();
+    let mut runs = Vec::new();
+    for span in regions.iter().rev().map(|r| line_span(r, shift)) {
+        let (mut lo, mut hi, mut top) = (span.start, span.end, span.end);
+        // Covered intervals that overlap or touch the span, highest first:
+        // the gap above each is new, and each merges into the span.
+        while let Some((&start, &end)) = covered.range(..=span.end).next_back() {
+            if end < span.start {
+                break;
+            }
+            if end.max(span.start) < top {
+                runs.push(end.max(span.start)..top);
+            }
+            top = top.min(start);
+            (lo, hi) = (lo.min(start), hi.max(end));
+            covered.remove(&start);
+        }
+        if span.start < top {
+            runs.push(span.start..top);
+        }
+        covered.insert(lo, hi);
+    }
+    runs
 }
 
 /// Per-run counters.
@@ -904,6 +944,30 @@ mod tests {
             b.add_task(ty, TraceSpec::synthetic(i, instrs), &acc);
         }
         b.build()
+    }
+
+    /// Two regions in one set of a one-way last level: the walk touches
+    /// `data_regions` newest instance first, so the earliest instance's
+    /// data is touched last and stays resident.
+    #[test]
+    fn earliest_instance_data_wins_a_prewarm_set_conflict() {
+        let mut machine = MachineConfig::tiny_test();
+        let llc = machine.caches.last_mut().unwrap();
+        llc.associativity = 1;
+        let sets = llc.size_bytes / 64;
+        let (early, late) = (MemRegion::new(0, 64), MemRegion::new(sets * 64, 64));
+        let mut b = Program::builder("conflict");
+        let ty = b.add_type("t");
+        for footprint in [early, late] {
+            let spec = TraceSpec::builder().instructions(10).footprint(footprint).build();
+            b.add_task(ty, spec, &[]);
+        }
+        let program = b.build();
+        assert_eq!(program.data_regions(), &[late, early]);
+        let mut mem = MemorySystem::new(&machine, 1);
+        prewarm_memory(&mut mem, &program, machine.line_size);
+        assert!(!mem.access(0, early.base, false, 0).dram, "earliest instance resident");
+        assert!(mem.access(0, late.base, false, 0).dram, "latest instance evicted");
     }
 
     #[test]

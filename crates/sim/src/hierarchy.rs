@@ -23,6 +23,8 @@
 //!   write-back caches with free writebacks) — they would add a roughly
 //!   workload-independent bandwidth term.
 
+use std::ops::Range;
+
 use crate::cache::{AccessOutcome, SetAssocCache};
 use crate::config::{MachineConfig, MAX_WORKERS};
 use taskpoint_telemetry::Histogram;
@@ -273,22 +275,17 @@ impl MemorySystem {
     }
 
     /// Fills every shared level, without cost or statistics, with the
-    /// lines an initialization walk touched, listed most recent first (see
-    /// [`SetAssocCache::fill_recent_first`]). Models application data that
-    /// was initialized before the simulated region of interest
+    /// lines an initialization walk touched, given as disjoint runs most
+    /// recent first (see [`SetAssocCache::fill_runs`]). Models application
+    /// data that was initialized before the simulated region of interest
     /// (trace-driven simulators start with the OS/init phase already
     /// executed, so main memory structures are LLC-warm). Private levels
     /// stay cold; TaskPoint's warmup exists to heat those.
     ///
     /// Must run on a fresh memory system, before any access.
-    pub fn prewarm_shared<I>(&mut self, lines_recent_first: I)
-    where
-        I: IntoIterator<Item = u64>,
-        I::IntoIter: Clone,
-    {
-        let lines = lines_recent_first.into_iter();
+    pub(crate) fn prewarm_shared(&mut self, runs: &[Range<u64>]) {
         for (cache, _) in &mut self.shared {
-            cache.fill_recent_first(lines.clone());
+            cache.fill_runs(runs);
         }
     }
 

@@ -206,6 +206,10 @@ pub struct SimResult {
     /// Host wall-clock seconds the simulation took — the numerator /
     /// denominator of the paper's speedup metric.
     pub wall_seconds: f64,
+    /// The part of `wall_seconds` before the first task is handed out:
+    /// memory-system construction, last-level prewarm and core setup. A
+    /// fixed per-run cost that caps a sampled run's speedup.
+    pub setup_seconds: f64,
     /// Number of task instances simulated in detailed mode.
     pub detailed_tasks: u64,
     /// Number of task instances fast-forwarded.
@@ -296,6 +300,7 @@ mod tests {
         let mut res = SimResult {
             total_cycles: 0,
             wall_seconds: 0.0,
+            setup_seconds: 0.0,
             detailed_tasks: 0,
             fast_tasks: 0,
             detailed_instructions: 30,
