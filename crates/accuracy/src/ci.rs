@@ -2,8 +2,6 @@
 
 use taskpoint_stats::{student_t_critical, Confidence, StreamingMoments};
 
-use crate::config::AdaptiveParams;
-
 /// Relative half-width of the two-sided confidence interval of the mean:
 /// `t_{1-α/2, n-1} · (s / √n) / x̄`.
 ///
@@ -29,22 +27,28 @@ pub fn relative_ci_half_width(moments: &StreamingMoments, confidence: Confidence
     Some(t * se / mean)
 }
 
-/// The adaptive stopping rule: true when `moments` satisfies `params`.
+/// The adaptive stopping rule: true when `moments` holds at least
+/// `min_samples` samples **and** its relative CI half-width at `confidence`
+/// is within `target_ci`.
 ///
-/// A cluster may stop sampling when it has at least `min_samples` samples
-/// **and** its relative CI half-width is within `target_ci`. A target of
-/// exactly `0.0` waives the statistical requirement (degenerate
-/// fixed-budget mode — see [`AdaptiveParams::target_ci`]); a positive
-/// target with an undefined interval is never met.
-pub fn ci_target_met(moments: &StreamingMoments, params: &AdaptiveParams) -> bool {
-    if moments.count() < params.min_samples {
+/// A target of exactly `0.0` waives the statistical requirement
+/// (degenerate fixed-budget mode — see
+/// [`SamplingPolicy::Adaptive`](crate::SamplingPolicy::Adaptive)); a
+/// positive target with an undefined interval is never met.
+pub fn ci_target_met(
+    moments: &StreamingMoments,
+    target_ci: f64,
+    confidence: Confidence,
+    min_samples: u64,
+) -> bool {
+    if moments.count() < min_samples {
         return false;
     }
-    if params.target_ci == 0.0 {
+    if target_ci == 0.0 {
         return true;
     }
-    match relative_ci_half_width(moments, params.confidence) {
-        Some(ci) => ci <= params.target_ci,
+    match relative_ci_half_width(moments, confidence) {
+        Some(ci) => ci <= target_ci,
         None => false,
     }
 }
@@ -85,29 +89,29 @@ mod tests {
 
     #[test]
     fn stopping_rule_honors_floor_target_and_degenerate_zero() {
-        let tight = AdaptiveParams::new(0.5).with_min_samples(4);
+        let met =
+            |m: &StreamingMoments, target, floor| ci_target_met(m, target, Confidence::C95, floor);
         let m3 = moments(&[2.0, 2.0, 2.0]);
-        assert!(!ci_target_met(&m3, &tight), "below the floor");
+        assert!(!met(&m3, 0.5, 4), "below the floor");
         let m4 = moments(&[2.0, 2.0, 2.0, 2.0]);
-        assert!(ci_target_met(&m4, &tight), "zero variance meets any positive target");
+        assert!(met(&m4, 0.5, 4), "zero variance meets any positive target");
         let noisy = moments(&[1.0, 4.0, 0.5, 6.0]);
-        assert!(!ci_target_met(&noisy, &AdaptiveParams::new(0.05)), "wide CI misses 5%");
-        assert!(ci_target_met(&noisy, &AdaptiveParams::new(0.0)), "target 0 waives the CI test");
+        assert!(!met(&noisy, 0.05, 4), "wide CI misses 5%");
+        assert!(met(&noisy, 0.0, 4), "target 0 waives the CI test");
         // Positive target + undefined CI (single sample, floor 1): never met.
         let single = moments(&[2.0]);
-        assert!(!ci_target_met(&single, &AdaptiveParams::new(0.1).with_min_samples(1)));
-        assert!(ci_target_met(&single, &AdaptiveParams::new(0.0).with_min_samples(1)));
+        assert!(!met(&single, 0.1, 1));
+        assert!(met(&single, 0.0, 1));
     }
 
     #[test]
     fn more_samples_eventually_meet_a_positive_target() {
-        let params = AdaptiveParams::new(0.05).with_min_samples(2);
         let mut m = StreamingMoments::new();
         let mut met_at = None;
         for i in 0..10_000u64 {
             // Alternating 1.8 / 2.2: CoV ~0.1, CI shrinks as 1/sqrt(n).
             m.add(if i % 2 == 0 { 1.8 } else { 2.2 });
-            if met_at.is_none() && ci_target_met(&m, &params) {
+            if met_at.is_none() && ci_target_met(&m, 0.05, Confidence::C95, 2) {
                 met_at = Some(i + 1);
             }
         }

@@ -44,7 +44,7 @@ use tasksim::{ExecMode, ModeController, SimMode, TaskReport, TaskStart};
 
 use crate::ci::{ci_target_met, relative_ci_half_width};
 use crate::cluster::concurrency_band;
-use crate::config::{AdaptiveConfig, StratifiedConfig};
+use crate::config::{SamplingPolicy, TaskPointConfig};
 
 /// Per-cluster sampling state (shared with the stratified controller).
 #[derive(Debug, Clone, Default)]
@@ -132,10 +132,6 @@ pub struct AdaptiveStats {
     pub fast_tasks: u64,
     /// Valid (post-warmup) samples measured, per sampling unit.
     pub valid_samples: HashMap<u32, u64>,
-    /// Clusters force-converged by the rare-cluster cutoff.
-    pub rare_forced: u64,
-    /// Converged clusters re-opened by a concurrency-band shift.
-    pub reopened: u64,
 }
 
 /// End-of-run accuracy of one concurrency band within a cluster.
@@ -158,7 +154,8 @@ pub struct BandAccuracy {
 /// End-of-run accuracy of one sampling cluster.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterAccuracy {
-    /// The sampling unit (type id, or virtual id under clustering).
+    /// The sampling unit: the task type id (adaptive) or the stratum's
+    /// dense `(type, size-class)` id (stratified).
     pub unit: u32,
     /// Valid samples accumulated.
     pub samples: u64,
@@ -180,42 +177,10 @@ pub struct ClusterAccuracy {
     pub bands: Vec<BandAccuracy>,
 }
 
-/// The sampling configuration a finished run reports itself under — the
-/// policy-specific half of an [`AccuracyReport`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum PolicyConfig {
-    /// A confidence-driven adaptive run.
-    Adaptive(AdaptiveConfig),
-    /// A two-phase stratified (pilot + Neyman) run.
-    Stratified(StratifiedConfig),
-}
-
-impl PolicyConfig {
-    /// The configured CI target, when the policy has one (adaptive only:
-    /// the stratified policy is budget-driven and has no stopping
-    /// target).
-    pub fn target_ci(&self) -> Option<f64> {
-        match self {
-            PolicyConfig::Adaptive(c) => Some(c.params.target_ci),
-            PolicyConfig::Stratified(_) => None,
-        }
-    }
-
-    /// The confidence level the reported intervals are computed at.
-    pub fn confidence(&self) -> Confidence {
-        match self {
-            PolicyConfig::Adaptive(c) => c.params.confidence,
-            PolicyConfig::Stratified(c) => c.confidence,
-        }
-    }
-}
-
-/// Per-cluster confidence intervals of a finished adaptive run — the
-/// payload behind the campaign record's CI fields.
+/// Per-cluster confidence intervals of a finished adaptive or stratified
+/// run — the payload behind the campaign record's CI fields.
 #[derive(Debug, Clone)]
 pub struct AccuracyReport {
-    /// The configuration the run used.
-    pub config: PolicyConfig,
     /// Per-cluster accuracy, sorted by unit id.
     pub clusters: Vec<ClusterAccuracy>,
     /// Total detailed instances the Neyman allocator handed out after the
@@ -253,7 +218,8 @@ impl AccuracyReport {
     }
 
     /// Total `(cluster, band)` pairs whose concurrency shift re-opened a
-    /// converged cluster.
+    /// converged cluster — the number of re-opens, since a cluster
+    /// re-opens at most once per band.
     pub fn reopened_bands(&self) -> usize {
         self.clusters.iter().flat_map(|c| &c.bands).filter(|b| b.reopened).count()
     }
@@ -262,7 +228,18 @@ impl AccuracyReport {
 /// The adaptive mode controller. Create one per simulation run.
 #[derive(Debug)]
 pub struct AdaptiveController {
-    config: AdaptiveConfig,
+    /// `W`: detailed instances per worker at simulation start whose IPC
+    /// only feeds the fallback moments.
+    warmup_instances: u64,
+    /// Rare-cluster cutoff: once every worker has completed this many
+    /// instances without touching an unconverged cluster, clusters that
+    /// still lack their floor are force-converged onto whatever estimate
+    /// they have (the paper's rare-task-type rule).
+    rare_cluster_cutoff: u64,
+    /// The stopping rule (see [`SamplingPolicy::Adaptive`]).
+    target_ci: f64,
+    confidence: Confidence,
+    min_samples: u64,
     /// State per observed cluster, indexed by the dense unit id (`None`
     /// until the unit's first instance starts).
     clusters: Vec<Option<ClusterState>>,
@@ -280,19 +257,28 @@ pub struct AdaptiveController {
 }
 
 impl AdaptiveController {
-    /// Creates a controller.
+    /// Creates a controller for an adaptive `config` (`W`, the rare-type
+    /// cutoff as the rare-cluster cutoff, and the stopping rule of its
+    /// [`SamplingPolicy::Adaptive`]).
     ///
     /// # Panics
     ///
     /// Panics if the configuration is invalid (see
-    /// [`AdaptiveConfig::validate`]).
-    pub fn new(config: AdaptiveConfig) -> Self {
-        if let Err(e) = config.validate() {
+    /// [`TaskPointConfig::validated`]) or its policy is not adaptive.
+    pub fn new(config: TaskPointConfig) -> Self {
+        if let Err(e) = config.validated() {
             panic!("invalid adaptive configuration: {e}");
         }
+        let SamplingPolicy::Adaptive { target_ci, confidence, min_samples } = config.policy else {
+            panic!("the AdaptiveController needs SamplingPolicy::Adaptive, got {:?}", config.policy)
+        };
         Self {
+            warmup_instances: config.warmup_instances,
+            rare_cluster_cutoff: config.rare_type_cutoff,
+            target_ci,
+            confidence,
+            min_samples,
             warmup_complete: config.warmup_instances == 0,
-            config,
             clusters: Vec::new(),
             warmup_done: Vec::new(),
             since_unconverged: Vec::new(),
@@ -316,11 +302,6 @@ impl AdaptiveController {
         self
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &AdaptiveConfig {
-        &self.config
-    }
-
     /// The telemetry collected so far.
     pub fn stats(&self) -> &AdaptiveStats {
         &self.stats
@@ -333,10 +314,10 @@ impl AdaptiveController {
             .iter()
             .enumerate()
             .filter_map(|(unit, st)| {
-                st.as_ref().map(|st| st.accuracy(unit as u32, self.config.params.confidence))
+                st.as_ref().map(|st| st.accuracy(unit as u32, self.confidence))
             })
             .collect();
-        AccuracyReport { config: PolicyConfig::Adaptive(self.config), clusters, allocated: None }
+        AccuracyReport { clusters, allocated: None }
     }
 
     /// Consumes the controller, returning telemetry and the accuracy
@@ -357,12 +338,12 @@ impl AdaptiveController {
 
     /// True when every worker completed the warmup quota.
     fn check_warmup_complete(&self) -> bool {
-        self.warmup_done.iter().all(|&c| c >= self.config.warmup_instances)
+        self.warmup_done.iter().all(|&c| c >= self.warmup_instances)
     }
 
     /// True when the rare-cluster cutoff clock expired on every worker.
     fn rare_cutoff_expired(&self) -> bool {
-        self.since_unconverged.iter().all(|&c| c >= self.config.rare_cluster_cutoff)
+        self.since_unconverged.iter().all(|&c| c >= self.rare_cluster_cutoff)
     }
 
     /// Force-converges every cluster that has any estimate at all, in
@@ -374,13 +355,12 @@ impl AdaptiveController {
                 st.converged = true;
                 st.forced = true;
                 st.pending_band = None;
-                self.stats.rare_forced += 1;
                 self.telemetry.event(SimEvent::Fidelity {
                     tick: now,
                     unit: unit as u32,
                     action: FidelityAction::RareConverged,
                     samples: st.valid.count(),
-                    rel_ci: relative_ci_half_width(&st.valid, self.config.params.confidence),
+                    rel_ci: relative_ci_half_width(&st.valid, self.confidence),
                 });
             }
         }
@@ -422,17 +402,17 @@ impl ModeController for AdaptiveController {
             // clusters (their estimate is too thin for per-band tests).
             if !state.forced {
                 let band = concurrency_band(start.concurrency);
-                let band_met =
-                    state.bands.get(&band).is_some_and(|m| ci_target_met(m, &self.config.params));
+                let band_met = state.bands.get(&band).is_some_and(|m| {
+                    ci_target_met(m, self.target_ci, self.confidence, self.min_samples)
+                });
                 if !band_met && !state.reopened_bands.contains(&band) {
                     state.reopened_bands.insert(band);
                     state.pending_band = Some(band);
                     state.converged = false;
-                    self.stats.reopened += 1;
                     let band_ci = state
                         .bands
                         .get(&band)
-                        .and_then(|m| relative_ci_half_width(m, self.config.params.confidence));
+                        .and_then(|m| relative_ci_half_width(m, self.confidence));
                     self.telemetry.event(SimEvent::Fidelity {
                         tick: start.time,
                         unit: start.type_id.0,
@@ -494,8 +474,7 @@ impl ModeController for AdaptiveController {
                     if usable {
                         state.add_valid(ipc, report.concurrency);
                         *self.stats.valid_samples.entry(report.type_id.0).or_insert(0) += 1;
-                        let rel_ci =
-                            relative_ci_half_width(&state.valid, self.config.params.confidence);
+                        let rel_ci = relative_ci_half_width(&state.valid, self.confidence);
                         self.telemetry.event(SimEvent::Fidelity {
                             tick: report.end,
                             unit: report.type_id.0,
@@ -508,12 +487,18 @@ impl ModeController for AdaptiveController {
                         // on its own samples.
                         let band_ok = match state.pending_band {
                             None => true,
-                            Some(b) => state
-                                .bands
-                                .get(&b)
-                                .is_some_and(|m| ci_target_met(m, &self.config.params)),
+                            Some(b) => state.bands.get(&b).is_some_and(|m| {
+                                ci_target_met(m, self.target_ci, self.confidence, self.min_samples)
+                            }),
                         };
-                        if band_ok && ci_target_met(&state.valid, &self.config.params) {
+                        if band_ok
+                            && ci_target_met(
+                                &state.valid,
+                                self.target_ci,
+                                self.confidence,
+                                self.min_samples,
+                            )
+                        {
                             state.converged = true;
                             state.pending_band = None;
                             self.telemetry.event(SimEvent::Fidelity {
@@ -538,9 +523,21 @@ impl ModeController for AdaptiveController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::Clustered;
-    use crate::config::AdaptiveParams;
     use taskpoint_runtime::{TaskInstanceId, TaskTypeId, WorkerId};
+
+    /// An adaptive config at `target_ci` with a `min_samples` floor.
+    fn adaptive(target_ci: f64, min_samples: u64) -> TaskPointConfig {
+        TaskPointConfig::adaptive(target_ci).with_policy(SamplingPolicy::Adaptive {
+            target_ci,
+            confidence: Confidence::C95,
+            min_samples,
+        })
+    }
+
+    /// Clusters force-converged by the rare-cluster cutoff so far.
+    fn forced_clusters(ctrl: &AdaptiveController) -> usize {
+        ctrl.report().clusters.iter().filter(|c| c.forced).count()
+    }
 
     fn start(task: u64, type_id: u32, worker: u32, time: u64) -> TaskStart {
         TaskStart {
@@ -590,7 +587,7 @@ mod tests {
     #[test]
     fn uniform_cluster_converges_at_the_floor() {
         // Identical IPCs: zero variance, CI = 0 at the floor.
-        let mut ctrl = AdaptiveController::new(AdaptiveConfig::new(0.05));
+        let mut ctrl = AdaptiveController::new(TaskPointConfig::adaptive(0.05));
         let detailed = drive(&mut ctrl, &[500; 50]);
         // W=2 warmup + min_samples=4 valid samples.
         assert_eq!(detailed, 6);
@@ -605,8 +602,8 @@ mod tests {
 
     #[test]
     fn noisy_cluster_keeps_sampling_until_the_ci_shrinks() {
-        let loose = AdaptiveConfig::new(0.20);
-        let tight = AdaptiveConfig::new(0.02);
+        let loose = TaskPointConfig::adaptive(0.20);
+        let tight = TaskPointConfig::adaptive(0.02);
         // Alternating 400/600 cycles: IPC alternates 2.5 / 1.667.
         let cycles: Vec<u64> = (0..400).map(|i| if i % 2 == 0 { 400 } else { 600 }).collect();
         let mut a = AdaptiveController::new(loose);
@@ -622,23 +619,21 @@ mod tests {
 
     #[test]
     fn never_converges_below_min_samples() {
-        let config =
-            AdaptiveConfig::new(0.5).with_params(AdaptiveParams::new(0.5).with_min_samples(9));
-        let mut ctrl = AdaptiveController::new(config);
+        let mut ctrl = AdaptiveController::new(adaptive(0.5, 9));
         let detailed = drive(&mut ctrl, &[500; 30]);
         assert_eq!(detailed, 2 + 9, "warmup + floor");
     }
 
     #[test]
     fn zero_warmup_samples_immediately() {
-        let mut ctrl = AdaptiveController::new(AdaptiveConfig::new(0.05).with_warmup(0));
+        let mut ctrl = AdaptiveController::new(TaskPointConfig::adaptive(0.05).with_warmup(0));
         let detailed = drive(&mut ctrl, &[500; 20]);
         assert_eq!(detailed, 4, "no warmup: floor only");
     }
 
     #[test]
     fn rare_cluster_is_force_converged_by_the_cutoff() {
-        let mut ctrl = AdaptiveController::new(AdaptiveConfig::new(0.05));
+        let mut ctrl = AdaptiveController::new(TaskPointConfig::adaptive(0.05));
         let mut task = 0u64;
         let mut run = |ctrl: &mut AdaptiveController, ty: u32, cycles: u64| -> ExecMode {
             let s = start(task, ty, 0, task * 1000);
@@ -661,7 +656,7 @@ mod tests {
         }
         // Common type converged; after `rare_cluster_cutoff` fast
         // completions the rare cluster is forced.
-        assert_eq!(ctrl.stats().rare_forced, 1);
+        assert_eq!(forced_clusters(&ctrl), 1);
         let mode = run(&mut ctrl, 1, 250);
         assert!(
             matches!(mode, ExecMode::Fast { .. }),
@@ -670,41 +665,6 @@ mod tests {
         let rep = ctrl.report();
         let rare = rep.clusters.iter().find(|c| c.unit == 1).unwrap();
         assert!(rare.forced && rare.converged);
-    }
-
-    #[test]
-    fn clustered_adaptive_separates_size_classes() {
-        let mut ctrl =
-            Clustered::new(AdaptiveController::new(AdaptiveConfig::new(0.1).with_warmup(0)), 1);
-        for task in 0..40u64 {
-            let instrs = if task % 2 == 0 { 200 } else { 100_000 };
-            let s = TaskStart {
-                task: TaskInstanceId(task),
-                type_id: TaskTypeId(0),
-                instructions: instrs,
-                worker: WorkerId(0),
-                time: task * 1000,
-                concurrency: 1,
-                total_workers: 1,
-            };
-            let mode = ctrl.mode_for_task(&s);
-            let sim_mode = match mode {
-                ExecMode::Detailed => SimMode::Detailed,
-                ExecMode::Fast { .. } => SimMode::Fast,
-            };
-            ctrl.on_task_complete(&TaskReport {
-                task: TaskInstanceId(task),
-                type_id: TaskTypeId(0),
-                worker: WorkerId(0),
-                start: 0,
-                end: instrs / 2,
-                instructions: instrs,
-                mode: sim_mode,
-                concurrency: 1,
-            });
-        }
-        assert_eq!(ctrl.num_clusters(), 2, "one type, two size classes");
-        assert_eq!(ctrl.into_inner().report().units(), 2);
     }
 
     fn start_c(task: u64, type_id: u32, concurrency: u32) -> TaskStart {
@@ -734,21 +694,21 @@ mod tests {
 
     #[test]
     fn concurrency_shift_reopens_a_converged_cluster_once_per_band() {
-        let mut ctrl = AdaptiveController::new(AdaptiveConfig::new(0.05));
+        let mut ctrl = AdaptiveController::new(TaskPointConfig::adaptive(0.05));
         let mut task = 0u64;
         // Converge at concurrency 1 (band 0): W=2 + floor 4 detailed.
         for _ in 0..10 {
             run_at(&mut ctrl, task, 500, 1);
             task += 1;
         }
-        assert_eq!(ctrl.stats().reopened, 0);
+        assert_eq!(ctrl.report().reopened_bands(), 0);
         assert!(ctrl.report().clusters[0].converged);
         // Shift into band 2 (concurrency 4): the empty band misses the
         // target, so the cluster re-opens and samples in detail.
         let mode = run_at(&mut ctrl, task, 500, 4);
         task += 1;
         assert_eq!(mode, ExecMode::Detailed, "shifted band re-opens the cluster");
-        assert_eq!(ctrl.stats().reopened, 1);
+        assert_eq!(ctrl.report().reopened_bands(), 1);
         // Keep sampling at concurrency 4 until the band re-converges.
         for _ in 0..10 {
             run_at(&mut ctrl, task, 500, 4);
@@ -763,24 +723,23 @@ mod tests {
         // band.
         let mode = run_at(&mut ctrl, task, 500, 4);
         assert!(matches!(mode, ExecMode::Fast { .. }));
-        assert_eq!(ctrl.stats().reopened, 1);
+        assert_eq!(ctrl.report().reopened_bands(), 1);
     }
 
     #[test]
     fn constant_concurrency_never_reopens() {
         // The triggering band's moments are bit-identical to the pooled
         // moments at constant concurrency, so convergence is sticky.
-        let mut ctrl = AdaptiveController::new(AdaptiveConfig::new(0.05));
+        let mut ctrl = AdaptiveController::new(TaskPointConfig::adaptive(0.05));
         for task in 0..200u64 {
             run_at(&mut ctrl, task, if task % 2 == 0 { 400 } else { 600 }, 3);
         }
-        assert_eq!(ctrl.stats().reopened, 0);
         assert_eq!(ctrl.report().reopened_bands(), 0);
     }
 
     #[test]
     fn rare_forced_clusters_stay_closed_across_bands() {
-        let mut ctrl = AdaptiveController::new(AdaptiveConfig::new(0.05));
+        let mut ctrl = AdaptiveController::new(TaskPointConfig::adaptive(0.05));
         let mut task = 0u64;
         let mut run = |ctrl: &mut AdaptiveController, ty: u32, concurrency: u32| -> ExecMode {
             let s = start_c(task, ty, concurrency);
@@ -800,18 +759,18 @@ mod tests {
         for _ in 0..20 {
             run(&mut ctrl, 0, 1);
         }
-        assert_eq!(ctrl.stats().rare_forced, 1);
+        assert_eq!(forced_clusters(&ctrl), 1);
         // The rare cluster at a brand-new concurrency band must not
         // re-open: its single-sample estimate makes band tests
         // meaningless.
         let mode = run(&mut ctrl, 1, 8);
         assert!(matches!(mode, ExecMode::Fast { .. }));
-        assert_eq!(ctrl.stats().reopened, 0);
+        assert_eq!(ctrl.report().reopened_bands(), 0);
     }
 
     #[test]
     fn invalid_ipc_reports_are_skipped() {
-        let mut ctrl = AdaptiveController::new(AdaptiveConfig::new(0.05).with_warmup(0));
+        let mut ctrl = AdaptiveController::new(TaskPointConfig::adaptive(0.05).with_warmup(0));
         let s = start(0, 0, 0, 0);
         assert_eq!(ctrl.mode_for_task(&s), ExecMode::Detailed);
         // Zero-cycle completion carries no IPC: no sample recorded.
@@ -823,8 +782,18 @@ mod tests {
     #[test]
     #[should_panic(expected = "min_samples must be positive")]
     fn invalid_config_rejected() {
-        AdaptiveController::new(
-            AdaptiveConfig::new(0.05).with_params(AdaptiveParams::new(0.05).with_min_samples(0)),
-        );
+        AdaptiveController::new(adaptive(0.05, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "must not exceed history")]
+    fn warmup_beyond_history_rejected() {
+        AdaptiveController::new(TaskPointConfig::adaptive(0.05).with_warmup(5));
+    }
+
+    #[test]
+    #[should_panic(expected = "needs SamplingPolicy::Adaptive")]
+    fn other_policies_rejected() {
+        AdaptiveController::new(TaskPointConfig::lazy());
     }
 }

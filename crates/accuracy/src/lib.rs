@@ -15,10 +15,9 @@
 //!   configured confidence level, drops below a target — subject to a
 //!   minimum-sample floor and the rare-cluster cutoff inherited from the
 //!   paper's rare-task-type rule — and is fast-forwarded from then on;
-//! * the [`ClusterMap`] that buckets instances into `(task type,
-//!   size-class)` sampling units, and the [`Clustered`] wrapper that
-//!   makes any mode controller sample those units instead of task types,
-//!   plus the [`concurrency_band`]
+//! * the [`ClusterMap`] that buckets instances into the `(task type,
+//!   size-class)` strata of the stratified controller, plus the
+//!   [`concurrency_band`]
 //!   log₂ bucketing that makes convergence concurrency-aware: both
 //!   controllers keep per-band moments and *re-open* a converged cluster
 //!   when the live concurrency shifts into a band whose interval misses
@@ -36,10 +35,12 @@
 //! sampling, and the target becomes a dial that traces an error/speedup
 //! frontier instead of a single operating point.
 //!
-//! The sampling core (`taskpoint`) picks these controllers in
-//! `taskpoint::run` and exposes them as `SamplingPolicy::Adaptive` and
-//! `SamplingPolicy::Stratified`; this crate is deliberately independent of
-//! it so the statistical machinery is testable on bare synthetic streams.
+//! Every controller of the workspace — these two and the sampling core's
+//! `TaskPointController` — takes the one parameter set of the methodology,
+//! [`TaskPointConfig`], whose [`SamplingPolicy`] selects the controller
+//! (`taskpoint::run` dispatches on it and re-exports all three config
+//! types). This crate is deliberately independent of the sampling core so
+//! the statistical machinery is testable on bare synthetic streams.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -53,11 +54,9 @@ pub mod stratified;
 
 pub use allocate::{neyman_allocate, Stratum};
 pub use ci::{ci_target_met, relative_ci_half_width};
-pub use cluster::{concurrency_band, ClusterMap, Clustered};
-pub use config::{
-    AdaptiveConfig, AdaptiveParams, AdaptiveParamsError, StratifiedConfig, StratifiedConfigError,
-};
+pub use cluster::{concurrency_band, ClusterMap};
+pub use config::{ConfigError, SamplingPolicy, TaskPointConfig};
 pub use controller::{
-    AccuracyReport, AdaptiveController, AdaptiveStats, BandAccuracy, ClusterAccuracy, PolicyConfig,
+    AccuracyReport, AdaptiveController, AdaptiveStats, BandAccuracy, ClusterAccuracy,
 };
 pub use stratified::StratifiedController;

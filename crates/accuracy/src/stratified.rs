@@ -5,7 +5,7 @@
 //! greedily per cluster:
 //!
 //! 1. **Pilot**: every `(type, size-class)` stratum runs
-//!    [`pilot_samples`](crate::StratifiedConfig::pilot_samples) instances
+//!    `pilot_samples` instances (see [`SamplingPolicy::Stratified`])
 //!    in detail (or its whole population, whichever is smaller) to
 //!    estimate its IPC variance. A stratum that finished its own pilot
 //!    fast-forwards on the pilot mean while the others catch up.
@@ -35,10 +35,8 @@ use tasksim::{ExecMode, ModeController, SimMode, TaskReport, TaskStart};
 use crate::allocate::{neyman_allocate, Stratum};
 use crate::ci::relative_ci_half_width;
 use crate::cluster::{concurrency_band, ClusterMap};
-use crate::config::StratifiedConfig;
-use crate::controller::{
-    AccuracyReport, AdaptiveStats, ClusterAccuracy, ClusterState, PolicyConfig,
-};
+use crate::config::{SamplingPolicy, TaskPointConfig};
+use crate::controller::{AccuracyReport, AdaptiveStats, ClusterAccuracy, ClusterState};
 
 /// Per-stratum sampling state on top of the shared [`ClusterState`].
 #[derive(Debug, Clone, Default)]
@@ -74,7 +72,17 @@ impl StratumState {
 /// [`prime`](Self::prime) it with the program's instances before driving.
 #[derive(Debug)]
 pub struct StratifiedController {
-    config: StratifiedConfig,
+    /// `W`: detailed instances per worker at simulation start whose IPC
+    /// only feeds the fallback moments.
+    warmup_instances: u64,
+    /// Detailed pilot instances per stratum (also the length of a band
+    /// re-open's mini-pilot).
+    pilot_samples: u64,
+    /// Total detailed budget after warmup, pilots included.
+    budget: u64,
+    /// Confidence level of the reported intervals and the band test.
+    confidence: Confidence,
+    /// One stratum per `(type, size-class)` pair.
     map: ClusterMap,
     /// Stratum state indexed by dense unit id (priming order).
     strata: Vec<StratumState>,
@@ -92,20 +100,30 @@ pub struct StratifiedController {
 }
 
 impl StratifiedController {
-    /// Creates a controller.
+    /// Creates a controller for a stratified `config` (`W` and the pilot,
+    /// budget and confidence of its [`SamplingPolicy::Stratified`]).
     ///
     /// # Panics
     ///
     /// Panics if the configuration is invalid (see
-    /// [`StratifiedConfig::validate`]).
-    pub fn new(config: StratifiedConfig) -> Self {
-        if let Err(e) = config.validate() {
+    /// [`TaskPointConfig::validated`]) or its policy is not stratified.
+    pub fn new(config: TaskPointConfig) -> Self {
+        if let Err(e) = config.validated() {
             panic!("invalid stratified configuration: {e}");
         }
+        let SamplingPolicy::Stratified { pilot_samples, budget, confidence } = config.policy else {
+            panic!(
+                "the StratifiedController needs SamplingPolicy::Stratified, got {:?}",
+                config.policy
+            )
+        };
         Self {
+            warmup_instances: config.warmup_instances,
+            pilot_samples,
+            budget,
+            confidence,
             warmup_complete: config.warmup_instances == 0,
-            map: ClusterMap::new(config.granularity),
-            config,
+            map: ClusterMap::default(),
             strata: Vec::new(),
             warmup_done: Vec::new(),
             workers_known: false,
@@ -146,11 +164,6 @@ impl StratifiedController {
         self
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &StratifiedConfig {
-        &self.config
-    }
-
     /// The telemetry collected so far.
     pub fn stats(&self) -> &AdaptiveStats {
         &self.stats
@@ -176,13 +189,9 @@ impl StratifiedController {
             .strata
             .iter()
             .enumerate()
-            .map(|(unit, st)| st.inner.accuracy(unit as u32, self.config.confidence))
+            .map(|(unit, st)| st.inner.accuracy(unit as u32, self.confidence))
             .collect();
-        AccuracyReport {
-            config: PolicyConfig::Stratified(self.config),
-            clusters,
-            allocated: self.allocations().map(|v| v.iter().sum()),
-        }
+        AccuracyReport { clusters, allocated: self.allocations().map(|v| v.iter().sum()) }
     }
 
     /// Consumes the controller, returning telemetry and the accuracy
@@ -201,7 +210,7 @@ impl StratifiedController {
 
     /// True when every worker completed the warmup quota.
     fn check_warmup_complete(&self) -> bool {
-        self.warmup_done.iter().all(|&c| c >= self.config.warmup_instances)
+        self.warmup_done.iter().all(|&c| c >= self.warmup_instances)
     }
 
     /// Fires the Neyman allocation once every stratum finished its pilot:
@@ -209,11 +218,11 @@ impl StratifiedController {
     /// `Allocated` event per stratum in unit-id order, and strata whose
     /// extra allocation is zero converge on the spot.
     fn try_allocate(&mut self, now: u64) {
-        let pilot = self.config.pilot_samples;
+        let pilot = self.pilot_samples;
         if self.allocated || !self.strata.iter().all(|s| s.pilot_complete(pilot)) {
             return;
         }
-        let remaining = self.config.budget.saturating_sub(self.pilot_spend);
+        let remaining = self.budget.saturating_sub(self.pilot_spend);
         let inputs: Vec<Stratum> = self
             .strata
             .iter()
@@ -221,7 +230,7 @@ impl StratifiedController {
             .collect();
         let alloc = neyman_allocate(remaining, &inputs, 0);
         for (unit, (st, &extra)) in self.strata.iter_mut().zip(&alloc).enumerate() {
-            let rel_ci = relative_ci_half_width(&st.inner.valid, self.config.confidence);
+            let rel_ci = relative_ci_half_width(&st.inner.valid, self.confidence);
             st.extra = Some(extra);
             self.telemetry.event(SimEvent::Fidelity {
                 tick: now,
@@ -289,7 +298,7 @@ impl ModeController for StratifiedController {
             // Pilot phase: detailed until the stratum's quota is met,
             // then fast-forward on the pilot mean while the other strata
             // catch up.
-            if !st.pilot_complete(self.config.pilot_samples) {
+            if !st.pilot_complete(self.pilot_samples) {
                 return ExecMode::Detailed;
             }
             return match st.inner.ipc() {
@@ -309,13 +318,12 @@ impl ModeController for StratifiedController {
                     .inner
                     .bands
                     .get(&band)
-                    .and_then(|m| relative_ci_half_width(m, self.config.confidence))
+                    .and_then(|m| relative_ci_half_width(m, self.confidence))
                     .is_some_and(|ci| ci <= target);
                 if !band_met && !st.inner.reopened_bands.contains(&band) {
                     st.inner.reopened_bands.insert(band);
                     st.inner.converged = false;
-                    st.reopen_left = self.config.pilot_samples;
-                    self.stats.reopened += 1;
+                    st.reopen_left = self.pilot_samples;
                     let band_moments = st.inner.bands.get(&band);
                     self.telemetry.event(SimEvent::Fidelity {
                         tick: start.time,
@@ -323,7 +331,7 @@ impl ModeController for StratifiedController {
                         action: FidelityAction::ClusterReopened,
                         samples: band_moments.map_or(0, StreamingMoments::count),
                         rel_ci: band_moments
-                            .and_then(|m| relative_ci_half_width(m, self.config.confidence)),
+                            .and_then(|m| relative_ci_half_width(m, self.confidence)),
                     });
                     return ExecMode::Detailed;
                 }
@@ -374,7 +382,7 @@ impl ModeController for StratifiedController {
                             unit,
                             action: FidelityAction::Sampled,
                             samples: st.inner.valid.count(),
-                            rel_ci: relative_ci_half_width(&st.inner.valid, self.config.confidence),
+                            rel_ci: relative_ci_half_width(&st.inner.valid, self.confidence),
                         });
                     }
                     self.try_allocate(report.end);
@@ -396,7 +404,7 @@ impl ModeController for StratifiedController {
                         unit,
                         action: FidelityAction::Sampled,
                         samples: st.inner.valid.count(),
-                        rel_ci: relative_ci_half_width(&st.inner.valid, self.config.confidence),
+                        rel_ci: relative_ci_half_width(&st.inner.valid, self.confidence),
                     });
                 }
                 if st.reopen_left > 0 {
@@ -404,24 +412,12 @@ impl ModeController for StratifiedController {
                     // the stratum closes even on unusable samples.
                     st.reopen_left -= 1;
                     if st.reopen_left == 0 {
-                        Self::converge(
-                            &self.telemetry,
-                            self.config.confidence,
-                            unit,
-                            st,
-                            report.end,
-                        );
+                        Self::converge(&self.telemetry, self.confidence, unit, st, report.end);
                     }
                 } else {
                     st.extra_done += 1;
                     if st.extra_done >= st.extra.unwrap_or(0) {
-                        Self::converge(
-                            &self.telemetry,
-                            self.config.confidence,
-                            unit,
-                            st,
-                            report.end,
-                        );
+                        Self::converge(&self.telemetry, self.confidence, unit, st, report.end);
                     }
                 }
             }
@@ -485,7 +481,7 @@ mod tests {
     }
 
     /// A one-type program of `n` equal-size instances.
-    fn primed(config: StratifiedConfig, n: u64) -> StratifiedController {
+    fn primed(config: TaskPointConfig, n: u64) -> StratifiedController {
         let mut ctrl = StratifiedController::new(config);
         ctrl.prime((0..n).map(|_| (TaskTypeId(0), 1000)));
         ctrl
@@ -495,7 +491,7 @@ mod tests {
     fn pilot_only_when_budget_equals_pilot_spend() {
         // One stratum, pilot == budget: allocation leaves zero extra and
         // the run degenerates to warmup + pilot detailed instances.
-        let mut ctrl = primed(StratifiedConfig::new(4, 4), 50);
+        let mut ctrl = primed(TaskPointConfig::stratified(4, 4), 50);
         let mut detailed = 0;
         for task in 0..50u64 {
             if let ExecMode::Detailed = run_one(&mut ctrl, task, 0, 1000, 500, 1) {
@@ -514,7 +510,7 @@ mod tests {
     fn extra_budget_follows_the_variance() {
         // Two types, same size: type 0 constant IPC, type 1 noisy. All
         // extra budget must land on type 1 (type 0 is zero-variance).
-        let mut ctrl = StratifiedController::new(StratifiedConfig::new(4, 32).with_warmup(0));
+        let mut ctrl = StratifiedController::new(TaskPointConfig::stratified(4, 32).with_warmup(0));
         ctrl.prime((0..80).map(|i| (TaskTypeId((i % 2) as u32), 1000)));
         for task in 0..80u64 {
             let ty = (task % 2) as u32;
@@ -539,7 +535,7 @@ mod tests {
 
     #[test]
     fn strata_split_by_size_class() {
-        let mut ctrl = StratifiedController::new(StratifiedConfig::new(2, 8).with_warmup(0));
+        let mut ctrl = StratifiedController::new(TaskPointConfig::stratified(2, 8).with_warmup(0));
         ctrl.prime((0..40).map(|i| (TaskTypeId(0), if i % 2 == 0 { 200 } else { 100_000 })));
         assert_eq!(ctrl.num_clusters(), 2, "one type, two size classes");
         for task in 0..40u64 {
@@ -551,7 +547,7 @@ mod tests {
 
     #[test]
     fn concurrency_shift_reopens_a_converged_stratum() {
-        let mut ctrl = primed(StratifiedConfig::new(4, 8).with_warmup(0), 60);
+        let mut ctrl = primed(TaskPointConfig::stratified(4, 8).with_warmup(0), 60);
         let mut task = 0u64;
         // Noisy stratum at concurrency 1 through pilot + extra.
         for _ in 0..20 {
@@ -560,13 +556,13 @@ mod tests {
             task += 1;
         }
         assert!(ctrl.report().clusters[0].converged);
-        assert_eq!(ctrl.stats().reopened, 0);
+        assert_eq!(ctrl.report().reopened_bands(), 0);
         // Shift to concurrency 4 (band 2): no samples there, so the
         // stratum re-opens for a mini-pilot.
         let mode = run_one(&mut ctrl, task, 0, 1000, 400, 4);
         task += 1;
         assert_eq!(mode, ExecMode::Detailed);
-        assert_eq!(ctrl.stats().reopened, 1);
+        assert_eq!(ctrl.report().reopened_bands(), 1);
         for _ in 0..4 {
             let cycles = if task.is_multiple_of(2) { 400 } else { 600 };
             run_one(&mut ctrl, task, 0, 1000, cycles, 4);
@@ -578,30 +574,41 @@ mod tests {
         // Same band again: once per band.
         let mode = run_one(&mut ctrl, task, 0, 1000, 500, 4);
         assert!(matches!(mode, ExecMode::Fast { .. }));
-        assert_eq!(ctrl.stats().reopened, 1);
+        assert_eq!(ctrl.report().reopened_bands(), 1);
     }
 
     #[test]
     fn constant_concurrency_never_reopens() {
-        let mut ctrl = primed(StratifiedConfig::new(4, 16).with_warmup(0), 200);
+        let mut ctrl = primed(TaskPointConfig::stratified(4, 16).with_warmup(0), 200);
         for task in 0..200u64 {
             let cycles = if task.is_multiple_of(2) { 400 } else { 600 };
             run_one(&mut ctrl, task, 0, 1000, cycles, 2);
         }
-        assert_eq!(ctrl.stats().reopened, 0);
         assert_eq!(ctrl.report().reopened_bands(), 0);
     }
 
     #[test]
     #[should_panic(expected = "must be primed")]
     fn unprimed_controller_is_rejected() {
-        let mut ctrl = StratifiedController::new(StratifiedConfig::new(4, 8));
+        let mut ctrl = StratifiedController::new(TaskPointConfig::stratified(4, 8));
         ctrl.mode_for_task(&start(0, 0, 1000, 1));
     }
 
     #[test]
     #[should_panic(expected = "budget")]
     fn invalid_config_rejected() {
-        StratifiedController::new(StratifiedConfig::new(8, 4));
+        StratifiedController::new(TaskPointConfig::stratified(8, 4));
+    }
+
+    #[test]
+    #[should_panic(expected = "must not exceed history")]
+    fn warmup_beyond_history_rejected() {
+        StratifiedController::new(TaskPointConfig::stratified(4, 8).with_warmup(5));
+    }
+
+    #[test]
+    #[should_panic(expected = "needs SamplingPolicy::Stratified")]
+    fn other_policies_rejected() {
+        StratifiedController::new(TaskPointConfig::adaptive(0.05));
     }
 }

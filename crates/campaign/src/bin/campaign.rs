@@ -285,7 +285,7 @@ fn cmd_invalidate(args: &Args, scale: RunScale) {
             if store.invalidate_cell(&spec.hash_hex()) {
                 removed += 1;
             }
-            // Sampled/clustered cells imply a reference unit; drop it too
+            // Sampled cells imply a reference unit; drop it too
             // so the sweep genuinely recomputes.
             if let Some(reference) = spec.reference_spec() {
                 if store.invalidate_cell(&reference.hash_hex()) {

@@ -191,7 +191,7 @@ fn cmd_simulate(path: &Path, workers: u32) -> ExitCode {
     };
     let reference = sim(bundle.clone()).build().run(&mut DetailedOnly);
     let RunOutcome { result: sampled, stats, .. } =
-        taskpoint::run(sim(bundle).build(), TaskPointConfig::lazy(), None);
+        taskpoint::run(sim(bundle).build(), TaskPointConfig::lazy());
     let outcome = ExperimentOutcome::compare(&sampled, &reference);
     println!(
         "reference: {} cycles ({} detailed tasks)",
@@ -238,8 +238,7 @@ fn cmd_timeline(path: &Path, workers: u32, flags: &[(String, String)]) -> ExitCo
         .traces(Box::new(bundle))
         .telemetry(telemetry.clone())
         .build();
-    let RunOutcome { result: sampled, stats, .. } =
-        taskpoint::run(sim, TaskPointConfig::lazy(), None);
+    let RunOutcome { result: sampled, stats, .. } = taskpoint::run(sim, TaskPointConfig::lazy());
     let report = telemetry.take_report().expect("recording handle yields a report");
     print!("{}", report.render_gantt(width as usize));
     println!(

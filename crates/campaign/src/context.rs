@@ -14,7 +14,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use taskpoint::{
-    AccuracyReport, ExperimentOutcome, PolicyConfig, ResampleCause, RunOutcome, TaskPointConfig,
+    AccuracyReport, ExperimentOutcome, ResampleCause, RunOutcome, SamplingPolicy, TaskPointConfig,
 };
 use taskpoint_runtime::Program;
 use taskpoint_stats::{normalize_by_group, BoxplotStats};
@@ -325,12 +325,7 @@ impl Context {
     ) -> StoredCell {
         match &spec.kind {
             CellKind::Reference => unreachable!("reference cells go through reference_entry"),
-            CellKind::Sampled { config } => {
-                self.eval_cell(store, spec, hash, telemetry, *config, None)
-            }
-            CellKind::Clustered { config, granularity } => {
-                self.eval_cell(store, spec, hash, telemetry, *config, Some(*granularity))
-            }
+            CellKind::Sampled { config } => self.eval_cell(store, spec, hash, telemetry, *config),
             CellKind::Variation { noise_seed } => {
                 let program = self.program(spec.bench, &spec.scale);
                 let mut builder = self.simulation(&program, spec, telemetry).collect_reports(true);
@@ -355,11 +350,8 @@ impl Context {
             }
             CellKind::Explore { config } => {
                 let program = self.program(spec.bench, &spec.scale);
-                let RunOutcome { result: sampled, stats, .. } = taskpoint::run(
-                    self.simulation(&program, spec, telemetry).build(),
-                    *config,
-                    None,
-                );
+                let RunOutcome { result: sampled, stats, .. } =
+                    taskpoint::run(self.simulation(&program, spec, telemetry).build(), *config);
                 let metrics = CellMetrics::Explore(ExploreMetrics {
                     predicted_cycles: sampled.total_cycles,
                     detail_fraction: sampled.detail_fraction(),
@@ -377,8 +369,8 @@ impl Context {
         }
     }
 
-    /// Runs a sampled or clustered cell and compares it against its
-    /// detailed reference (computed unobserved if it is not cached yet).
+    /// Runs a sampled cell and compares it against its detailed reference
+    /// (computed unobserved if it is not cached yet).
     fn eval_cell(
         &self,
         store: &ResultStore,
@@ -386,21 +378,26 @@ impl Context {
         hash: &str,
         telemetry: &Telemetry,
         config: TaskPointConfig,
-        granularity: Option<u32>,
     ) -> StoredCell {
         let program = self.program(spec.bench, &spec.scale);
         let reference =
             self.reference_entry(store, &spec.reference_spec().expect("eval cell has reference"));
-        let RunOutcome { result: sampled, stats, accuracy, clusters } =
-            taskpoint::run(self.simulation(&program, spec, telemetry).build(), config, granularity);
+        let RunOutcome { result: sampled, stats, accuracy } =
+            taskpoint::run(self.simulation(&program, spec, telemetry).build(), config);
         let accuracy = accuracy.as_ref();
         let outcome = ExperimentOutcome::compare(&sampled, &reference.result);
-        // Stratified cells persist the configured pilot/budget alongside
-        // the realized allocation; everything else omits the keys.
-        let strat = accuracy.and_then(|a| match &a.config {
-            PolicyConfig::Stratified(c) => Some(*c),
-            _ => None,
-        });
+        // Adaptive cells persist their CI target, stratified cells the
+        // configured pilot/budget alongside the realized allocation, and
+        // both their confidence level; other cells omit the keys.
+        let (ci_target, ci_confidence, strat_pilot, strat_budget) = match config.policy {
+            SamplingPolicy::Adaptive { target_ci, confidence, .. } => {
+                (Some(target_ci), Some(confidence.level()), None, None)
+            }
+            SamplingPolicy::Stratified { pilot_samples, budget, confidence } => {
+                (None, Some(confidence.level()), Some(pilot_samples), Some(budget))
+            }
+            SamplingPolicy::Lazy | SamplingPolicy::Periodic { .. } => (None, None, None, None),
+        };
         let metrics = CellMetrics::Eval(Box::new(EvalMetrics {
             error_percent: outcome.error_percent,
             predicted_cycles: outcome.predicted_cycles,
@@ -415,15 +412,14 @@ impl Context {
             resamples_new_type: stats.resamples_by(ResampleCause::NewTaskType) as u64,
             resamples_concurrency: stats.resamples_by(ResampleCause::ConcurrencyChange) as u64,
             resamples_empty: stats.resamples_by(ResampleCause::EmptyHistories) as u64,
-            clusters: clusters.map(|c| c as u64),
-            ci_target: accuracy.and_then(|a| a.config.target_ci()),
-            ci_confidence: accuracy.map(|a| a.config.confidence().level()),
+            ci_target,
+            ci_confidence,
             ci_max: accuracy.and_then(AccuracyReport::max_rel_ci),
             ci_mean: accuracy.and_then(AccuracyReport::mean_rel_ci),
             ci_units: accuracy.map(|a| a.units() as u64),
             ci_converged: accuracy.map(|a| a.converged_units() as u64),
-            strat_pilot: strat.map(|c| c.pilot_samples),
-            strat_budget: strat.map(|c| c.budget),
+            strat_pilot,
+            strat_budget,
             strat_allocated: accuracy.and_then(|a| a.allocated),
             strat_reopened: accuracy.map(|a| a.reopened_bands() as u64),
             perf: PerfProfile::from_result(&sampled),

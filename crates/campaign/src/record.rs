@@ -294,7 +294,7 @@ record_tables! {
         pub stall_idle: u64,
     }
 
-    /// Deterministic metrics of a sampled (or clustered) cell.
+    /// Deterministic metrics of a sampled cell.
     #[derive(Debug, Clone, PartialEq)]
     pub struct EvalMetrics {
         /// Absolute percent error of predicted vs reference cycles.
@@ -323,8 +323,6 @@ record_tables! {
         pub resamples_concurrency: u64,
         /// Resamples triggered by empty histories.
         pub resamples_empty: u64,
-        /// `(type, size-class)` clusters formed (clustered cells only).
-        pub clusters: Option<u64>,
         /// Configured relative-CI target (adaptive cells only).
         pub ci_target: Option<f64>,
         /// Configured confidence level as a fraction, e.g. `0.95` (adaptive
@@ -411,7 +409,7 @@ record_tables! {
         pub workers: u32,
         /// Workload scale.
         pub scale: ScaleConfig,
-        /// Kind tag (`reference`/`sampled`/`clustered`/`variation`/`explore`).
+        /// Kind tag (`reference`/`sampled`/`variation`/`explore`).
         pub kind: String,
         /// Deterministic metrics, shaped by `kind`.
         pub metrics: CellMetrics,
@@ -426,10 +424,10 @@ record_tables! {
         /// first task (memory system, last-level prewarm, cores). `None`
         /// when a stored entry lacks the key.
         pub setup_seconds: Option<f64>,
-        /// Host seconds of the reference run it was compared against (sampled
-        /// and clustered cells only).
+        /// Host seconds of the reference run it was compared against
+        /// (sampled cells only).
         pub reference_wall_seconds: Option<f64>,
-        /// Wall-clock speedup over the reference (sampled/clustered only).
+        /// Wall-clock speedup over the reference (sampled cells only).
         pub speedup: Option<f64>,
         /// Detailed-mode simulation throughput of this cell's own run, in
         /// instructions per host second — the figure of merit of the batched
@@ -497,7 +495,7 @@ impl VariationMetrics {
 pub enum CellMetrics {
     /// Metrics of a reference cell.
     Reference(RefMetrics),
-    /// Metrics of a sampled or clustered cell (boxed: the eval payload
+    /// Metrics of a sampled cell (boxed: the eval payload
     /// dwarfs the other variants).
     Eval(Box<EvalMetrics>),
     /// Metrics of a variation cell.
@@ -507,7 +505,7 @@ pub enum CellMetrics {
 }
 
 impl CellMetrics {
-    /// The eval metrics, if this is a sampled/clustered cell.
+    /// The eval metrics, if this is a sampled cell.
     pub fn as_eval(&self) -> Option<&EvalMetrics> {
         match self {
             CellMetrics::Eval(m) => Some(m),
@@ -554,7 +552,7 @@ impl Field for CellMetrics {
     fn take(o: &Object, key: &str) -> Result<Self, RecordError> {
         Ok(match String::take(o, "kind")?.as_str() {
             "reference" => CellMetrics::Reference(Field::take(o, key)?),
-            "sampled" | "clustered" => CellMetrics::Eval(Box::new(Field::take(o, key)?)),
+            "sampled" => CellMetrics::Eval(Box::new(Field::take(o, key)?)),
             "variation" => CellMetrics::Variation(Field::take(o, key)?),
             "explore" => CellMetrics::Explore(Field::take(o, key)?),
             other => return Err(RecordError::Shape(format!("unknown kind {other:?}"))),
@@ -669,7 +667,6 @@ mod tests {
                 resamples_new_type: 1,
                 resamples_concurrency: 1,
                 resamples_empty: 0,
-                clusters: None,
                 ci_target: None,
                 ci_confidence: None,
                 ci_max: None,
@@ -1025,9 +1022,8 @@ mod tests {
     }
 
     /// The keys a record may lack; every other key is required.
-    const OPTIONAL_KEYS: [&str; 16] = [
+    const OPTIONAL_KEYS: [&str; 15] = [
         "groups",
-        "clusters",
         "ci_target",
         "ci_confidence",
         "ci_max",
@@ -1046,10 +1042,8 @@ mod tests {
 
     #[test]
     fn required_keys_are_required_and_optional_keys_read_as_none() {
-        let mut clustered = eval_record();
-        clustered.kind = "clustered".to_string();
-        let CellMetrics::Eval(ref mut m) = clustered.metrics else { unreachable!() };
-        m.clusters = Some(5);
+        let mut sampled = eval_record();
+        let CellMetrics::Eval(ref mut m) = sampled.metrics else { unreachable!() };
         m.ci_target = Some(0.05);
         m.ci_confidence = Some(0.95);
         m.ci_max = Some(0.04);
@@ -1095,7 +1089,7 @@ mod tests {
             detailed_instr_per_sec: Some(1.5e7),
         };
         let mut optional_seen = std::collections::BTreeSet::new();
-        for record in [heterogeneous_record(), clustered, variation, explore] {
+        for record in [heterogeneous_record(), sampled, variation, explore] {
             let kind = record.kind.clone();
             let full = StoredCell { record, timing: timing.clone() }.to_json();
             for (path, stripped) in without_each_key(&Value::parse(&full).unwrap()) {

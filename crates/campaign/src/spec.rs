@@ -105,14 +105,6 @@ pub enum CellKind {
         /// Controller parameters.
         config: TaskPointConfig,
     },
-    /// Size-clustered sampled run (`(type, size-class)` sampling units)
-    /// compared against its reference.
-    Clustered {
-        /// Controller parameters.
-        config: TaskPointConfig,
-        /// Size-class width in powers of two.
-        granularity: u32,
-    },
     /// Detailed run with per-task reports reduced to per-type-normalized
     /// IPC boxplot statistics (the layout of Figs. 1 and 5).
     Variation {
@@ -134,12 +126,11 @@ pub enum CellKind {
 
 impl CellKind {
     /// Short tag used in records and display (`reference` / `sampled` /
-    /// `clustered` / `variation` / `explore`).
+    /// `variation` / `explore`).
     pub fn tag(&self) -> &'static str {
         match self {
             CellKind::Reference => "reference",
             CellKind::Sampled { .. } => "sampled",
-            CellKind::Clustered { .. } => "clustered",
             CellKind::Variation { .. } => "variation",
             CellKind::Explore { .. } => "explore",
         }
@@ -281,7 +272,7 @@ impl CellSpec {
     /// The reference cell this cell's comparison needs, if any.
     pub fn reference_spec(&self) -> Option<CellSpec> {
         match self.kind {
-            CellKind::Sampled { .. } | CellKind::Clustered { .. } => Some(CellSpec::reference(
+            CellKind::Sampled { .. } => Some(CellSpec::reference(
                 self.bench,
                 self.scale,
                 self.machine.clone(),
@@ -307,10 +298,6 @@ impl CellSpec {
         match &self.kind {
             CellKind::Reference => {}
             CellKind::Sampled { config } => hash_policy(&mut h, config),
-            CellKind::Clustered { config, granularity } => {
-                hash_policy(&mut h, config);
-                h.write_u32(*granularity);
-            }
             CellKind::Variation { noise_seed } => h.write_opt_u64(*noise_seed),
             CellKind::Explore { config } => hash_policy(&mut h, config),
         }
@@ -403,10 +390,6 @@ mod tests {
             },
             CellSpec {
                 kind: CellKind::Sampled { config: TaskPointConfig::stratified(8, 512) },
-                ..b.clone()
-            },
-            CellSpec {
-                kind: CellKind::Clustered { config: TaskPointConfig::lazy(), granularity: 2 },
                 ..b.clone()
             },
             CellSpec { kind: CellKind::Variation { noise_seed: None }, ..b.clone() },

@@ -120,9 +120,9 @@ fn interrupted_campaign_resumes_from_completed_cells() {
 }
 
 /// One cell of every record shape the campaign emits: homogeneous and
-/// heterogeneous (`groups`) references, lazy, adaptive (`ci_*`),
-/// stratified (`strat_*`) and clustered (`clusters`) sampled cells, a
-/// noisy variation cell and an exploration cell.
+/// heterogeneous (`groups`) references, lazy, adaptive (`ci_*`) and
+/// stratified (`strat_*`) sampled cells, a noisy variation cell and an
+/// exploration cell.
 fn every_record_shape() -> Vec<CellSpec> {
     let scale = ScaleConfig::quick();
     let tiny = MachineConfig::tiny_test();
@@ -133,13 +133,6 @@ fn every_record_shape() -> Vec<CellSpec> {
         CellSpec::sampled(bench, scale, tiny.clone(), 2, TaskPointConfig::lazy()),
         CellSpec::sampled(bench, scale, tiny.clone(), 2, TaskPointConfig::adaptive(0.1)),
         CellSpec::sampled(bench, scale, tiny.clone(), 2, TaskPointConfig::stratified(4, 64)),
-        CellSpec {
-            bench,
-            scale,
-            machine: tiny.clone(),
-            workers: 2,
-            kind: CellKind::Clustered { config: TaskPointConfig::lazy(), granularity: 1 },
-        },
         CellSpec {
             bench,
             scale,
@@ -172,7 +165,7 @@ fn golden_record_bytes_of_every_shape() {
     let lines: Vec<&str> = jsonl.lines().collect();
     assert_eq!(lines.len(), specs.len());
     assert_eq!(lines[2], LAZY_LINE, "lazy sampled line");
-    assert_eq!(fnv1a(jsonl.as_bytes()), 0x21d0_94f4_f3ca_2fa2, "checksum of\n{jsonl}");
+    assert_eq!(fnv1a(jsonl.as_bytes()), 0x8092_c41d_0683_cfb8, "checksum of\n{jsonl}");
 
     // The store entry nests the same canonical bytes.
     for outcome in &report.outcomes {
@@ -197,5 +190,5 @@ fn golden_record_bytes_of_every_shape() {
         "cell,cached,wall_seconds,setup_seconds,reference_wall_seconds,speedup,\
          detailed_instr_per_sec",
     );
-    assert_eq!(keys, [own, own, compared, compared, compared, compared, own, own]);
+    assert_eq!(keys, [own, own, compared, compared, compared, own, own]);
 }

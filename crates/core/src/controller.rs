@@ -28,9 +28,9 @@
 
 use std::collections::HashMap;
 
+use taskpoint_accuracy::{SamplingPolicy, TaskPointConfig};
 use tasksim::{ExecMode, ModeController, SimMode, TaskReport, TaskStart};
 
-use crate::config::{SamplingPolicy, TaskPointConfig};
 use crate::history::TypeHistories;
 
 /// The controller's execution phase.

@@ -17,18 +17,17 @@
 //! * the **warmup → sampling → fast-forward → resampling** state machine
 //!   with the rare-task-type cutoff ([`controller`]);
 //! * **periodic** (`P`) and **lazy** (`P = ∞`) sampling policies
-//!   ([`config`]);
+//!   ([`TaskPointConfig`], [`SamplingPolicy`]);
 //! * event-driven resampling on new task types, concurrency changes and
 //!   empty histories (paper Fig. 4);
-//! * the paper's proposed *future work* — clustering instances of a type
-//!   by instruction count into classes of similar performance
-//!   ([`Clustered`], which wraps any of the controllers below);
 //! * **confidence-driven adaptive** and **two-phase stratified** sampling
 //!   (built on [`taskpoint_accuracy`]): [`SamplingPolicy::Adaptive`] keeps
 //!   each cluster detailed until the relative confidence interval of its
 //!   mean IPC shrinks below a target, turning the sample budget into an
 //!   error/speedup dial, and [`SamplingPolicy::Stratified`] spends a fixed
-//!   detailed budget by Neyman allocation;
+//!   detailed budget by Neyman allocation over `(type, size-class)`
+//!   strata — the paper's proposed *future work* of clustering instances
+//!   of a type by instruction count;
 //! * one entry point, [`run`], that picks the controller for a
 //!   configuration and drives a [`tasksim::Simulation`] with it
 //!   ([`simulate`]), plus the error/speedup comparison ([`metrics`]).
@@ -42,7 +41,7 @@
 //!
 //! let program = Benchmark::Spmv.generate(&ScaleConfig::quick());
 //! let sim = Simulation::builder(&program, MachineConfig::high_performance()).workers(8).build();
-//! let sampled = run(sim, TaskPointConfig::lazy(), None);
+//! let sampled = run(sim, TaskPointConfig::lazy());
 //! println!(
 //!     "predicted {} cycles, {:.1}% of instructions in detail, {} resamples",
 //!     sampled.result.total_cycles,
@@ -54,25 +53,24 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod config;
 pub mod controller;
 pub mod history;
 pub mod metrics;
 pub mod simulate;
 
-pub use config::{ConfigError, SamplingPolicy, TaskPointConfig};
 pub use controller::{Phase, ResampleCause, SamplingStats, TaskPointController};
 pub use history::{SampleHistory, TypeHistories};
 pub use metrics::ExperimentOutcome;
 pub use simulate::{run, RunOutcome};
 // Observability handle, re-exported for the same reason.
 pub use tasksim::{Telemetry, TelemetryReport};
-// The statistical layer underneath the adaptive policy, re-exported so
-// downstream crates (campaign, bench) need not depend on
-// `taskpoint-accuracy` directly.
+// The configuration (defined next to the accuracy controllers that also
+// take it) and the statistical layer underneath the adaptive and
+// stratified policies, re-exported so downstream crates (campaign, bench)
+// need not depend on `taskpoint-accuracy` directly.
 pub use taskpoint_accuracy::{
-    concurrency_band, neyman_allocate, AccuracyReport, AdaptiveConfig, AdaptiveController,
-    AdaptiveParams, BandAccuracy, ClusterAccuracy, ClusterMap, Clustered, PolicyConfig,
-    StratifiedConfig, StratifiedController, Stratum,
+    concurrency_band, neyman_allocate, AccuracyReport, AdaptiveController, BandAccuracy,
+    ClusterAccuracy, ClusterMap, ConfigError, SamplingPolicy, StratifiedController, Stratum,
+    TaskPointConfig,
 };
 pub use taskpoint_stats::Confidence;

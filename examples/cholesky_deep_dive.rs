@@ -52,7 +52,7 @@ fn main() {
 
     println!("\n== TaskPoint sampled run (periodic, P=250) ==");
     let taskpoint::RunOutcome { result: sampled, stats, .. } =
-        taskpoint::run(sim(), TaskPointConfig::periodic(), None);
+        taskpoint::run(sim(), TaskPointConfig::periodic());
     println!(
         "  {} cycles, {:.2}s host time, {:.2}% of instructions in detail",
         sampled.total_cycles,

@@ -84,7 +84,7 @@ fn main() {
     let sim = || Simulation::builder(&program, machine.clone()).workers(4).build();
     let reference = sim().run(&mut DetailedOnly);
     let taskpoint::RunOutcome { result: sampled, stats, .. } =
-        taskpoint::run(sim(), TaskPointConfig::periodic(), None);
+        taskpoint::run(sim(), TaskPointConfig::periodic());
     let error = 100.0
         * ((sampled.total_cycles as f64 - reference.total_cycles as f64)
             / reference.total_cycles as f64)

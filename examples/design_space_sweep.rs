@@ -28,7 +28,7 @@ fn main() {
             machine.caches[1].size_bytes = l2_kb * 1024;
             machine.name = format!("rob{rob}-l2_{l2_kb}k");
             let sim = Simulation::builder(&program, machine.clone()).workers(workers).build();
-            let result = taskpoint::run(sim, TaskPointConfig::lazy(), None).result;
+            let result = taskpoint::run(sim, TaskPointConfig::lazy()).result;
             total_wall += result.wall_seconds;
             results.push((machine.name, result.total_cycles, result.wall_seconds));
         }

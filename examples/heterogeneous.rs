@@ -57,7 +57,7 @@ fn main() {
     for (label, config) in
         [("lazy", TaskPointConfig::lazy()), ("adaptive ci=5%", TaskPointConfig::adaptive(0.05))]
     {
-        let sampled = taskpoint::run(sim(), config, None);
+        let sampled = taskpoint::run(sim(), config);
         let (outcome, stats) =
             (ExperimentOutcome::compare(&sampled.result, &reference), sampled.stats);
         println!(

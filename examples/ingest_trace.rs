@@ -69,7 +69,7 @@ fn main() {
     let reference = sim().run(&mut DetailedOnly);
     let again = sim().run(&mut DetailedOnly);
     assert_eq!(reference.total_cycles, again.total_cycles, "replay is deterministic");
-    let sampled = taskpoint::run(sim(), TaskPointConfig::lazy(), None).result;
+    let sampled = taskpoint::run(sim(), TaskPointConfig::lazy()).result;
     let outcome = ExperimentOutcome::compare(&sampled, &reference);
     println!(
         "reference {} cycles | sampled {} cycles ({} detailed / {} fast) | error {:.2}%",

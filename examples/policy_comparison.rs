@@ -49,7 +49,7 @@ fn main() {
     }
 
     for (name, config) in configs {
-        let sampled = taskpoint::run(sim(), config, None);
+        let sampled = taskpoint::run(sim(), config);
         let (outcome, stats) =
             (ExperimentOutcome::compare(&sampled.result, &reference), sampled.stats);
         println!(

@@ -38,7 +38,7 @@ fn main() {
     //    fast-forward every instance at its task type's mean IPC).
     let sim = Simulation::builder(&program, machine).workers(8).build();
     let taskpoint::RunOutcome { result: sampled, stats, .. } =
-        taskpoint::run(sim, TaskPointConfig::lazy(), None);
+        taskpoint::run(sim, TaskPointConfig::lazy());
     println!(
         "sampled:   {} cycles in {:.2}s of host time ({} detailed / {} fast tasks)",
         sampled.total_cycles, sampled.wall_seconds, stats.detailed_tasks, stats.fast_tasks

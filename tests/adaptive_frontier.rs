@@ -33,7 +33,7 @@ fn run(
     config: TaskPointConfig,
 ) -> (SimResult, Option<AccuracyReport>) {
     let sim = Simulation::builder(program, machine).workers(workers).build();
-    let outcome = taskpoint::run(sim, config, None);
+    let outcome = taskpoint::run(sim, config);
     (outcome.result, outcome.accuracy)
 }
 

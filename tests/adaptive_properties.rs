@@ -9,10 +9,21 @@
 //!   with `H = min_samples` decision-for-decision.
 
 use proptest::prelude::*;
-use taskpoint_repro::accuracy::{AdaptiveConfig, AdaptiveController, AdaptiveParams};
+use taskpoint_repro::accuracy::AdaptiveController;
 use taskpoint_repro::runtime::{TaskInstanceId, TaskTypeId, WorkerId};
 use taskpoint_repro::sim::{ExecMode, ModeController, SimMode, TaskReport, TaskStart};
-use taskpoint_repro::taskpoint::{TaskPointConfig, TaskPointController};
+use taskpoint_repro::stats::Confidence;
+use taskpoint_repro::taskpoint::{SamplingPolicy, TaskPointConfig, TaskPointController};
+
+/// The adaptive config at `target_ci` with a `min_samples` floor (95%
+/// confidence, paper-tuned W/H/cutoff).
+fn adaptive(target_ci: f64, min_samples: u64) -> TaskPointConfig {
+    TaskPointConfig::adaptive(target_ci).with_policy(SamplingPolicy::Adaptive {
+        target_ci,
+        confidence: Confidence::C95,
+        min_samples,
+    })
+}
 
 fn start(task: u64) -> TaskStart {
     TaskStart {
@@ -68,10 +79,7 @@ proptest! {
         target_permille in 0u64..300,
     ) {
         let target = target_permille as f64 / 1000.0;
-        let config = AdaptiveConfig::new(target)
-            .with_warmup(warmup)
-            .with_params(AdaptiveParams::new(target).with_min_samples(min_samples));
-        let mut ctrl = AdaptiveController::new(config);
+        let mut ctrl = AdaptiveController::new(adaptive(target, min_samples).with_warmup(warmup));
         let modes = drive(&mut ctrl, &cycles);
         if let Some(first_fast) = modes.iter().position(|m| matches!(m, ExecMode::Fast { .. })) {
             prop_assert!(
@@ -94,9 +102,7 @@ proptest! {
             .collect();
         let mut prev = 0usize;
         for &target in &ladder {
-            let config = AdaptiveConfig::new(target)
-                .with_params(AdaptiveParams::new(target).with_min_samples(min_samples));
-            let mut ctrl = AdaptiveController::new(config);
+            let mut ctrl = AdaptiveController::new(adaptive(target, min_samples));
             let detailed = detailed_count(&drive(&mut ctrl, &cycles));
             prop_assert!(
                 detailed >= prev,
@@ -114,9 +120,10 @@ proptest! {
     ) {
         // Lazy requires W <= H; sample W within the history size.
         let warmup = warmup_frac % (history as u64 + 1);
-        let adaptive_config = AdaptiveConfig::new(0.0)
-            .with_warmup(warmup)
-            .with_params(AdaptiveParams::new(0.0).with_min_samples(history as u64));
+        // Both controllers run under the same W and H, which every
+        // controller validates as W <= H.
+        let adaptive_config =
+            adaptive(0.0, history as u64).with_warmup(warmup).with_history(history);
         let lazy_config =
             TaskPointConfig::lazy().with_warmup(warmup).with_history(history);
         let mut adaptive = AdaptiveController::new(adaptive_config);

@@ -13,11 +13,11 @@
 //! 3. Telemetry accounting balances: per cluster the fidelity stream
 //!    alternates `converged` / `reopened`, so the event counts satisfy
 //!    `converged == reopened + #(clusters ending converged, not forced)`,
-//!    and the `reopened` line count equals both the controller's live
-//!    counter and the end-of-run report's re-opened band tally.
+//!    and the `reopened` line count equals the end-of-run report's
+//!    re-opened band tally.
 
 use taskpoint_repro::accuracy::{
-    concurrency_band, AdaptiveConfig, AdaptiveController, StratifiedConfig, StratifiedController,
+    concurrency_band, AdaptiveController, StratifiedController, TaskPointConfig,
 };
 use taskpoint_repro::runtime::{AccessMode, Program, RegionAccess};
 use taskpoint_repro::sim::{MachineConfig, ModeController, SimResult, Simulation, Telemetry};
@@ -103,20 +103,18 @@ fn fidelity_counts(telemetry: &Telemetry) -> FidelityCounts {
 fn concurrency_ramp_reopens_adaptive_clusters_once_per_shifted_band() {
     let program = ramp_program(&ramp_widths(), 3_000, 0xC0FFEE);
     let telemetry = Telemetry::recording();
-    let mut controller = AdaptiveController::new(AdaptiveConfig::new(0.1).with_warmup(0))
+    let mut controller = AdaptiveController::new(TaskPointConfig::adaptive(0.1).with_warmup(0))
         .with_telemetry(telemetry.clone());
     let result = run(&program, 4, &mut controller);
-    let (stats, accuracy) = controller.into_parts();
+    let (_, accuracy) = controller.into_parts();
 
     // The chain converged the single cluster at band 0; the width-4
     // layers sweep assignment-time concurrency through 1..=4, shifting
     // into bands 1 (concurrency 2–3) and 2 (concurrency 4) — each must
     // re-open the cluster exactly once.
     assert!(result.fast_tasks > 0, "the cluster must converge for re-opening to be testable");
-    assert!(stats.reopened >= 1, "a concurrency ramp must re-open the converged cluster");
-    assert_eq!(stats.reopened, 2, "one re-open per shifted band (bands 1 and 2)");
-    assert_eq!(stats.rare_forced, 0, "nothing rare in a single-cluster ramp");
-    assert_eq!(accuracy.reopened_bands(), 2);
+    assert_eq!(accuracy.reopened_bands(), 2, "one re-open per shifted band (bands 1 and 2)");
+    assert!(!accuracy.clusters.iter().any(|c| c.forced), "nothing rare in a single-cluster ramp");
 
     let cluster = &accuracy.clusters[0];
     let reopened: Vec<u32> = cluster.bands.iter().filter(|b| b.reopened).map(|b| b.band).collect();
@@ -132,7 +130,7 @@ fn concurrency_ramp_reopens_adaptive_clusters_once_per_shifted_band() {
     // Telemetry accounting: the fidelity stream alternates converged /
     // reopened per cluster, so the totals balance against the end state.
     let counts = fidelity_counts(&telemetry);
-    assert_eq!(counts.reopened, stats.reopened as usize);
+    assert_eq!(counts.reopened, accuracy.reopened_bands());
     assert_eq!(counts.rare, 0);
     let ending_converged = accuracy.clusters.iter().filter(|c| c.converged && !c.forced).count();
     assert_eq!(
@@ -147,14 +145,13 @@ fn constant_concurrency_never_reopens_adaptive_clusters() {
     // The chain alone: concurrency is pinned at 1 for the whole run.
     let program = ramp_program(&[1u32; 18], 3_000, 0xC0FFEE);
     let telemetry = Telemetry::recording();
-    let mut controller = AdaptiveController::new(AdaptiveConfig::new(0.1).with_warmup(0))
+    let mut controller = AdaptiveController::new(TaskPointConfig::adaptive(0.1).with_warmup(0))
         .with_telemetry(telemetry.clone());
     let result = run(&program, 4, &mut controller);
-    let (stats, accuracy) = controller.into_parts();
+    let (_, accuracy) = controller.into_parts();
 
     assert!(result.fast_tasks > 0, "the cluster must converge for the zero to be meaningful");
-    assert_eq!(stats.reopened, 0, "constant concurrency must never trigger a re-open");
-    assert_eq!(accuracy.reopened_bands(), 0);
+    assert_eq!(accuracy.reopened_bands(), 0, "constant concurrency must never trigger a re-open");
     assert_eq!(fidelity_lines(&telemetry, "reopened"), 0);
 }
 
@@ -162,22 +159,22 @@ fn constant_concurrency_never_reopens_adaptive_clusters() {
 fn concurrency_ramp_reopens_stratified_strata() {
     let program = ramp_program(&ramp_widths(), 3_000, 0xC0FFEE);
     let telemetry = Telemetry::recording();
-    let mut controller = StratifiedController::new(StratifiedConfig::new(4, 10).with_warmup(0))
-        .with_telemetry(telemetry.clone());
+    let mut controller =
+        StratifiedController::new(TaskPointConfig::stratified(4, 10).with_warmup(0))
+            .with_telemetry(telemetry.clone());
     controller.prime(program.instances().iter().map(|i| (i.type_id(), i.instructions())));
     let result = run(&program, 4, &mut controller);
-    let (stats, accuracy) = controller.into_parts();
+    let (_, accuracy) = controller.into_parts();
 
     assert!(result.fast_tasks > 0, "the stratum must converge for re-opening to be testable");
-    assert!(stats.reopened >= 1, "the ramp must re-open the converged stratum");
-    assert_eq!(accuracy.reopened_bands(), stats.reopened as usize);
+    assert!(accuracy.reopened_bands() >= 1, "the ramp must re-open the converged stratum");
     assert!(
         accuracy.clusters[0].bands.iter().any(|b| b.reopened && b.band > 0),
         "the re-opened band is one the ramp shifted into"
     );
 
     let counts = fidelity_counts(&telemetry);
-    assert_eq!(counts.reopened, stats.reopened as usize);
+    assert_eq!(counts.reopened, accuracy.reopened_bands());
     assert_eq!(counts.rare, 0, "the stratified controller has no rare-cluster cutoff");
     let ending_converged = accuracy.clusters.iter().filter(|c| c.converged).count();
     assert_eq!(counts.converged, counts.reopened + ending_converged);
@@ -187,14 +184,14 @@ fn concurrency_ramp_reopens_stratified_strata() {
 fn constant_concurrency_never_reopens_stratified_strata() {
     let program = ramp_program(&[1u32; 18], 3_000, 0xC0FFEE);
     let telemetry = Telemetry::recording();
-    let mut controller = StratifiedController::new(StratifiedConfig::new(4, 10).with_warmup(0))
-        .with_telemetry(telemetry.clone());
+    let mut controller =
+        StratifiedController::new(TaskPointConfig::stratified(4, 10).with_warmup(0))
+            .with_telemetry(telemetry.clone());
     controller.prime(program.instances().iter().map(|i| (i.type_id(), i.instructions())));
     let result = run(&program, 4, &mut controller);
-    let (stats, accuracy) = controller.into_parts();
+    let (_, accuracy) = controller.into_parts();
 
     assert!(result.fast_tasks > 0, "the stratum must converge for the zero to be meaningful");
-    assert_eq!(stats.reopened, 0);
     assert_eq!(accuracy.reopened_bands(), 0);
     assert_eq!(fidelity_lines(&telemetry, "reopened"), 0);
 }

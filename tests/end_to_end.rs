@@ -36,7 +36,7 @@ fn sample(
     config: TaskPointConfig,
 ) -> (SimResult, SamplingStats) {
     let sim = Simulation::builder(program, machine).workers(workers).build();
-    let outcome = taskpoint::run(sim, config, None);
+    let outcome = taskpoint::run(sim, config);
     (outcome.result, outcome.stats)
 }
 

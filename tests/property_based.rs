@@ -324,18 +324,17 @@ proptest! {
 }
 
 proptest! {
-    // ---- clustered sampling-unit remapping (paper §V-B future work) ----
+    // ---- (type, size-class) sampling units (paper §V-B future work) ----
 
     #[test]
     fn clustered_remapping_is_dense_stable_and_injective(
-        granularity in 1u32..5,
         xs in prop::collection::vec(any::<u64>(), 1..200),
     ) {
         use std::collections::HashMap;
         use taskpoint_repro::runtime::TaskTypeId;
         use taskpoint_repro::taskpoint::ClusterMap;
 
-        let mut c = ClusterMap::new(granularity);
+        let mut c = ClusterMap::default();
         let mut model: HashMap<(u32, u32), u32> = HashMap::new();
         for &x in &xs {
             let ty = (x % 5) as u32;
@@ -363,21 +362,21 @@ proptest! {
 
     #[test]
     fn clustered_same_band_shares_a_unit_and_types_split(
-        granularity in 1u32..5,
         exp in 0u32..40,
         ty in 0u32..8,
     ) {
         use taskpoint_repro::runtime::TaskTypeId;
         use taskpoint_repro::taskpoint::ClusterMap;
 
-        let mut c = ClusterMap::new(granularity);
-        // Lowest and highest instruction counts of one log2 band: both in
-        // band `exp`, so necessarily in the same (wider) size class.
+        let mut c = ClusterMap::default();
+        // Lowest and highest instruction counts of one octave: both in
+        // size class `exp`.
         let lo = 1u64 << exp;
         let hi = lo | (lo - 1);
         let a = c.unit(TaskTypeId(ty), lo);
         let b = c.unit(TaskTypeId(ty), hi);
         prop_assert_eq!(a, b);
+        prop_assert_eq!(c.size_class(lo), exp);
         // A different task type never shares the unit, even at the same
         // instruction count.
         let other = c.unit(TaskTypeId(ty + 100), lo);

@@ -28,7 +28,7 @@ fn mix(mut z: u64) -> u64 {
 /// Dependencies pin the concurrency at 1 (band 0 only, so band
 /// re-opening never perturbs the budget arithmetic), and instruction
 /// counts vary within one octave — one `(type, size-class)` stratum per
-/// type under the default granularity, with genuine IPC variance.
+/// type, with genuine IPC variance.
 fn chain_program(len: u32, ntypes: u32, seed: u64) -> Program {
     let mut b = Program::builder("chain");
     let types: Vec<_> = (0..ntypes).map(|t| b.add_type(format!("work{t}"))).collect();
@@ -56,7 +56,7 @@ fn chain_program(len: u32, ntypes: u32, seed: u64) -> Program {
 /// One stratified run of `program` on one worker of the test machine.
 fn stratified_run(program: &Program, config: TaskPointConfig) -> (SimResult, AccuracyReport) {
     let sim = Simulation::builder(program, MachineConfig::tiny_test()).build();
-    let outcome = taskpoint::run(sim, config, None);
+    let outcome = taskpoint::run(sim, config);
     (outcome.result, outcome.accuracy.expect("stratified runs report accuracy"))
 }
 

@@ -55,7 +55,7 @@ fn recording_does_not_change_the_simulation_result() {
     let run = |telemetry: Telemetry| {
         let sim =
             Simulation::builder(&program, machine.clone()).workers(2).telemetry(telemetry).build();
-        let RunOutcome { result, stats, .. } = taskpoint::run(sim, TaskPointConfig::lazy(), None);
+        let RunOutcome { result, stats, .. } = taskpoint::run(sim, TaskPointConfig::lazy());
         (result, stats)
     };
     let (plain, plain_stats) = run(Telemetry::disabled());
@@ -117,7 +117,7 @@ fn adaptive_runs_emit_one_convergence_event_per_converged_cluster() {
         .workers(2)
         .telemetry(telemetry.clone())
         .build();
-    let accuracy = taskpoint::run(sim, TaskPointConfig::adaptive(0.1), None)
+    let accuracy = taskpoint::run(sim, TaskPointConfig::adaptive(0.1))
         .accuracy
         .expect("adaptive runs report accuracy");
     let report = telemetry.take_report().expect("recording handle yields a report");
@@ -158,7 +158,7 @@ fn telemetry_streams_match_goldens() {
         .workers(2)
         .telemetry(telemetry.clone())
         .build();
-    taskpoint::run(sim, TaskPointConfig::adaptive(0.1), None);
+    taskpoint::run(sim, TaskPointConfig::adaptive(0.1));
     let adaptive = telemetry.take_report().expect("recording handle yields a report");
     assert_eq!(adaptive.fnv64(), 0x2e6c_16e6_d2ec_b249, "adaptive run: telemetry stream drifted");
 }
