@@ -86,38 +86,47 @@ impl LevelStats {
 #[derive(Debug, Clone)]
 struct ServiceQueue {
     service: f64,
-    bucket_len: f64,
+    bucket_len: u64,
     bucket: u64,
     arrivals: f64,
     /// Smoothed utilization estimate from completed buckets.
     rho: f64,
+    /// The delay charged to every access of the current bucket: it
+    /// depends only on `rho`, which changes only when the bucket does.
+    delay: u64,
 }
 
 impl ServiceQueue {
     fn new(service: u64, bucket_len: u64) -> Self {
         Self {
             service: service as f64,
-            bucket_len: bucket_len.max(1) as f64,
+            bucket_len: bucket_len.max(1),
             bucket: 0,
             arrivals: 0.0,
             rho: 0.0,
+            delay: 0,
         }
     }
 
     /// Registers an access at `now`; returns the expected queueing delay.
+    ///
+    /// The bucket index is `now / bucket_len` in integers; the `f64`
+    /// quotient of the test oracle agrees with it for every `now < 2^53`.
+    #[inline]
     fn delay(&mut self, now: u64) -> u64 {
-        let b = (now as f64 / self.bucket_len) as u64;
+        let b = now / self.bucket_len;
         if b != self.bucket {
-            let inst_rho = (self.arrivals * self.service / self.bucket_len).min(2.0);
+            let inst_rho = (self.arrivals * self.service / self.bucket_len as f64).min(2.0);
             // Gentle smoothing: sharp per-bucket swings would make task
             // latency depend on bucket phase, an artifact rather than load.
             self.rho = 0.75 * self.rho + 0.25 * inst_rho;
             self.bucket = b;
             self.arrivals = 0.0;
+            let rho = self.rho.min(0.90);
+            self.delay = (self.service * rho / (2.0 * (1.0 - rho))).round() as u64;
         }
         self.arrivals += 1.0;
-        let rho = self.rho.min(0.90);
-        (self.service * rho / (2.0 * (1.0 - rho))).round() as u64
+        self.delay
     }
 }
 
@@ -482,6 +491,7 @@ impl Iterator for BitIter {
 mod tests {
     use super::*;
     use crate::config::MachineConfig;
+    use proptest::prelude::*;
 
     fn mem(cores: u32) -> MemorySystem {
         MemorySystem::new(&MachineConfig::tiny_test(), cores)
@@ -582,6 +592,81 @@ mod tests {
             loaded.latency,
             quiet.latency
         );
+    }
+
+    /// The service queue as first written: an `f64` bucket index and the
+    /// delay recomputed on every access. Kept as the oracle for
+    /// [`ServiceQueue::delay`].
+    struct F64Queue {
+        service: f64,
+        bucket_len: f64,
+        bucket: u64,
+        arrivals: f64,
+        rho: f64,
+    }
+
+    impl F64Queue {
+        fn new(service: u64, bucket_len: u64) -> Self {
+            Self {
+                service: service as f64,
+                bucket_len: bucket_len.max(1) as f64,
+                bucket: 0,
+                arrivals: 0.0,
+                rho: 0.0,
+            }
+        }
+
+        fn delay(&mut self, now: u64) -> u64 {
+            let b = (now as f64 / self.bucket_len) as u64;
+            if b != self.bucket {
+                let inst_rho = (self.arrivals * self.service / self.bucket_len).min(2.0);
+                self.rho = 0.75 * self.rho + 0.25 * inst_rho;
+                self.bucket = b;
+                self.arrivals = 0.0;
+            }
+            self.arrivals += 1.0;
+            let rho = self.rho.min(0.90);
+            (self.service * rho / (2.0 * (1.0 - rho))).round() as u64
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The integer bucket and the once-per-bucket delay return the
+        /// oracle's delay sequence: on clocks that step backwards (cores
+        /// skewed by up to a chunk), with bucket lengths that are not
+        /// powers of two, and with clocks just below 2^53.
+        #[test]
+        fn service_queue_matches_f64_oracle(
+            service in 1u64..40,
+            bucket_len in 0u64..5000,
+            near_limit in any::<bool>(),
+            start in 0u64..1_000_000,
+            steps in prop::collection::vec((0u64..3000, 0u64..4, 0usize..40), 1..60),
+        ) {
+            let base = if near_limit { (1u64 << 53) - 50_000_000 } else { 0 };
+            let mut queue = ServiceQueue::new(service, bucket_len);
+            let mut oracle = F64Queue::new(service, bucket_len);
+            let mut now = base + start;
+            for (step, back, burst) in steps {
+                // One in four steps goes back by up to one bucket.
+                now = if back == 0 { now.saturating_sub(step).max(base) } else { now + step };
+                for _ in 0..=burst {
+                    prop_assert_eq!(queue.delay(now), oracle.delay(now));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn service_queue_bucket_is_exact_below_2_pow_53() {
+        let top = (1u64 << 53) - 1;
+        for bucket_len in [1u64, 3, 1000, 1024, 4093, 65_537, (1 << 26) + 1, 1 << 52] {
+            for now in [top, top - 1, top - bucket_len, top / bucket_len * bucket_len - 1] {
+                assert_eq!(now / bucket_len, (now as f64 / bucket_len as f64) as u64);
+            }
+        }
     }
 
     #[test]

@@ -185,13 +185,15 @@ impl AddressStream {
 
     /// Fills the address/size columns of a block for the given kind
     /// column: memory kinds receive the next effective address (and
-    /// [`ACCESS_SIZE`]), non-memory kinds receive zeros.
+    /// [`ACCESS_SIZE`]), non-memory kinds receive zeros. Appends one
+    /// entry per kind to each column.
     ///
     /// Produces *exactly* the sequence of per-instruction
     /// [`AddressStream::next_addr`] calls would — including the data-RNG
     /// draw order — but hoists the pattern dispatch out of the inner loop
-    /// and specializes the hottest walks. Pinned against the one-at-a-time
-    /// path by the block-pipeline equivalence tests.
+    /// and specializes the hottest walks. Both columns grow once per
+    /// call and the memory slots are written in place. Pinned against
+    /// the one-at-a-time path by the block-pipeline equivalence tests.
     pub fn fill_addrs(
         &mut self,
         kinds: &[InstKind],
@@ -199,86 +201,55 @@ impl AddressStream {
         sizes: &mut Vec<u8>,
         rng: &mut Xoshiro256pp,
     ) {
+        sizes.extend(kinds.iter().map(|k| if k.is_memory() { ACCESS_SIZE } else { 0 }));
+        let start = addrs.len();
+        addrs.resize(start + kinds.len(), 0);
+        let out = &mut addrs[start..];
         // Atomics divert to the shared region when one exists — a per-kind
         // decision, so only the generic loop applies.
         if !self.shared.is_empty() {
-            for &kind in kinds {
-                if kind.is_memory() {
-                    addrs.push(self.next_addr(kind, rng));
-                    sizes.push(ACCESS_SIZE);
-                } else {
-                    addrs.push(0);
-                    sizes.push(0);
-                }
-            }
+            fill_memory_slots(out, kinds, |kind| self.next_addr(kind, rng));
             return;
         }
         match self.pattern {
             AccessPattern::Sequential { stride } => {
+                let footprint = self.footprint;
                 let mut off = self.offsets[0];
-                for &kind in kinds {
-                    if kind.is_memory() {
-                        addrs.push(self.footprint.wrap(off));
-                        off = off.wrapping_add(stride as u64);
-                        sizes.push(ACCESS_SIZE);
-                    } else {
-                        addrs.push(0);
-                        sizes.push(0);
-                    }
-                }
+                fill_memory_slots(out, kinds, |_| {
+                    let addr = footprint.wrap(off);
+                    off = off.wrapping_add(stride as u64);
+                    addr
+                });
                 self.offsets[0] = off;
             }
             AccessPattern::Random => {
                 let slots = (self.footprint.len / ACCESS_SIZE as u64).max(1);
                 let base = self.footprint.base;
-                for &kind in kinds {
-                    if kind.is_memory() {
-                        addrs.push(base + rng.next_below(slots) * ACCESS_SIZE as u64);
-                        sizes.push(ACCESS_SIZE);
-                    } else {
-                        addrs.push(0);
-                        sizes.push(0);
-                    }
-                }
+                fill_memory_slots(out, kinds, |_| {
+                    base + rng.next_below(slots) * ACCESS_SIZE as u64
+                });
             }
             AccessPattern::Gather { hot_probability, hot_fraction } => {
                 let (hot_slots, all_slots) = self.gather_slots(hot_fraction);
                 let base = self.footprint.base;
-                for &kind in kinds {
-                    if kind.is_memory() {
-                        let slots =
-                            if rng.next_bool(hot_probability) { hot_slots } else { all_slots };
-                        addrs.push(base + rng.next_below(slots) * ACCESS_SIZE as u64);
-                        sizes.push(ACCESS_SIZE);
-                    } else {
-                        addrs.push(0);
-                        sizes.push(0);
-                    }
-                }
+                fill_memory_slots(out, kinds, |_| {
+                    let slots = if rng.next_bool(hot_probability) { hot_slots } else { all_slots };
+                    base + rng.next_below(slots) * ACCESS_SIZE as u64
+                });
             }
             AccessPattern::PointerChase => {
                 let slots = (self.footprint.len / ACCESS_SIZE as u64).max(1);
                 // A power-of-two slot count (freqmine's tree) reduces the
                 // hash with a mask, which equals `%` for those counts.
                 if slots.is_power_of_two() {
-                    self.chase(kinds, addrs, sizes, |h| h & (slots - 1));
+                    self.chase(kinds, out, |h| h & (slots - 1));
                 } else {
-                    self.chase(kinds, addrs, sizes, |h| h % slots);
+                    self.chase(kinds, out, |h| h % slots);
                 }
             }
             // Multi-stream walks: per-access generation, but the pattern
             // dispatch still happens once per block.
-            _ => {
-                for &kind in kinds {
-                    if kind.is_memory() {
-                        addrs.push(self.next_addr(kind, rng));
-                        sizes.push(ACCESS_SIZE);
-                    } else {
-                        addrs.push(0);
-                        sizes.push(0);
-                    }
-                }
-            }
+            _ => fill_memory_slots(out, kinds, |kind| self.next_addr(kind, rng)),
         }
     }
 
@@ -301,25 +272,13 @@ impl AddressStream {
 
     /// The pointer-chase walk over a kind column, reducing each hash to a
     /// slot with `reduce`.
-    fn chase(
-        &mut self,
-        kinds: &[InstKind],
-        addrs: &mut Vec<u64>,
-        sizes: &mut Vec<u8>,
-        reduce: impl Fn(u64) -> u64,
-    ) {
+    fn chase(&mut self, kinds: &[InstKind], out: &mut [u64], reduce: impl Fn(u64) -> u64) {
         let base = self.footprint.base;
         let mut cursor = self.offsets[0];
-        for &kind in kinds {
-            if kind.is_memory() {
-                cursor = reduce(Self::chase_hash(cursor));
-                addrs.push(base + cursor * ACCESS_SIZE as u64);
-                sizes.push(ACCESS_SIZE);
-            } else {
-                addrs.push(0);
-                sizes.push(0);
-            }
-        }
+        fill_memory_slots(out, kinds, |_| {
+            cursor = reduce(Self::chase_hash(cursor));
+            base + cursor * ACCESS_SIZE as u64
+        });
         self.offsets[0] = cursor;
     }
 
@@ -375,6 +334,17 @@ impl AddressStream {
                 }
                 addr
             }
+        }
+    }
+}
+
+/// Writes `next(kind)` into the slot of every memory kind, in kind
+/// order, and leaves the other slots as they are.
+#[inline(always)]
+fn fill_memory_slots(out: &mut [u64], kinds: &[InstKind], mut next: impl FnMut(InstKind) -> u64) {
+    for (slot, &kind) in out.iter_mut().zip(kinds) {
+        if kind.is_memory() {
+            *slot = next(kind);
         }
     }
 }
