@@ -47,6 +47,13 @@ impl ClusterMap {
         TaskTypeId(*self.virtual_ids.entry((type_id.0, class)).or_insert(next))
     }
 
+    /// The unit [`unit`](Self::unit) assigned to an instance's pair, or
+    /// `None` if the pair has not been seen.
+    pub fn get(&self, type_id: TaskTypeId, instructions: u64) -> Option<TaskTypeId> {
+        let class = self.size_class(instructions);
+        self.virtual_ids.get(&(type_id.0, class)).copied().map(TaskTypeId)
+    }
+
     /// Number of distinct `(type, size-class)` sampling units seen.
     pub fn num_clusters(&self) -> usize {
         self.virtual_ids.len()
@@ -79,6 +86,8 @@ mod tests {
         assert_eq!(a, a2, "similar sizes share a unit");
         assert_ne!(a, other, "types never share units");
         assert_eq!(c.num_clusters(), 3);
+        assert_eq!(c.get(TaskTypeId(0), 127), Some(a2));
+        assert_eq!(c.get(TaskTypeId(0), 1 << 40), None, "get assigns nothing");
         let ids: Vec<u32> = [a, b, other].iter().map(|t| t.0).collect();
         assert_eq!(ids, vec![0, 1, 2], "dense first-encounter order");
     }

@@ -541,7 +541,7 @@ mod tests {
 
     fn start(task: u64, type_id: u32, worker: u32, time: u64) -> TaskStart {
         TaskStart {
-            task: TaskInstanceId(task),
+            task: TaskInstanceId(task as u32),
             type_id: TaskTypeId(type_id),
             instructions: 1000,
             worker: WorkerId(worker),
@@ -553,7 +553,7 @@ mod tests {
 
     fn report(task: u64, type_id: u32, cycles: u64, mode: SimMode) -> TaskReport {
         TaskReport {
-            task: TaskInstanceId(task),
+            task: TaskInstanceId(task as u32),
             type_id: TaskTypeId(type_id),
             worker: WorkerId(0),
             start: 0,

@@ -27,7 +27,7 @@
 //! re-opens once per band ([`FidelityAction::ClusterReopened`]) for a
 //! mini-pilot of `pilot_samples` detailed instances.
 
-use taskpoint_runtime::TaskTypeId;
+use taskpoint_runtime::{TaskInstanceId, TaskTypeId};
 use taskpoint_stats::{Confidence, StreamingMoments};
 use taskpoint_telemetry::{FidelityAction, SimEvent, Sink, Telemetry};
 use tasksim::{ExecMode, ModeController, SimMode, TaskReport, TaskStart};
@@ -84,6 +84,9 @@ pub struct StratifiedController {
     confidence: Confidence,
     /// One stratum per `(type, size-class)` pair.
     map: ClusterMap,
+    /// The stratum of every instance, indexed by task id: filled by the
+    /// priming pass, so a decision reads a column instead of hashing.
+    units: Vec<u32>,
     /// Stratum state indexed by dense unit id (priming order).
     strata: Vec<StratumState>,
     /// Detailed completions per worker during initial warmup.
@@ -124,6 +127,7 @@ impl StratifiedController {
             confidence,
             warmup_complete: config.warmup_instances == 0,
             map: ClusterMap::default(),
+            units: Vec::new(),
             strata: Vec::new(),
             warmup_done: Vec::new(),
             workers_known: false,
@@ -138,17 +142,31 @@ impl StratifiedController {
     /// Registers the program's instances — `(type, dynamic instructions)`
     /// in creation order — assigning every stratum its dense unit id and
     /// exact population size `N_h`. Must be called exactly once before
-    /// the first [`mode_for_task`](ModeController::mode_for_task).
+    /// the first [`mode_for_task`](ModeController::mode_for_task), with
+    /// the `i`-th item describing task `i`.
     pub fn prime(&mut self, instances: impl IntoIterator<Item = (TaskTypeId, u64)>) {
         assert!(!self.primed, "stratified controller primed twice");
         for (type_id, instructions) in instances {
-            let unit = self.map.unit(type_id, instructions).0 as usize;
-            if unit >= self.strata.len() {
-                self.strata.resize_with(unit + 1, StratumState::default);
+            let unit = self.map.unit(type_id, instructions).0;
+            self.units.push(unit);
+            if unit as usize >= self.strata.len() {
+                self.strata.resize_with(unit as usize + 1, StratumState::default);
             }
-            self.strata[unit].size += 1;
+            self.strata[unit as usize].size += 1;
         }
         self.primed = true;
+    }
+
+    /// The stratum of `task`, an instance of `type_id` with `instructions`
+    /// dynamic instructions.
+    fn unit(&self, task: TaskInstanceId, type_id: TaskTypeId, instructions: u64) -> u32 {
+        let unit = self.units[task.index()];
+        debug_assert_eq!(
+            self.map.get(type_id, instructions),
+            Some(TaskTypeId(unit)),
+            "{task} was primed as another instance"
+        );
+        unit
     }
 
     /// Attaches a telemetry handle; a recording one makes the controller
@@ -279,7 +297,7 @@ impl ModeController for StratifiedController {
     fn mode_for_task(&mut self, start: &TaskStart) -> ExecMode {
         assert!(self.primed, "stratified controller must be primed with the program's instances");
         self.ensure_workers(start.total_workers);
-        let unit = self.map.unit(start.type_id, start.instructions).0;
+        let unit = self.unit(start.task, start.type_id, start.instructions);
         let st = &mut self.strata[unit as usize];
         st.inner.seen += 1;
         if st.inner.seen == 1 {
@@ -345,7 +363,7 @@ impl ModeController for StratifiedController {
     }
 
     fn on_task_complete(&mut self, report: &TaskReport) {
-        let unit = self.map.unit(report.type_id, report.instructions).0;
+        let unit = self.unit(report.task, report.type_id, report.instructions);
         match report.mode {
             SimMode::Fast => {
                 self.stats.fast_tasks += 1;
@@ -428,11 +446,11 @@ impl ModeController for StratifiedController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use taskpoint_runtime::{TaskInstanceId, WorkerId};
+    use taskpoint_runtime::WorkerId;
 
     fn start(task: u64, type_id: u32, instructions: u64, concurrency: u32) -> TaskStart {
         TaskStart {
-            task: TaskInstanceId(task),
+            task: TaskInstanceId(task as u32),
             type_id: TaskTypeId(type_id),
             instructions,
             worker: WorkerId(0),
@@ -451,7 +469,7 @@ mod tests {
         concurrency: u32,
     ) -> TaskReport {
         TaskReport {
-            task: TaskInstanceId(task),
+            task: TaskInstanceId(task as u32),
             type_id: TaskTypeId(type_id),
             worker: WorkerId(0),
             start: 0,

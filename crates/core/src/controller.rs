@@ -352,7 +352,7 @@ mod tests {
         total: u32,
     ) -> TaskStart {
         TaskStart {
-            task: TaskInstanceId(task),
+            task: TaskInstanceId(task as u32),
             type_id: TaskTypeId(type_id),
             instructions: 1000,
             worker: WorkerId(worker),
@@ -371,7 +371,7 @@ mod tests {
         mode: SimMode,
     ) -> TaskReport {
         TaskReport {
-            task: TaskInstanceId(task),
+            task: TaskInstanceId(task as u32),
             type_id: TaskTypeId(type_id),
             worker: WorkerId(worker),
             start: start_t,

@@ -76,15 +76,7 @@ pub struct DependenceGraphBuilder {
 
 impl Default for DependenceGraphBuilder {
     fn default() -> Self {
-        Self {
-            slots: HashMap::default(),
-            regions: Vec::new(),
-            pred_off: vec![0],
-            preds: Vec::new(),
-            scratch: Vec::new(),
-            #[cfg(debug_assertions)]
-            region_index: std::collections::BTreeMap::new(),
-        }
+        Self::with_capacity(0)
     }
 }
 
@@ -92,6 +84,21 @@ impl DependenceGraphBuilder {
     /// Creates an empty builder.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Creates an empty builder with room for the offsets of `tasks` tasks.
+    pub fn with_capacity(tasks: usize) -> Self {
+        let mut pred_off = Vec::with_capacity(tasks + 1);
+        pred_off.push(0);
+        Self {
+            slots: HashMap::default(),
+            regions: Vec::new(),
+            pred_off,
+            preds: Vec::new(),
+            scratch: Vec::new(),
+            #[cfg(debug_assertions)]
+            region_index: std::collections::BTreeMap::new(),
+        }
     }
 
     /// Number of tasks registered so far.
@@ -181,25 +188,35 @@ impl DependenceGraphBuilder {
     /// over the predecessors in task order, so every successor list is in
     /// ascending (creation) order.
     pub fn build(self) -> DependenceGraph {
-        let n = self.len();
+        // The region states are done with: free them before the successor
+        // arrays are allocated. The edge count was unknown up front, so
+        // drop the predecessors' growth slack (the offsets have none when
+        // sized by `with_capacity`).
+        drop((self.slots, self.regions, self.scratch));
+        #[cfg(debug_assertions)]
+        drop(self.region_index);
+        let (mut pred_off, mut preds) = (self.pred_off, self.preds);
+        pred_off.shrink_to_fit();
+        preds.shrink_to_fit();
+        let n = pred_off.len() - 1;
         let mut succ_off = vec![0u32; n + 1];
-        for p in &self.preds {
+        for p in &preds {
             succ_off[p.index() + 1] += 1;
         }
         for i in 0..n {
             succ_off[i + 1] += succ_off[i];
         }
         let mut cursor = succ_off[..n].to_vec();
-        let mut succs = vec![TaskInstanceId(0); self.preds.len()];
+        let mut succs = vec![TaskInstanceId(0); preds.len()];
         for i in 0..n {
-            let task = TaskInstanceId(i as u64);
-            for p in &self.preds[self.pred_off[i] as usize..self.pred_off[i + 1] as usize] {
+            let task = TaskInstanceId(i as u32);
+            for p in &preds[pred_off[i] as usize..pred_off[i + 1] as usize] {
                 let at = &mut cursor[p.index()];
                 succs[*at as usize] = task;
                 *at += 1;
             }
         }
-        DependenceGraph { pred_off: self.pred_off, preds: self.preds, succ_off, succs }
+        DependenceGraph { pred_off, preds, succ_off, succs }
     }
 }
 
@@ -254,7 +271,7 @@ impl DependenceGraph {
     pub fn roots(&self) -> Vec<TaskInstanceId> {
         (0..self.len())
             .filter(|&i| self.in_degree(i) == 0)
-            .map(|i| TaskInstanceId(i as u64))
+            .map(|i| TaskInstanceId(i as u32))
             .collect()
     }
 
@@ -269,7 +286,7 @@ impl DependenceGraph {
         let mut depth = vec![0usize; self.len()];
         let mut max = 0;
         for i in 0..self.len() {
-            let id = TaskInstanceId(i as u64);
+            let id = TaskInstanceId(i as u32);
             let d = self.predecessors(id).iter().map(|p| depth[p.index()] + 1).max().unwrap_or(1);
             depth[i] = d;
             max = max.max(d);
@@ -352,7 +369,7 @@ mod tests {
     fn graph(accesses: &[Vec<RegionAccess>]) -> DependenceGraph {
         let mut b = DependenceGraphBuilder::new();
         for (i, acc) in accesses.iter().enumerate() {
-            b.add_task(TaskInstanceId(i as u64), acc);
+            b.add_task(TaskInstanceId(i as u32), acc);
         }
         b.build()
     }
@@ -448,7 +465,7 @@ mod tests {
         assert_eq!(g.roots(), vec![TaskInstanceId(0)]);
         assert!(rs.is_ready(TaskInstanceId(0)));
         assert!(!rs.is_ready(TaskInstanceId(3)));
-        fn complete(rs: &mut ReadySet, g: &DependenceGraph, id: u64) -> Vec<TaskInstanceId> {
+        fn complete(rs: &mut ReadySet, g: &DependenceGraph, id: u32) -> Vec<TaskInstanceId> {
             let mut ready = Vec::new();
             rs.complete(g, TaskInstanceId(id), |t| ready.push(t));
             ready

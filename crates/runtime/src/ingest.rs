@@ -43,7 +43,7 @@ fn dep_region(index: u64) -> MemRegion {
 ///   read their predecessors' regions), so the runtime's OmpSs dependence
 ///   analysis reconstructs exactly the recorded DAG edges.
 pub fn program_from_ingested(name: impl Into<String>, trace: &IngestedTrace) -> Program {
-    let mut b = Program::builder(name);
+    let mut b = Program::with_capacity(name, trace.tasks().len());
     let type_ids: Vec<_> = trace.types().iter().map(|t| b.add_type(t.name.clone())).collect();
     let mix = InstructionMix::from_weights(&[(InstKind::IntAlu, 1.0)]);
     let mut accesses = Vec::new();
@@ -114,8 +114,8 @@ E:0:300
     fn fallback_specs_are_pure_compute() {
         let trace = IngestedTrace::parse_text(TRACE).unwrap();
         let p = program_from_ingested("ext", &trace);
-        for inst in p.instances() {
-            let spec = p.spec(inst.id());
+        for (id, inst) in p.ids().zip(p.instances()) {
+            let spec = p.spec(id);
             assert!(spec.iter().all(|i| !i.kind.is_memory()));
             assert_eq!(spec.iter().count() as u64, inst.instructions());
         }

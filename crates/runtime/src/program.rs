@@ -28,15 +28,22 @@ pub struct Program {
 impl Program {
     /// Starts building a program with the given name.
     pub fn builder(name: impl Into<String>) -> ProgramBuilder {
+        Self::with_capacity(name, 0)
+    }
+
+    /// Starts building a program that will hold `instances` task
+    /// instances: the instance table and the dependence offsets are sized
+    /// once, so adding the tasks never grows (copies) them.
+    pub fn with_capacity(name: impl Into<String>, instances: usize) -> ProgramBuilder {
         ProgramBuilder {
             name: name.into(),
             types: Vec::new(),
             codes: Vec::new(),
             code_index: HashMap::new(),
-            instances: Vec::new(),
+            instances: Vec::with_capacity(instances),
             instances_per_type: Vec::new(),
             last_code: Vec::new(),
-            graph: DependenceGraphBuilder::new(),
+            graph: DependenceGraphBuilder::with_capacity(instances),
         }
     }
 
@@ -53,6 +60,13 @@ impl Program {
     /// All task instances in creation order.
     pub fn instances(&self) -> &[TaskInstance] {
         &self.instances
+    }
+
+    /// Every instance's id, in creation order (an id is its instance's
+    /// index in [`instances`](Self::instances)).
+    pub fn ids(&self) -> impl Iterator<Item = TaskInstanceId> {
+        // `add_task` keeps every index within `u32`.
+        (0..self.instances.len()).map(|i| TaskInstanceId(i as u32))
     }
 
     /// Looks up one instance.
@@ -156,10 +170,9 @@ pub struct ProgramBuilder {
     instances: Vec<TaskInstance>,
     /// Instances added per type, indexed by `TaskTypeId`.
     instances_per_type: Vec<usize>,
-    /// The code of each type's latest instance and its bits, indexed by
-    /// `TaskTypeId`: consecutive instances of a type nearly always run the
-    /// same code.
-    last_code: Vec<Option<(u32, CodeBits)>>,
+    /// The code of each type's latest instance, indexed by `TaskTypeId`:
+    /// consecutive instances of a type nearly always run the same code.
+    last_code: Vec<Option<u32>>,
     graph: DependenceGraphBuilder,
 }
 
@@ -181,7 +194,8 @@ impl ProgramBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if `type_id` has not been declared.
+    /// Panics if `type_id` has not been declared, or if the program already
+    /// holds 2^32 instances.
     pub fn add_task(
         &mut self,
         type_id: TaskTypeId,
@@ -193,29 +207,31 @@ impl ProgramBuilder {
             .get_mut(type_id.0 as usize)
             .unwrap_or_else(|| panic!("undeclared task type {type_id}"));
         *count += 1;
+        let id = TaskInstanceId(
+            u32::try_from(self.instances.len()).expect("at most 2^32 task instances"),
+        );
         let code = self.intern(type_id, &trace);
-        let id = TaskInstanceId(self.instances.len() as u64);
         self.graph.add_task(id, accesses);
-        self.instances.push(TaskInstance::new(id, type_id, code, &trace));
+        self.instances.push(TaskInstance::new(type_id, code, &trace));
         id
     }
 
-    /// The index of `trace`'s code in the table, added if new. Checks the
-    /// code of the type's previous instance first, then the bits map.
+    /// The index of `trace`'s code in the table, added if new. Compares the
+    /// code of the type's previous instance field by field first; only a
+    /// miss computes the code's bits for the map.
     fn intern(&mut self, type_id: TaskTypeId, trace: &TraceSpec) -> u32 {
-        let bits = TaskCode::bits_of(trace);
         let last = &mut self.last_code[type_id.0 as usize];
-        if let Some((code, last_bits)) = last {
-            if *last_bits == bits {
-                return *code;
+        if let Some(code) = *last {
+            if self.codes[code as usize].matches(trace) {
+                return code;
             }
         }
         let next = u32::try_from(self.codes.len()).expect("fewer than 2^32 task codes");
-        let code = *self.code_index.entry(bits).or_insert(next);
+        let code = *self.code_index.entry(TaskCode::bits_of(trace)).or_insert(next);
         if code == next {
             self.codes.push(TaskCode::of(trace));
         }
-        *last = Some((code, bits));
+        *last = Some(code);
         code
     }
 
@@ -235,6 +251,8 @@ impl ProgramBuilder {
             assert!(count > 0, "task type {} ({}) has no instances", ty.id().0, ty.name());
         }
         // Both tables live as long as the program: drop the growth slack.
+        // An instance table sized by `with_capacity` has none, so this
+        // copies nothing.
         let (mut codes, mut instances) = (self.codes, self.instances);
         codes.shrink_to_fit();
         instances.shrink_to_fit();

@@ -84,7 +84,7 @@ impl Scheduler for FifoScheduler {
 mod tests {
     use super::*;
 
-    fn t(i: u64) -> TaskInstanceId {
+    fn t(i: u32) -> TaskInstanceId {
         TaskInstanceId(i)
     }
 

@@ -21,9 +21,12 @@ impl std::fmt::Display for TaskTypeId {
 /// Identifier of a task instance (one dynamic execution of a declaration).
 ///
 /// Instance ids are dense: the `i`-th task created by a program has id `i`,
-/// which lets per-instance state live in plain vectors.
+/// which lets per-instance state live in plain vectors. They are 32 bits
+/// wide, so a dependence edge costs four bytes; a program holds at most 2^32
+/// instances. Wire formats (telemetry, trace bundles, ingested traces)
+/// carry ids as `u64`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct TaskInstanceId(pub u64);
+pub struct TaskInstanceId(pub u32);
 
 impl TaskInstanceId {
     /// The id as a vector index.
@@ -106,6 +109,17 @@ impl TaskCode {
         bits
     }
 
+    /// True if the code part of `spec` is this code, bit for bit: the
+    /// answer `bits_of(spec)` would give against this code's bits, compared
+    /// field by field.
+    pub(crate) fn matches(&self, spec: &TraceSpec) -> bool {
+        self.code_seed == spec.code_seed()
+            && self.branch_mispredict_rate.to_bits() == spec.branch_mispredict_rate().to_bits()
+            && self.dependency_rate.to_bits() == spec.dependency_rate().to_bits()
+            && self.pattern.bits() == spec.pattern().bits()
+            && self.mix.same_bits(spec.mix())
+    }
+
     /// The spec of `inst`, an instance running this code: bitwise equal to
     /// the spec the instance was added with.
     pub(crate) fn spec(&self, inst: &TaskInstance) -> TraceSpec {
@@ -126,17 +140,17 @@ impl TaskCode {
 /// A task instance: one dynamic execution of a task's code over its own
 /// data.
 ///
-/// It holds only what differs between instances: its data seed,
-/// instruction count and memory regions. The code it runs is an index
-/// into its program's code table, and
-/// [`Program::spec`](crate::Program::spec) reassembles the full
+/// It holds only what differs between instances: its type, data seed,
+/// instruction count and memory regions. Its id is its index in
+/// [`Program::instances`](crate::Program::instances), so it is not
+/// stored. The code it runs is an index into its program's code table,
+/// and [`Program::spec`](crate::Program::spec) reassembles the full
 /// [`TraceSpec`]. Its region annotations are not kept either: the
 /// dependence analysis consumes them when the task is added, and the
 /// resulting edges live in the program's
 /// [`DependenceGraph`](crate::depgraph::DependenceGraph).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TaskInstance {
-    id: TaskInstanceId,
     type_id: TaskTypeId,
     code: u32,
     seed: u64,
@@ -145,21 +159,14 @@ pub struct TaskInstance {
     shared: MemRegion,
 }
 
-// A program holds hundreds of thousands of instances: keep one at a
-// cache line.
-const _: () = assert!(std::mem::size_of::<TaskInstance>() == 64);
+// A program holds hundreds of thousands of instances: keep one small.
+const _: () = assert!(std::mem::size_of::<TaskInstance>() == 56);
 
 impl TaskInstance {
-    /// The data part of `spec`, for instance `id` of `type_id` running
-    /// code `code` of its program.
-    pub(crate) fn new(
-        id: TaskInstanceId,
-        type_id: TaskTypeId,
-        code: u32,
-        spec: &TraceSpec,
-    ) -> Self {
+    /// The data part of `spec`, for an instance of `type_id` running code
+    /// `code` of its program.
+    pub(crate) fn new(type_id: TaskTypeId, code: u32, spec: &TraceSpec) -> Self {
         Self {
-            id,
             type_id,
             code,
             seed: spec.seed(),
@@ -167,11 +174,6 @@ impl TaskInstance {
             footprint: spec.footprint(),
             shared: spec.shared(),
         }
-    }
-
-    /// The instance's identifier (== creation order).
-    pub fn id(&self) -> TaskInstanceId {
-        self.id
     }
 
     /// The type this instance belongs to.
@@ -235,9 +237,36 @@ mod tests {
             .branch_mispredict_rate(0.1)
             .dependency_rate(0.3)
             .build();
-        let inst = TaskInstance::new(TaskInstanceId(0), TaskTypeId(0), 0, &spec);
+        let inst = TaskInstance::new(TaskTypeId(0), 0, &spec);
         assert_eq!(inst.instructions(), 777);
         assert_eq!(inst.seed(), 5);
         assert_eq!(TaskCode::of(&spec).spec(&inst), spec);
+    }
+
+    #[test]
+    fn matches_agrees_with_the_bits() {
+        let base = TraceSpec::builder()
+            .code_seed(9)
+            .footprint(MemRegion::new(0x1000, 4096))
+            .mix(InstructionMix::memory_bound())
+            .pattern(AccessPattern::Gather { hot_probability: 0.5, hot_fraction: 0.25 })
+            .dependency_rate(0.3);
+        let code = TaskCode::of(&base.clone().build());
+        let variants = [
+            base.clone().seed(77).instructions(5).build(),
+            base.clone().code_seed(10).build(),
+            base.clone().mix(InstructionMix::compute_bound()).build(),
+            base.clone()
+                .pattern(AccessPattern::Gather { hot_probability: 0.5, hot_fraction: 0.5 })
+                .build(),
+            base.clone().branch_mispredict_rate(-0.0).build(),
+            base.clone().dependency_rate(0.25).build(),
+        ];
+        let bits = TaskCode::bits_of(&base.build());
+        for spec in &variants {
+            assert_eq!(code.matches(spec), TaskCode::bits_of(spec) == bits, "{spec:?}");
+        }
+        assert!(code.matches(&variants[0]), "data fields are not code");
+        assert!(!code.matches(&variants[4]), "-0.0 is not 0.0");
     }
 }

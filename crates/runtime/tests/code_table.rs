@@ -85,7 +85,7 @@ proptest! {
         }
         let program = b.build();
         for (i, spec) in added.iter().enumerate() {
-            let id = TaskInstanceId(i as u64);
+            let id = TaskInstanceId(i as u32);
             prop_assert_eq!(spec_bits(&program.spec(id)), spec_bits(spec));
         }
         let distinct: HashSet<_> = added.iter().map(code_bits).collect();
@@ -107,7 +107,7 @@ fn negative_zero_rates_are_their_own_code() {
     let program = b.build();
     assert_eq!(program.num_codes(), 2);
     for (i, negative) in [false, true, false, true].into_iter().enumerate() {
-        let rate = program.spec(TaskInstanceId(i as u64)).dependency_rate();
+        let rate = program.spec(TaskInstanceId(i as u32)).dependency_rate();
         assert_eq!(rate.is_sign_negative(), negative);
     }
 }

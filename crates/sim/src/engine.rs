@@ -348,7 +348,7 @@ impl<'p, S: Sink> Engine<'p, S> {
             start: report.start,
             end: report.end,
             worker: w,
-            task: report.task.0,
+            task: u64::from(report.task.0),
             type_id: report.type_id.0,
             detailed: report.mode == SimMode::Detailed,
             instructions: report.instructions,
@@ -409,7 +409,7 @@ impl<'p, S: Sink> Engine<'p, S> {
             self.sink.event(SimEvent::TaskAssigned {
                 tick: start,
                 worker: w,
-                task: task.0,
+                task: u64::from(task.0),
                 type_id: inst.type_id().0,
                 detailed: matches!(mode, ExecMode::Detailed),
             });

@@ -78,8 +78,9 @@ pub enum TraceMismatch {
     },
     /// The bundle holds a task id the program does not have.
     UnknownTask {
-        /// The unknown task id.
-        task: TaskInstanceId,
+        /// The unknown task id, as the bundle keys it (it may not fit a
+        /// [`TaskInstanceId`]).
+        task: u64,
         /// Number of instances the program declares.
         instances: u64,
     },
@@ -93,7 +94,7 @@ impl std::fmt::Display for TraceMismatch {
                 "recorded trace for {task} has {recorded} instructions, program declares {expected}"
             ),
             TraceMismatch::UnknownTask { task, instances } => {
-                write!(f, "recorded trace for {task}, but the program has only {instances} tasks")
+                write!(f, "recorded trace for t{task}, but the program has only {instances} tasks")
             }
         }
     }
@@ -129,10 +130,10 @@ impl RecordedTraces {
     /// tracing a native execution.
     pub fn record_program(program: &Program) -> Self {
         let mut bundle = Self::new();
-        for inst in program.instances() {
-            let bytes = encode::encode(program.spec(inst.id()).iter());
+        for id in program.ids() {
+            let bytes = encode::encode(program.spec(id).iter());
             let trace = RecordedTrace::new(bytes).expect("encode emits valid records");
-            bundle.per_task.insert(inst.id().0, trace);
+            bundle.per_task.insert(u64::from(id.0), trace);
         }
         bundle
     }
@@ -158,13 +159,13 @@ impl RecordedTraces {
     ///
     /// Rejects byte streams that are not valid [`encode`] records.
     pub fn insert(&mut self, task: TaskInstanceId, bytes: Bytes) -> Result<(), DecodeError> {
-        self.per_task.insert(task.0, RecordedTrace::new(bytes)?);
+        self.per_task.insert(u64::from(task.0), RecordedTrace::new(bytes)?);
         Ok(())
     }
 
     /// The recording for one task, if present.
     pub fn get(&self, task: TaskInstanceId) -> Option<&RecordedTrace> {
-        self.per_task.get(&task.0)
+        self.per_task.get(&u64::from(task.0))
     }
 
     /// Number of recorded tasks.
@@ -192,10 +193,10 @@ impl RecordedTraces {
     pub fn verify_against(&self, program: &Program) -> Result<(), TraceMismatch> {
         let instances = program.num_instances() as u64;
         for (&id, trace) in &self.per_task {
-            let task = TaskInstanceId(id);
-            if id >= instances {
-                return Err(TraceMismatch::UnknownTask { task, instances });
-            }
+            let task = match u32::try_from(id) {
+                Ok(task) if id < instances => TaskInstanceId(task),
+                _ => return Err(TraceMismatch::UnknownTask { task: id, instances }),
+            };
             let recorded = trace.instructions();
             let expected = program.instance(task).instructions();
             if recorded != expected {
@@ -224,9 +225,9 @@ impl RecordedTraces {
     /// # Errors
     ///
     /// I/O errors pass through; framing or record corruption — including
-    /// length fields pointing past the end of the file — surfaces as
-    /// [`io::ErrorKind::InvalidData`] (nothing is allocated from an
-    /// unvalidated length).
+    /// length fields pointing past the end of the file and task ids of
+    /// 2^32 or more — surfaces as [`io::ErrorKind::InvalidData`] (nothing
+    /// is allocated from an unvalidated length).
     pub fn read_from(path: &Path) -> io::Result<Self> {
         let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
         let data = std::fs::read(path)?;
@@ -253,10 +254,12 @@ impl RecordedTraces {
                     rest.len()
                 )));
             }
+            let id = u32::try_from(task)
+                .map_err(|_| bad(format!("task {task}: id does not fit in 32 bits")))?;
             let (payload, tail) = rest.split_at(len as usize);
             rest = tail;
             bundle
-                .insert(TaskInstanceId(task), Bytes::from(payload.to_vec()))
+                .insert(TaskInstanceId(id), Bytes::from(payload.to_vec()))
                 .map_err(|e| bad(format!("task {task}: {e}")))?;
         }
         if !rest.is_empty() {
@@ -268,7 +271,7 @@ impl RecordedTraces {
 
 impl TraceProvider for RecordedTraces {
     fn source(&self, task: TaskInstanceId, spec: &TraceSpec) -> Box<dyn TraceSource> {
-        match self.per_task.get(&task.0) {
+        match self.get(task) {
             // Validated once at insert/load; handing out a source is a
             // clone of the pre-validated trace, not a re-scan.
             Some(trace) => Box::new(trace.clone()),
@@ -308,11 +311,11 @@ mod tests {
         assert_eq!(recorded.len(), 4);
         recorded.verify_against(&p).unwrap();
         let procedural = ProceduralTraces;
-        for inst in p.instances() {
-            let spec = p.spec(inst.id());
-            let from_recording = drain(recorded.source(inst.id(), &spec));
-            let from_spec = drain(procedural.source(inst.id(), &spec));
-            assert_eq!(from_recording, from_spec, "task {}", inst.id());
+        for id in p.ids() {
+            let spec = p.spec(id);
+            let from_recording = drain(recorded.source(id, &spec));
+            let from_spec = drain(procedural.source(id, &spec));
+            assert_eq!(from_recording, from_spec, "task {id}");
         }
         // All four instances share one type's code: one column served them.
         assert_eq!(procedural.columns.len(), 1);
@@ -323,9 +326,9 @@ mod tests {
         let p = tiny_program(2);
         let bundle = RecordedTraces::new();
         assert!(bundle.is_empty());
-        let inst = &p.instances()[1];
-        let got = drain(bundle.source(inst.id(), &p.spec(inst.id())));
-        assert_eq!(got.len() as u64, inst.instructions());
+        let id = TaskInstanceId(1);
+        let got = drain(bundle.source(id, &p.spec(id)));
+        assert_eq!(got.len() as u64, p.instance(id).instructions());
     }
 
     #[test]
@@ -361,8 +364,19 @@ mod tests {
         let bundle = RecordedTraces::record_program(&tiny_program(4));
         bundle.verify_against(&tiny_program(4)).unwrap();
         let err = bundle.verify_against(&p).unwrap_err();
-        assert_eq!(err, TraceMismatch::UnknownTask { task: TaskInstanceId(2), instances: 2 });
-        assert!(err.to_string().contains("only 2 tasks"));
+        assert_eq!(err, TraceMismatch::UnknownTask { task: 2, instances: 2 });
+        assert!(err.to_string().contains("t2, but the program has only 2 tasks"), "{err}");
+    }
+
+    #[test]
+    fn verify_reports_an_id_beyond_32_bits_as_unknown() {
+        // Only a corrupt source could key a recording this way: loading and
+        // `insert` both reject such ids. Id 2^32 must not wrap to task 0.
+        let p = tiny_program(1);
+        let trace = RecordedTraces::record_program(&p).per_task[&0].clone();
+        let bundle = RecordedTraces { per_task: BTreeMap::from([(1 << 32, trace)]) };
+        let err = bundle.verify_against(&p).unwrap_err();
+        assert_eq!(err, TraceMismatch::UnknownTask { task: 1 << 32, instances: 1 });
     }
 
     #[test]
@@ -407,10 +421,10 @@ E:0:6
         std::fs::remove_file(&path).ok();
         assert_eq!(back.len(), bundle.len());
         assert_eq!(back.total_bytes(), bundle.total_bytes());
-        for inst in p.instances() {
+        for id in p.ids() {
             assert_eq!(
-                back.get(inst.id()).map(|t| t.bytes().to_vec()),
-                bundle.get(inst.id()).map(|t| t.bytes().to_vec())
+                back.get(id).map(|t| t.bytes().to_vec()),
+                bundle.get(id).map(|t| t.bytes().to_vec())
             );
         }
     }
@@ -429,6 +443,24 @@ E:0:6
         std::fs::remove_file(&path).ok();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("exceeds remaining"));
+    }
+
+    #[test]
+    fn task_id_beyond_32_bits_is_invalid_data_not_truncated() {
+        // A well-formed record for task 2^32, which would wrap to task 0.
+        let payload = encode::encode([Instruction::compute(InstKind::IntAlu)]);
+        let mut data = Vec::new();
+        data.extend_from_slice(b"TPTRACE1");
+        data.extend_from_slice(&1u64.to_le_bytes());
+        data.extend_from_slice(&(1u64 << 32).to_le_bytes());
+        data.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        data.extend_from_slice(payload.as_ref());
+        let path = std::env::temp_dir().join("taskpoint_test_wide_id_bundle.tptrace");
+        std::fs::write(&path, &data).unwrap();
+        let err = RecordedTraces::read_from(&path).unwrap_err();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("task 4294967296"), "{err}");
     }
 
     #[test]

@@ -62,6 +62,13 @@ impl InstructionMix {
         self.cumulative.map(f64::to_bits)
     }
 
+    /// True if `other`'s cumulative distribution has the same bits: the
+    /// same answer as comparing [`cumulative_bits`](Self::cumulative_bits).
+    #[inline]
+    pub fn same_bits(&self, other: &Self) -> bool {
+        self.cumulative.iter().zip(&other.cumulative).all(|(a, b)| a.to_bits() == b.to_bits())
+    }
+
     /// Draws one instruction kind.
     pub fn sample(&self, rng: &mut Xoshiro256pp) -> InstKind {
         let x = rng.next_f64();

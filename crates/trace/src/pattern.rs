@@ -72,6 +72,7 @@ impl AccessPattern {
     /// the variant's two parameters (zero where it has fewer), floats as
     /// their bit patterns. Patterns with equal bits walk memory
     /// identically.
+    #[inline]
     pub fn bits(&self) -> [u64; 3] {
         match *self {
             AccessPattern::Sequential { stride } => [0, u64::from(stride), 0],

@@ -95,8 +95,9 @@ pub mod sparselu {
     /// Panics if the structural constants would overflow the Table I
     /// instance count (checked by tests).
     pub fn generate(scale: &ScaleConfig) -> Program {
+        let seeds = scale.instance_seeds(INFO.name);
         let s = symbolic();
-        let mut b = Program::builder(INFO.name);
+        let mut b = Program::with_capacity(INFO.name, INFO.task_instances);
         let genmat_ty = b.add_type("genmat");
         let alloc_ty = b.add_type("alloc_blk");
         let init_ty = b.add_type("init_blk");
@@ -114,8 +115,8 @@ pub mod sparselu {
         let blocks: Vec<MemRegion> = (0..N * N).map(|_| alloc.alloc_lines(128 * 1024)).collect();
         let mut srng = Xoshiro256pp::seed_from_u64(STRUCT_SEED ^ 0xABCD);
         let mut counters = [0u64; 11];
-        let seed = |scale: &ScaleConfig, ty: u32, c: &mut [u64; 11]| {
-            let v = scale.instance_seed(INFO.name, ty, c[ty as usize]);
+        let seed = |ty: u32, c: &mut [u64; 11]| {
+            let v = seeds.of(ty, c[ty as usize]);
             c[ty as usize] += 1;
             v
         };
@@ -139,7 +140,7 @@ pub mod sparselu {
 
         // genmat
         let t = TraceSpec::builder()
-            .seed(seed(scale, 0, &mut counters))
+            .seed(seed(0, &mut counters))
             .instructions(scale.instructions(900.0))
             .mix(InstructionMix::irregular_int())
             .pattern(AccessPattern::sequential(8))
@@ -152,7 +153,7 @@ pub mod sparselu {
         for _ in 0..padding {
             let scratch = alloc.alloc_lines(2 * 1024);
             let t = TraceSpec::builder()
-                .seed(seed(scale, 1, &mut counters))
+                .seed(seed(1, &mut counters))
                 .instructions(scale.instructions(80.0))
                 .mix(InstructionMix::irregular_int())
                 .pattern(AccessPattern::sequential(8))
@@ -166,7 +167,7 @@ pub mod sparselu {
             for j in 0..N {
                 if s.initial[i * N + j] {
                     let t = TraceSpec::builder()
-                        .seed(seed(scale, 2, &mut counters))
+                        .seed(seed(2, &mut counters))
                         .instructions(scale.instructions(400.0))
                         .mix(InstructionMix::memory_bound())
                         .pattern(AccessPattern::sequential(8))
@@ -186,7 +187,7 @@ pub mod sparselu {
             match *op {
                 Op::Lu0(k) => {
                     let t = TraceSpec::builder()
-                        .seed(seed(scale, 3, &mut counters))
+                        .seed(seed(3, &mut counters))
                         .instructions(scale.instructions(1400.0))
                         .mix(InstructionMix::balanced())
                         .pattern(AccessPattern::sequential(8))
@@ -199,7 +200,7 @@ pub mod sparselu {
                 Op::Fwd(k, j) => {
                     let jit = 1.0 + (srng.next_f64() - 0.5) * 0.4;
                     let t = TraceSpec::builder()
-                        .seed(seed(scale, 4, &mut counters))
+                        .seed(seed(4, &mut counters))
                         .instructions(scale.instructions(1300.0 * jit))
                         .mix(InstructionMix::balanced())
                         .pattern(AccessPattern::sequential(8))
@@ -219,7 +220,7 @@ pub mod sparselu {
                 Op::Bdiv(i, k) => {
                     let jit = 1.0 + (srng.next_f64() - 0.5) * 0.4;
                     let t = TraceSpec::builder()
-                        .seed(seed(scale, 5, &mut counters))
+                        .seed(seed(5, &mut counters))
                         .instructions(scale.instructions(1300.0 * jit))
                         .mix(InstructionMix::balanced())
                         .pattern(AccessPattern::sequential(8))
@@ -239,7 +240,7 @@ pub mod sparselu {
                 Op::Bmod(i, j, k, fill) => {
                     if fill {
                         let t = TraceSpec::builder()
-                            .seed(seed(scale, 1, &mut counters))
+                            .seed(seed(1, &mut counters))
                             .instructions(scale.instructions(80.0))
                             .mix(InstructionMix::irregular_int())
                             .pattern(AccessPattern::sequential(8))
@@ -254,7 +255,7 @@ pub mod sparselu {
                     // spread in the band the paper reports.
                     let density = srng.next_log_uniform(0.5, 2.2);
                     let t = TraceSpec::builder()
-                        .seed(seed(scale, 6, &mut counters))
+                        .seed(seed(6, &mut counters))
                         .instructions(scale.instructions(1500.0 * density))
                         .mix(InstructionMix::balanced())
                         .pattern(AccessPattern::sequential(8))
@@ -286,7 +287,7 @@ pub mod sparselu {
                 }
                 let copy = alloc.alloc_lines(32 * 1024);
                 let t = TraceSpec::builder()
-                    .seed(seed(scale, 7, &mut counters))
+                    .seed(seed(7, &mut counters))
                     .instructions(scale.instructions(600.0))
                     .mix(InstructionMix::memory_bound())
                     .pattern(AccessPattern::sequential(8))
@@ -300,7 +301,7 @@ pub mod sparselu {
                 copies[i * N + j] = Some(copy);
                 let cell = alloc.alloc_lines(64);
                 let t = TraceSpec::builder()
-                    .seed(seed(scale, 8, &mut counters))
+                    .seed(seed(8, &mut counters))
                     .instructions(scale.instructions(550.0))
                     .mix(InstructionMix::memory_bound())
                     .pattern(AccessPattern::sequential(8))
@@ -320,7 +321,7 @@ pub mod sparselu {
                 }
             }
             let t = TraceSpec::builder()
-                .seed(seed(scale, 9, &mut counters))
+                .seed(seed(9, &mut counters))
                 .instructions(scale.instructions(300.0))
                 .mix(InstructionMix::balanced())
                 .pattern(AccessPattern::sequential(8))
@@ -333,7 +334,7 @@ pub mod sparselu {
         let mut acc = vec![RegionAccess::output(result)];
         acc.extend(norms.iter().map(|&n| RegionAccess::input(n)));
         let t = TraceSpec::builder()
-            .seed(seed(scale, 10, &mut counters))
+            .seed(seed(10, &mut counters))
             .instructions(scale.instructions(200.0))
             .mix(InstructionMix::balanced())
             .pattern(AccessPattern::sequential(8))
@@ -364,7 +365,8 @@ pub mod cholesky {
 
     /// Generates the workload.
     pub fn generate(scale: &ScaleConfig) -> Program {
-        let mut b = Program::builder(INFO.name);
+        let seeds = scale.instance_seeds(INFO.name);
+        let mut b = Program::with_capacity(INFO.name, INFO.task_instances);
         let potrf_ty = b.add_type("potrf");
         let trsm_ty = b.add_type("trsm");
         let syrk_ty = b.add_type("syrk");
@@ -386,7 +388,7 @@ pub mod cholesky {
                   fp: MemRegion,
                   srng: &mut Xoshiro256pp| {
             let jit = 1.0 + (srng.next_f64() - 0.5) * 0.03;
-            let s = scale.instance_seed(INFO.name, ty, c[ty as usize]);
+            let s = seeds.of(ty, c[ty as usize]);
             c[ty as usize] += 1;
             TraceSpec::builder()
                 .seed(s)
@@ -454,7 +456,8 @@ pub mod kmeans {
 
     /// Generates the workload.
     pub fn generate(scale: &ScaleConfig) -> Program {
-        let mut b = Program::builder(INFO.name);
+        let seeds = scale.instance_seeds(INFO.name);
+        let mut b = Program::with_capacity(INFO.name, INFO.task_instances);
         let init_ctr_ty = b.add_type("init_centroids");
         let init_pts_ty = b.add_type("init_points");
         let assign_ty = b.add_type("assign");
@@ -468,14 +471,14 @@ pub mod kmeans {
         let labels: Vec<MemRegion> = alloc.alloc_array(BLOCKS, 8 * 1024);
         let partials: Vec<MemRegion> = alloc.alloc_array(BLOCKS, 4 * 1024);
         let mut counters = [0u64; 6];
-        let seed = |scale: &ScaleConfig, ty: u32, c: &mut [u64; 6]| {
-            let v = scale.instance_seed(INFO.name, ty, c[ty as usize]);
+        let seed = |ty: u32, c: &mut [u64; 6]| {
+            let v = seeds.of(ty, c[ty as usize]);
             c[ty as usize] += 1;
             v
         };
 
         let t = TraceSpec::builder()
-            .seed(seed(scale, 0, &mut counters))
+            .seed(seed(0, &mut counters))
             .instructions(scale.instructions(500.0))
             .mix(InstructionMix::balanced())
             .pattern(AccessPattern::sequential(8))
@@ -486,7 +489,7 @@ pub mod kmeans {
         for i in 0..(BLOCKS + EXTRA_INIT) {
             let fp = points[i % BLOCKS];
             let t = TraceSpec::builder()
-                .seed(seed(scale, 1, &mut counters))
+                .seed(seed(1, &mut counters))
                 .instructions(scale.instructions(700.0))
                 .mix(InstructionMix::memory_bound())
                 .pattern(AccessPattern::sequential(8))
@@ -501,7 +504,7 @@ pub mod kmeans {
         for _it in 0..ITERS {
             for bl in 0..BLOCKS {
                 let t = TraceSpec::builder()
-                    .seed(seed(scale, 2, &mut counters))
+                    .seed(seed(2, &mut counters))
                     .instructions(scale.instructions(1500.0))
                     .mix(InstructionMix::balanced())
                     .pattern(AccessPattern::sequential(8))
@@ -521,7 +524,7 @@ pub mod kmeans {
             }
             for bl in 0..BLOCKS {
                 let t = TraceSpec::builder()
-                    .seed(seed(scale, 3, &mut counters))
+                    .seed(seed(3, &mut counters))
                     .instructions(scale.instructions(600.0))
                     .mix(InstructionMix::balanced())
                     .pattern(AccessPattern::sequential(8))
@@ -536,7 +539,7 @@ pub mod kmeans {
             let mut acc = vec![RegionAccess::inout(centroids)];
             acc.extend(partials.iter().map(|&p| RegionAccess::input(p)));
             let t = TraceSpec::builder()
-                .seed(seed(scale, 4, &mut counters))
+                .seed(seed(4, &mut counters))
                 .instructions(scale.instructions(900.0))
                 .mix(InstructionMix::balanced())
                 .pattern(AccessPattern::sequential(8))
@@ -544,7 +547,7 @@ pub mod kmeans {
                 .build();
             b.add_task(update_ty, t, &acc);
             let t = TraceSpec::builder()
-                .seed(seed(scale, 5, &mut counters))
+                .seed(seed(5, &mut counters))
                 .instructions(scale.instructions(150.0))
                 .mix(InstructionMix::balanced())
                 .pattern(AccessPattern::sequential(8))
@@ -579,7 +582,8 @@ pub mod knn {
 
     /// Generates the workload.
     pub fn generate(scale: &ScaleConfig) -> Program {
-        let mut b = Program::builder(INFO.name);
+        let seeds = scale.instance_seeds(INFO.name);
+        let mut b = Program::with_capacity(INFO.name, INFO.task_instances);
         let dist_ty = b.add_type("distances");
         let merge_ty = b.add_type("kselect");
         let mut alloc = AddressAllocator::new();
@@ -592,7 +596,7 @@ pub mod knn {
                 let out = alloc.alloc_lines(4 * 1024);
                 let jit = 1.0 + (srng.next_f64() - 0.5) * 0.04;
                 let t = TraceSpec::builder()
-                    .seed(scale.instance_seed(INFO.name, 0, dist_idx))
+                    .seed(seeds.of(0, dist_idx))
                     .instructions(scale.instructions(1250.0 * jit))
                     .mix(InstructionMix::balanced())
                     .pattern(AccessPattern::sequential(16))
@@ -608,7 +612,7 @@ pub mod knn {
             let mut acc = vec![RegionAccess::output(result)];
             acc.extend(scratch.iter().map(|&s| RegionAccess::input(s)));
             let t = TraceSpec::builder()
-                .seed(scale.instance_seed(INFO.name, 1, q as u64))
+                .seed(seeds.of(1, q as u64))
                 .instructions(scale.instructions(650.0))
                 .mix(InstructionMix::irregular_int())
                 .pattern(AccessPattern::Random)

@@ -362,7 +362,7 @@ mod tests {
         for i in 0..12 {
             assert!(p.graph().predecessors(TaskInstanceId(i)).is_empty());
         }
-        for i in 12..48u64 {
+        for i in 12..48u32 {
             let preds = p.graph().predecessors(TaskInstanceId(i)).len();
             assert!((1..=2).contains(&preds), "task {i} has {preds} preds");
         }

@@ -6,7 +6,7 @@
 //! per-instance imbalance. Structural randomness (e.g. spmv's row lengths)
 //! uses a *fixed* structural seed so instance counts never depend on the
 //! user's seed; per-instance trace content derives from
-//! [`ScaleConfig::instance_seed`].
+//! [`ScaleConfig::instance_seeds`].
 
 use crate::info::{BenchClass, WorkloadInfo};
 use crate::layout::AddressAllocator;
@@ -30,7 +30,8 @@ pub mod conv2d {
 
     /// Generates the workload.
     pub fn generate(scale: &ScaleConfig) -> Program {
-        let mut b = Program::builder(INFO.name);
+        let seeds = scale.instance_seeds(INFO.name);
+        let mut b = Program::with_capacity(INFO.name, INFO.task_instances);
         let ty = b.add_type("conv_tile");
         let mut alloc = AddressAllocator::new();
         let mut srng = Xoshiro256pp::seed_from_u64(0x2DC0);
@@ -39,7 +40,7 @@ pub mod conv2d {
             let output = alloc.alloc_lines(8 * 1024);
             let jitter = 1.0 + (srng.next_f64() - 0.5) * 0.04;
             let trace = TraceSpec::builder()
-                .seed(scale.instance_seed(INFO.name, 0, i))
+                .seed(seeds.of(0, i))
                 .instructions(scale.instructions(1450.0 * jitter))
                 .mix(InstructionMix::balanced())
                 .pattern(AccessPattern::strided(256, 4))
@@ -74,7 +75,8 @@ pub mod stencil3d {
     /// buffer and writes its tile of the other buffer, so tiles within a
     /// step are independent while steps form a wavefront.
     pub fn generate(scale: &ScaleConfig) -> Program {
-        let mut b = Program::builder(INFO.name);
+        let seeds = scale.instance_seeds(INFO.name);
+        let mut b = Program::with_capacity(INFO.name, INFO.task_instances);
         let ty = b.add_type("stencil_step");
         let mut alloc = AddressAllocator::new();
         let buf_a = alloc.alloc_array(TILES, 48 * 1024);
@@ -89,7 +91,7 @@ pub mod stencil3d {
                 let right = read[(t + 1) % TILES];
                 let jitter = 1.0 + (srng.next_f64() - 0.5) * 0.03;
                 let trace = TraceSpec::builder()
-                    .seed(scale.instance_seed(INFO.name, 0, idx))
+                    .seed(seeds.of(0, idx))
                     .instructions(scale.instructions(1500.0 * jitter))
                     .mix(InstructionMix::balanced())
                     .pattern(AccessPattern::Stencil { planes: 3, plane_stride: 16 * 1024 })
@@ -130,7 +132,8 @@ pub mod monte_carlo {
 
     /// Generates the workload.
     pub fn generate(scale: &ScaleConfig) -> Program {
-        let mut b = Program::builder(INFO.name);
+        let seeds = scale.instance_seeds(INFO.name);
+        let mut b = Program::with_capacity(INFO.name, INFO.task_instances);
         let ty = b.add_type("mc_paths");
         let mut alloc = AddressAllocator::new();
         let accumulator = alloc.alloc_lines(64);
@@ -150,7 +153,7 @@ pub mod monte_carlo {
             // Monte-Carlo path counts vary slightly per task.
             let jitter = (1.0 + srng.next_normal(0.0, 0.05)).max(0.5);
             let trace = TraceSpec::builder()
-                .seed(scale.instance_seed(INFO.name, 0, i))
+                .seed(seeds.of(0, i))
                 .instructions(scale.instructions(1400.0 * jitter))
                 .mix(mix.clone())
                 .pattern(AccessPattern::sequential(8))
@@ -183,7 +186,8 @@ pub mod matmul {
 
     /// Generates the workload.
     pub fn generate(scale: &ScaleConfig) -> Program {
-        let mut b = Program::builder(INFO.name);
+        let seeds = scale.instance_seeds(INFO.name);
+        let mut b = Program::with_capacity(INFO.name, INFO.task_instances);
         let ty = b.add_type("gemm");
         let mut alloc = AddressAllocator::new();
         let c_tiles = alloc.alloc_array(N * N, 8 * 1024);
@@ -194,7 +198,7 @@ pub mod matmul {
                 for j in 0..N {
                     let jitter = 1.0 + (srng.next_f64() - 0.5) * 0.02;
                     let trace = TraceSpec::builder()
-                        .seed(scale.instance_seed(INFO.name, 0, idx))
+                        .seed(seeds.of(0, idx))
                         .instructions(scale.instructions(1550.0 * jitter))
                         .mix(InstructionMix::compute_bound())
                         .pattern(AccessPattern::sequential(8))
@@ -226,7 +230,8 @@ pub mod histogram {
 
     /// Generates the workload.
     pub fn generate(scale: &ScaleConfig) -> Program {
-        let mut b = Program::builder(INFO.name);
+        let seeds = scale.instance_seeds(INFO.name);
+        let mut b = Program::with_capacity(INFO.name, INFO.task_instances);
         let ty = b.add_type("hist_chunk");
         let mut alloc = AddressAllocator::new();
         let bins = alloc.alloc_lines(32 * 1024);
@@ -235,7 +240,7 @@ pub mod histogram {
             let chunk = alloc.alloc_lines(64 * 1024);
             let jitter = 1.0 + (srng.next_f64() - 0.5) * 0.03;
             let trace = TraceSpec::builder()
-                .seed(scale.instance_seed(INFO.name, 0, i))
+                .seed(seeds.of(0, i))
                 .instructions(scale.instructions(1350.0 * jitter))
                 .mix(InstructionMix::atomic_heavy())
                 .pattern(AccessPattern::sequential(8))
@@ -269,7 +274,8 @@ pub mod nbody {
 
     /// Generates the workload.
     pub fn generate(scale: &ScaleConfig) -> Program {
-        let mut b = Program::builder(INFO.name);
+        let seeds = scale.instance_seeds(INFO.name);
+        let mut b = Program::with_capacity(INFO.name, INFO.task_instances);
         let force_ty = b.add_type("compute_forces");
         let update_ty = b.add_type("update_positions");
         let mut alloc = AddressAllocator::new();
@@ -284,7 +290,7 @@ pub mod nbody {
                 let right = pos[(t + 1) % BLOCKS];
                 let jitter = 1.0 + (srng.next_f64() - 0.5) * 0.06;
                 let trace = TraceSpec::builder()
-                    .seed(scale.instance_seed(INFO.name, 0, force_idx))
+                    .seed(seeds.of(0, force_idx))
                     .instructions(scale.instructions(1600.0 * jitter))
                     .mix(InstructionMix::balanced())
                     .pattern(AccessPattern::Gather { hot_probability: 0.6, hot_fraction: 0.2 })
@@ -306,7 +312,7 @@ pub mod nbody {
             }
             for t in 0..BLOCKS {
                 let trace = TraceSpec::builder()
-                    .seed(scale.instance_seed(INFO.name, 1, update_idx))
+                    .seed(seeds.of(1, update_idx))
                     .instructions(scale.instructions(320.0))
                     .mix(InstructionMix::memory_bound())
                     .pattern(AccessPattern::sequential(8))
@@ -344,7 +350,8 @@ pub mod reduction {
 
     /// Generates the workload.
     pub fn generate(scale: &ScaleConfig) -> Program {
-        let mut b = Program::builder(INFO.name);
+        let seeds = scale.instance_seeds(INFO.name);
+        let mut b = Program::with_capacity(INFO.name, INFO.task_instances);
         let leaf_ty = b.add_type("partial_sum");
         let combine_ty = b.add_type("combine");
         let mut alloc = AddressAllocator::new();
@@ -356,7 +363,7 @@ pub mod reduction {
             let cell = alloc.alloc_lines(64);
             let jitter = 1.0 + (srng.next_f64() - 0.5) * 0.03;
             let trace = TraceSpec::builder()
-                .seed(scale.instance_seed(INFO.name, 0, i))
+                .seed(seeds.of(0, i))
                 .instructions(scale.instructions(1200.0 * jitter))
                 .mix(InstructionMix::memory_bound())
                 .pattern(AccessPattern::sequential(8))
@@ -378,7 +385,7 @@ pub mod reduction {
                 }
                 let out = alloc.alloc_lines(64);
                 let trace = TraceSpec::builder()
-                    .seed(scale.instance_seed(INFO.name, 1, combine_idx))
+                    .seed(seeds.of(1, combine_idx))
                     .instructions(scale.instructions(400.0))
                     .mix(InstructionMix::balanced())
                     .pattern(AccessPattern::sequential(8))
@@ -404,7 +411,7 @@ pub mod reduction {
         // bringing the total to exactly 16,384).
         let result = alloc.alloc_lines(64);
         let trace = TraceSpec::builder()
-            .seed(scale.instance_seed(INFO.name, 1, combine_idx))
+            .seed(seeds.of(1, combine_idx))
             .instructions(scale.instructions(120.0))
             .mix(InstructionMix::balanced())
             .pattern(AccessPattern::sequential(8))
@@ -435,7 +442,8 @@ pub mod spmv {
 
     /// Generates the workload.
     pub fn generate(scale: &ScaleConfig) -> Program {
-        let mut b = Program::builder(INFO.name);
+        let seeds = scale.instance_seeds(INFO.name);
+        let mut b = Program::with_capacity(INFO.name, INFO.task_instances);
         let ty = b.add_type("spmv_rows");
         let mut alloc = AddressAllocator::new();
         let mut srng = Xoshiro256pp::seed_from_u64(0x59A7);
@@ -448,7 +456,7 @@ pub mod spmv {
             let rows = alloc.alloc_lines(footprint_len);
             let y_block = alloc.alloc_lines(4 * 1024);
             let trace = TraceSpec::builder()
-                .seed(scale.instance_seed(INFO.name, 0, i))
+                .seed(seeds.of(0, i))
                 .instructions(instrs)
                 .mix(InstructionMix::memory_bound())
                 .pattern(AccessPattern::Gather { hot_probability: 0.4, hot_fraction: 0.05 })
@@ -477,13 +485,14 @@ pub mod vecop {
 
     /// Generates the workload.
     pub fn generate(scale: &ScaleConfig) -> Program {
-        let mut b = Program::builder(INFO.name);
+        let seeds = scale.instance_seeds(INFO.name);
+        let mut b = Program::with_capacity(INFO.name, INFO.task_instances);
         let ty = b.add_type("vec_chunk");
         let mut alloc = AddressAllocator::new();
         for i in 0..INFO.task_instances as u64 {
             let chunk = alloc.alloc_lines(256 * 1024);
             let trace = TraceSpec::builder()
-                .seed(scale.instance_seed(INFO.name, 0, i))
+                .seed(seeds.of(0, i))
                 .instructions(scale.instructions(1490.0))
                 .mix(InstructionMix::memory_bound())
                 .pattern(AccessPattern::sequential(8))

@@ -34,7 +34,7 @@ pub mod scale;
 pub use external::ExternalWorkload;
 pub use info::{BenchClass, WorkloadInfo};
 pub use layout::AddressAllocator;
-pub use scale::ScaleConfig;
+pub use scale::{InstanceSeeds, ScaleConfig};
 
 use taskpoint_runtime::Program;
 
@@ -289,8 +289,9 @@ mod tests {
         let scale = ScaleConfig::quick();
         for b in Benchmark::ALL {
             let p = b.generate(&scale);
-            let inst = &p.instances()[p.num_instances() / 2];
-            let spec = p.spec(inst.id());
+            let id = taskpoint_runtime::TaskInstanceId((p.num_instances() / 2) as u32);
+            let inst = p.instance(id);
+            let spec = p.spec(id);
             let mut source = spec.source();
             let mut block = InstBlock::new();
             let mut batched = Vec::new();

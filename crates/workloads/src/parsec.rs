@@ -33,7 +33,8 @@ pub mod blackscholes {
 
     /// Generates the workload.
     pub fn generate(scale: &ScaleConfig) -> Program {
-        let mut b = Program::builder(INFO.name);
+        let seeds = scale.instance_seeds(INFO.name);
+        let mut b = Program::with_capacity(INFO.name, INFO.task_instances);
         let price_ty = b.add_type("price_options");
         let agg_ty = b.add_type("aggregate");
         let mut alloc = AddressAllocator::new();
@@ -46,7 +47,7 @@ pub mod blackscholes {
                 let out = alloc.alloc_lines(2 * 1024);
                 let jit = 1.0 + (srng.next_f64() - 0.5) * 0.03;
                 let t = TraceSpec::builder()
-                    .seed(scale.instance_seed(INFO.name, 0, price_idx))
+                    .seed(seeds.of(0, price_idx))
                     .instructions(scale.instructions(1000.0 * jit))
                     .mix(InstructionMix::compute_bound())
                     .pattern(AccessPattern::sequential(8))
@@ -62,7 +63,7 @@ pub mod blackscholes {
             let mut acc = vec![RegionAccess::output(result)];
             acc.extend(outs.iter().map(|&o| RegionAccess::input(o)));
             let t = TraceSpec::builder()
-                .seed(scale.instance_seed(INFO.name, 1, f as u64))
+                .seed(seeds.of(1, f as u64))
                 .instructions(scale.instructions(500.0))
                 .mix(InstructionMix::balanced())
                 .pattern(AccessPattern::sequential(8))
@@ -97,7 +98,8 @@ pub mod bodytrack {
 
     /// Generates the workload.
     pub fn generate(scale: &ScaleConfig) -> Program {
-        let mut b = Program::builder(INFO.name);
+        let seeds = scale.instance_seeds(INFO.name);
+        let mut b = Program::with_capacity(INFO.name, INFO.task_instances);
         let names = [
             "edge_detect",
             "gauss_smooth",
@@ -118,7 +120,7 @@ pub mod bodytrack {
         for _ in 0..EXTRA_STAGE1 {
             let fp = alloc.alloc_lines(32 * 1024);
             let t = TraceSpec::builder()
-                .seed(scale.instance_seed(INFO.name, 0, counters[0]))
+                .seed(seeds.of(0, counters[0]))
                 .instructions(scale.instructions(bases[0]))
                 .mix(InstructionMix::balanced())
                 .pattern(AccessPattern::strided(128, 2))
@@ -137,7 +139,7 @@ pub mod bodytrack {
                     let out = alloc.alloc_lines(4 * 1024);
                     let jit = 1.0 + (srng.next_f64() - 0.5) * 0.08;
                     let t = TraceSpec::builder()
-                        .seed(scale.instance_seed(INFO.name, s as u32, counters[s]))
+                        .seed(seeds.of(s as u32, counters[s]))
                         .instructions(scale.instructions(bases[s] * jit))
                         .mix(if s >= 3 {
                             InstructionMix::irregular_int()
@@ -190,7 +192,8 @@ pub mod canneal {
 
     /// Generates the workload.
     pub fn generate(scale: &ScaleConfig) -> Program {
-        let mut b = Program::builder(INFO.name);
+        let seeds = scale.instance_seeds(INFO.name);
+        let mut b = Program::with_capacity(INFO.name, INFO.task_instances);
         let ty = b.add_type("swap_batch");
         let mut alloc = AddressAllocator::new();
         // One netlist shared by every task: random accesses to it from all
@@ -209,7 +212,7 @@ pub mod canneal {
         for i in 0..INFO.task_instances as u64 {
             let jit = 1.0 + (srng.next_f64() - 0.5) * 0.05;
             let t = TraceSpec::builder()
-                .seed(scale.instance_seed(INFO.name, 0, i))
+                .seed(seeds.of(0, i))
                 .instructions(scale.instructions(1450.0 * jit))
                 .mix(mix.clone())
                 .pattern(AccessPattern::Random)
@@ -244,7 +247,8 @@ pub mod dedup {
 
     /// Generates the workload.
     pub fn generate(scale: &ScaleConfig) -> Program {
-        let mut b = Program::builder(INFO.name);
+        let seeds = scale.instance_seeds(INFO.name);
+        let mut b = Program::with_capacity(INFO.name, INFO.task_instances);
         let chunk_ty = b.add_type("chunk");
         let hash_ty = b.add_type("hash_dedup");
         let compress_ty = b.add_type("compress");
@@ -253,8 +257,8 @@ pub mod dedup {
         let output_file = alloc.alloc_lines(64 * 1024);
         let mut srng = Xoshiro256pp::seed_from_u64(0xDED0);
         let mut counters = [0u64; 4];
-        let seed = |scale: &ScaleConfig, ty: u32, c: &mut [u64; 4]| {
-            let v = scale.instance_seed(INFO.name, ty, c[ty as usize]);
+        let seed = |ty: u32, c: &mut [u64; 4]| {
+            let v = seeds.of(ty, c[ty as usize]);
             c[ty as usize] += 1;
             v
         };
@@ -262,7 +266,7 @@ pub mod dedup {
         for _ in 0..EXTRA_CHUNK {
             let fp = alloc.alloc_lines(8 * 1024);
             let t = TraceSpec::builder()
-                .seed(seed(scale, 0, &mut counters))
+                .seed(seed(0, &mut counters))
                 .instructions(scale.instructions(4.0))
                 .mix(InstructionMix::irregular_int())
                 .pattern(AccessPattern::sequential(8))
@@ -277,7 +281,7 @@ pub mod dedup {
             let compressed = alloc.alloc_lines(16 * 1024);
             // chunk
             let t = TraceSpec::builder()
-                .seed(seed(scale, 0, &mut counters))
+                .seed(seed(0, &mut counters))
                 .instructions(scale.instructions(4.0))
                 .mix(InstructionMix::irregular_int())
                 .pattern(AccessPattern::sequential(8))
@@ -286,7 +290,7 @@ pub mod dedup {
             b.add_task(chunk_ty, t, &[RegionAccess::output(seg)]);
             // hash / global dedup
             let t = TraceSpec::builder()
-                .seed(seed(scale, 1, &mut counters))
+                .seed(seed(1, &mut counters))
                 .instructions(scale.instructions(5.0))
                 .mix(InstructionMix::irregular_int())
                 .pattern(AccessPattern::Random)
@@ -303,7 +307,7 @@ pub mod dedup {
             let window = ((instrs as f64 * 40.0) as u64).clamp(4 * 1024, 2 * 1024 * 1024);
             let window_fp = alloc.alloc_lines(window);
             let t = TraceSpec::builder()
-                .seed(seed(scale, 2, &mut counters))
+                .seed(seed(2, &mut counters))
                 .instructions(instrs)
                 .mix(InstructionMix::irregular_int())
                 .pattern(AccessPattern::Gather { hot_probability: 0.55, hot_fraction: 0.08 })
@@ -318,7 +322,7 @@ pub mod dedup {
             );
             // ordered write-out (serializes the pipeline tail)
             let t = TraceSpec::builder()
-                .seed(seed(scale, 3, &mut counters))
+                .seed(seed(3, &mut counters))
                 .instructions(scale.instructions(3.0))
                 .mix(InstructionMix::memory_bound())
                 .pattern(AccessPattern::sequential(8))
@@ -358,7 +362,8 @@ pub mod freqmine {
 
     /// Generates the workload.
     pub fn generate(scale: &ScaleConfig) -> Program {
-        let mut b = Program::builder(INFO.name);
+        let seeds = scale.instance_seeds(INFO.name);
+        let mut b = Program::with_capacity(INFO.name, INFO.task_instances);
         let header_ty = b.add_type("build_header");
         let insert_ty = b.add_type("insert_batch");
         let sort_ty = b.add_type("sort_items");
@@ -373,7 +378,7 @@ pub mod freqmine {
 
         // build_header (1)
         let t = TraceSpec::builder()
-            .seed(scale.instance_seed(INFO.name, 0, 0))
+            .seed(seeds.of(0, 0))
             .instructions(scale.instructions(800.0))
             .mix(InstructionMix::irregular_int())
             .pattern(AccessPattern::sequential(8))
@@ -384,7 +389,7 @@ pub mod freqmine {
         // insert batches (50) — all inout the tree: a serial build chain.
         for i in 0..INSERT_BATCHES as u64 {
             let t = TraceSpec::builder()
-                .seed(scale.instance_seed(INFO.name, 1, i))
+                .seed(seeds.of(1, i))
                 .instructions(scale.instructions(600.0))
                 .mix(InstructionMix::irregular_int())
                 .pattern(AccessPattern::PointerChase)
@@ -399,7 +404,7 @@ pub mod freqmine {
         for i in 0..SORTS as u64 {
             let out = alloc.alloc_lines(16 * 1024);
             let t = TraceSpec::builder()
-                .seed(scale.instance_seed(INFO.name, 2, i))
+                .seed(seeds.of(2, i))
                 .instructions(scale.instructions(500.0))
                 .mix(InstructionMix::irregular_int())
                 .pattern(AccessPattern::Random)
@@ -411,7 +416,7 @@ pub mod freqmine {
         // build_tree (25) — refine the tree from sorted batches.
         for i in 0..BUILDS as u64 {
             let t = TraceSpec::builder()
-                .seed(scale.instance_seed(INFO.name, 3, i))
+                .seed(seeds.of(3, i))
                 .instructions(scale.instructions(700.0))
                 .mix(InstructionMix::irregular_int())
                 .pattern(AccessPattern::PointerChase)
@@ -442,7 +447,7 @@ pub mod freqmine {
             let instrs = scale.instructions(size);
             let out = alloc.alloc_lines(1024);
             let t = TraceSpec::builder()
-                .seed(scale.instance_seed(INFO.name, 4, i))
+                .seed(seeds.of(4, i))
                 .instructions(instrs)
                 .mix(InstructionMix::irregular_int())
                 .pattern(AccessPattern::PointerChase)
@@ -463,7 +468,7 @@ pub mod freqmine {
             let hi = (i as usize + 1) * MINES / PRUNES;
             acc.extend(mine_outs[lo..hi].iter().map(|&m| RegionAccess::input(m)));
             let t = TraceSpec::builder()
-                .seed(scale.instance_seed(INFO.name, 5, i))
+                .seed(seeds.of(5, i))
                 .instructions(scale.instructions(400.0))
                 .mix(InstructionMix::irregular_int())
                 .pattern(AccessPattern::Random)
@@ -480,7 +485,7 @@ pub mod freqmine {
             let hi = (i as usize + 1) * PRUNES / AGGS;
             acc.extend(prune_outs[lo..hi].iter().map(|&p| RegionAccess::input(p)));
             let t = TraceSpec::builder()
-                .seed(scale.instance_seed(INFO.name, 6, i))
+                .seed(seeds.of(6, i))
                 .instructions(scale.instructions(300.0))
                 .mix(InstructionMix::balanced())
                 .pattern(AccessPattern::sequential(8))
@@ -508,7 +513,8 @@ pub mod swaptions {
 
     /// Generates the workload.
     pub fn generate(scale: &ScaleConfig) -> Program {
-        let mut b = Program::builder(INFO.name);
+        let seeds = scale.instance_seeds(INFO.name);
+        let mut b = Program::with_capacity(INFO.name, INFO.task_instances);
         let ty = b.add_type("price_swaption");
         let mut alloc = AddressAllocator::new();
         let mut srng = Xoshiro256pp::seed_from_u64(0x50AF);
@@ -516,7 +522,7 @@ pub mod swaptions {
             let fp = alloc.alloc_lines(2 * 1024);
             let jit = 1.0 + (srng.next_f64() - 0.5) * 0.01;
             let t = TraceSpec::builder()
-                .seed(scale.instance_seed(INFO.name, 0, i))
+                .seed(seeds.of(0, i))
                 .instructions(scale.instructions(1790.0 * jit))
                 .mix(InstructionMix::compute_bound())
                 .pattern(AccessPattern::sequential(8))

@@ -35,14 +35,32 @@ impl ScaleConfig {
         ((baseline * self.instr_factor).round() as u64).max(1)
     }
 
-    /// Derives a reproducible per-instance seed.
-    pub fn instance_seed(&self, benchmark: &str, type_idx: u32, instance_idx: u64) -> u64 {
+    /// The reproducible per-instance seeds of `benchmark` at this master
+    /// seed. The name is hashed here, once per program, not once per
+    /// instance.
+    pub fn instance_seeds(&self, benchmark: &str) -> InstanceSeeds {
         let mut h = 0xcbf2_9ce4_8422_2325u64; // FNV offset basis
         for b in benchmark.bytes() {
             h ^= b as u64;
             h = h.wrapping_mul(0x100_0000_01b3);
         }
-        taskpoint_stats::rng::mix_seed(&[self.seed, h, type_idx as u64, instance_idx])
+        InstanceSeeds { seed: self.seed, benchmark: h }
+    }
+}
+
+/// The per-instance seeds of one benchmark at one master seed (see
+/// [`ScaleConfig::instance_seeds`]).
+#[derive(Debug, Clone, Copy)]
+pub struct InstanceSeeds {
+    seed: u64,
+    /// FNV-1a hash of the benchmark name.
+    benchmark: u64,
+}
+
+impl InstanceSeeds {
+    /// The seed of instance `instance_idx` of task type `type_idx`.
+    pub fn of(&self, type_idx: u32, instance_idx: u64) -> u64 {
+        taskpoint_stats::rng::mix_seed(&[self.seed, self.benchmark, type_idx as u64, instance_idx])
     }
 }
 
@@ -68,17 +86,17 @@ mod tests {
     #[test]
     fn instance_seeds_are_unique_and_stable() {
         let s = ScaleConfig::new();
-        let a = s.instance_seed("x", 0, 0);
-        assert_eq!(a, s.instance_seed("x", 0, 0));
-        assert_ne!(a, s.instance_seed("x", 0, 1));
-        assert_ne!(a, s.instance_seed("x", 1, 0));
-        assert_ne!(a, s.instance_seed("y", 0, 0));
+        let a = s.instance_seeds("x").of(0, 0);
+        assert_eq!(a, s.instance_seeds("x").of(0, 0));
+        assert_ne!(a, s.instance_seeds("x").of(0, 1));
+        assert_ne!(a, s.instance_seeds("x").of(1, 0));
+        assert_ne!(a, s.instance_seeds("y").of(0, 0));
     }
 
     #[test]
     fn different_master_seeds_differ() {
         let a = ScaleConfig { seed: 1, ..ScaleConfig::new() };
         let b = ScaleConfig { seed: 2, ..ScaleConfig::new() };
-        assert_ne!(a.instance_seed("x", 0, 0), b.instance_seed("x", 0, 0));
+        assert_ne!(a.instance_seeds("x").of(0, 0), b.instance_seeds("x").of(0, 0));
     }
 }

@@ -27,7 +27,7 @@ fn adaptive(target_ci: f64, min_samples: u64) -> TaskPointConfig {
 
 fn start(task: u64) -> TaskStart {
     TaskStart {
-        task: TaskInstanceId(task),
+        task: TaskInstanceId(task as u32),
         type_id: TaskTypeId(0),
         instructions: 1000,
         worker: WorkerId(0),
@@ -39,7 +39,7 @@ fn start(task: u64) -> TaskStart {
 
 fn report(task: u64, cycles: u64, mode: SimMode) -> TaskReport {
     TaskReport {
-        task: TaskInstanceId(task),
+        task: TaskInstanceId(task as u32),
         type_id: TaskTypeId(0),
         worker: WorkerId(0),
         start: task * 1000,

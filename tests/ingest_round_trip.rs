@@ -72,7 +72,7 @@ fn ingested_bundle_replays_bit_identically_to_direct_replay() {
         let bundle = RecordedTraces::from_ingested(&trace);
         bundle.verify_against(&program).unwrap();
         for task in trace.tasks() {
-            let id = TaskInstanceId(task.index);
+            let id = TaskInstanceId(u32::try_from(task.index).unwrap());
             let via_bundle = drain(bundle.source(id, &program.spec(id)));
             let direct = RecordedTrace::from_arc(Arc::clone(&task.bytes)).unwrap();
             let via_direct = drain(Box::new(direct));
@@ -105,7 +105,7 @@ fn bundle_file_round_trips_for_ingested_traces() {
     assert_eq!(back.len(), bundle.len());
     assert_eq!(back.total_bytes(), bundle.total_bytes());
     for task in trace.tasks() {
-        let id = TaskInstanceId(task.index);
+        let id = TaskInstanceId(u32::try_from(task.index).unwrap());
         assert_eq!(back.get(id).unwrap().bytes(), bundle.get(id).unwrap().bytes());
     }
 }

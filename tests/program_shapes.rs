@@ -35,14 +35,14 @@ impl Fnv {
 fn shape(program: &Program) -> (usize, usize, usize, usize, usize, u64) {
     let graph = program.graph();
     let mut h = Fnv::new();
-    for inst in program.instances() {
+    for (id, inst) in program.ids().zip(program.instances()) {
         h.word(u64::from(inst.type_id().0));
         h.word(inst.instructions());
         h.word(inst.seed());
-        for list in [graph.predecessors(inst.id()), graph.successors(inst.id())] {
+        for list in [graph.predecessors(id), graph.successors(id)] {
             h.word(list.len() as u64);
             for t in list {
-                h.word(t.0);
+                h.word(u64::from(t.0));
             }
         }
     }

@@ -200,7 +200,7 @@ proptest! {
             );
         }
         let p = b.build();
-        for i in 0..p.num_instances() as u64 {
+        for i in 0..p.num_instances() as u32 {
             for pred in p.graph().predecessors(TaskInstanceId(i)) {
                 prop_assert!(pred.0 < i);
             }
@@ -274,17 +274,17 @@ proptest! {
             deps.sort_unstable();
             deps.dedup();
             let got: Vec<usize> =
-                g.predecessors(TaskInstanceId(task as u64)).iter().map(|p| p.index()).collect();
+                g.predecessors(TaskInstanceId(task as u32)).iter().map(|p| p.index()).collect();
             prop_assert_eq!(&got, deps);
         }
 
         // Successor lists are the ascending transpose of the predecessors.
         let mut successors = 0;
         for i in 0..p.num_instances() {
-            let succs = g.successors(TaskInstanceId(i as u64));
+            let succs = g.successors(TaskInstanceId(i as u32));
             prop_assert!(succs.windows(2).all(|w| w[0] < w[1]), "t{i} successors not ascending");
             for s in succs {
-                prop_assert!(g.predecessors(*s).contains(&TaskInstanceId(i as u64)));
+                prop_assert!(g.predecessors(*s).contains(&TaskInstanceId(i as u32)));
             }
             successors += succs.len();
         }
@@ -296,14 +296,14 @@ proptest! {
         let mut rs = g.ready_set();
         let mut readied_by: Vec<Option<usize>> = vec![None; p.num_instances()];
         for i in 0..p.num_instances() {
-            let id = TaskInstanceId(i as u64);
+            let id = TaskInstanceId(i as u32);
             prop_assert_eq!(rs.is_ready(id), g.predecessors(id).is_empty());
         }
         for i in 0..p.num_instances() {
-            rs.complete(g, TaskInstanceId(i as u64), |t| readied_by[t.index()] = Some(i));
+            rs.complete(g, TaskInstanceId(i as u32), |t| readied_by[t.index()] = Some(i));
         }
         for (i, by) in readied_by.iter().enumerate() {
-            let last_pred = g.predecessors(TaskInstanceId(i as u64)).last().map(|p| p.index());
+            let last_pred = g.predecessors(TaskInstanceId(i as u32)).last().map(|p| p.index());
             prop_assert_eq!(*by, last_pred);
         }
         prop_assert!(rs.all_done());
