@@ -1,5 +1,8 @@
 //! TaskPoint configuration: the paper's model parameters and the sampling
-//! policy every controller runs under.
+//! policy every controller runs under, and the [`SamplingStats`] every
+//! controller fills.
+
+use std::collections::HashMap;
 
 use taskpoint_stats::Confidence;
 
@@ -324,6 +327,59 @@ impl Default for TaskPointConfig {
     /// periodic sampling with the tuned parameters.
     fn default() -> Self {
         Self::periodic()
+    }
+}
+
+/// The base controller's execution phase.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Phase {
+    /// Initial warmup: `W` detailed instances per thread.
+    InitialWarmup,
+    /// Measuring valid samples in detailed mode.
+    Sampling,
+    /// Fast-forwarding at per-type IPC.
+    FastForward,
+    /// Re-warming after a resample trigger: one detailed instance per
+    /// thread.
+    Rewarm,
+}
+
+/// Why the base controller triggered a resampling.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ResampleCause {
+    /// Periodic policy: a thread fast-forwarded `P` instances.
+    Policy,
+    /// First instance of a previously unknown task type (paper Fig. 4b).
+    NewTaskType,
+    /// The number of concurrently executing threads changed buckets
+    /// (paper Fig. 4a).
+    ConcurrencyChange,
+    /// A task's type had no valid and no all-history samples.
+    EmptyHistories,
+}
+
+/// Telemetry of one sampled run, filled by every controller. The adaptive
+/// and stratified controllers have no global phases or resamples, so
+/// their `phase_log` and `resamples` stay empty.
+#[derive(Debug, Clone, Default)]
+pub struct SamplingStats {
+    /// `(simulated time, new phase)` transitions in order.
+    pub phase_log: Vec<(u64, Phase)>,
+    /// `(simulated time, cause)` of every resample.
+    pub resamples: Vec<(u64, ResampleCause)>,
+    /// Valid samples measured, per task type (per stratum for the
+    /// stratified controller).
+    pub valid_samples: HashMap<u32, u64>,
+    /// Tasks fast-forwarded.
+    pub fast_tasks: u64,
+    /// Tasks simulated in detail.
+    pub detailed_tasks: u64,
+}
+
+impl SamplingStats {
+    /// Number of resamples attributed to `cause`.
+    pub fn resamples_by(&self, cause: ResampleCause) -> usize {
+        self.resamples.iter().filter(|(_, c)| *c == cause).count()
     }
 }
 

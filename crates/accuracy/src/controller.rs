@@ -44,7 +44,7 @@ use tasksim::{ExecMode, ModeController, SimMode, TaskReport, TaskStart};
 
 use crate::ci::{ci_target_met, relative_ci_half_width};
 use crate::cluster::concurrency_band;
-use crate::config::{SamplingPolicy, TaskPointConfig};
+use crate::config::{SamplingPolicy, SamplingStats, TaskPointConfig};
 
 /// Per-cluster sampling state (shared with the stratified controller).
 #[derive(Debug, Clone, Default)]
@@ -121,17 +121,6 @@ impl ClusterState {
             bands,
         }
     }
-}
-
-/// Telemetry of one adaptive run.
-#[derive(Debug, Clone, Default)]
-pub struct AdaptiveStats {
-    /// Tasks simulated in detail.
-    pub detailed_tasks: u64,
-    /// Tasks fast-forwarded.
-    pub fast_tasks: u64,
-    /// Valid (post-warmup) samples measured, per sampling unit.
-    pub valid_samples: HashMap<u32, u64>,
 }
 
 /// End-of-run accuracy of one concurrency band within a cluster.
@@ -250,7 +239,7 @@ pub struct AdaptiveController {
     since_unconverged: Vec<u64>,
     workers_known: bool,
     warmup_complete: bool,
-    stats: AdaptiveStats,
+    stats: SamplingStats,
     /// Receiver of per-cluster fidelity-decision events (disabled by
     /// default; attach with [`set_telemetry`](Self::set_telemetry)).
     telemetry: Telemetry,
@@ -283,7 +272,7 @@ impl AdaptiveController {
             warmup_done: Vec::new(),
             since_unconverged: Vec::new(),
             workers_known: false,
-            stats: AdaptiveStats::default(),
+            stats: SamplingStats::default(),
             telemetry: Telemetry::disabled(),
         }
     }
@@ -303,7 +292,7 @@ impl AdaptiveController {
     }
 
     /// The telemetry collected so far.
-    pub fn stats(&self) -> &AdaptiveStats {
+    pub fn stats(&self) -> &SamplingStats {
         &self.stats
     }
 
@@ -322,7 +311,7 @@ impl AdaptiveController {
 
     /// Consumes the controller, returning telemetry and the accuracy
     /// report.
-    pub fn into_parts(self) -> (AdaptiveStats, AccuracyReport) {
+    pub fn into_parts(self) -> (SamplingStats, AccuracyReport) {
         let report = self.report();
         (self.stats, report)
     }

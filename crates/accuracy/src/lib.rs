@@ -55,8 +55,8 @@ pub mod stratified;
 pub use allocate::{neyman_allocate, Stratum};
 pub use ci::{ci_target_met, relative_ci_half_width};
 pub use cluster::{concurrency_band, ClusterMap};
-pub use config::{ConfigError, SamplingPolicy, TaskPointConfig};
-pub use controller::{
-    AccuracyReport, AdaptiveController, AdaptiveStats, BandAccuracy, ClusterAccuracy,
+pub use config::{
+    ConfigError, Phase, ResampleCause, SamplingPolicy, SamplingStats, TaskPointConfig,
 };
+pub use controller::{AccuracyReport, AdaptiveController, BandAccuracy, ClusterAccuracy};
 pub use stratified::StratifiedController;

@@ -35,8 +35,8 @@ use tasksim::{ExecMode, ModeController, SimMode, TaskReport, TaskStart};
 use crate::allocate::{neyman_allocate, Stratum};
 use crate::ci::relative_ci_half_width;
 use crate::cluster::{concurrency_band, ClusterMap};
-use crate::config::{SamplingPolicy, TaskPointConfig};
-use crate::controller::{AccuracyReport, AdaptiveStats, ClusterAccuracy, ClusterState};
+use crate::config::{SamplingPolicy, SamplingStats, TaskPointConfig};
+use crate::controller::{AccuracyReport, ClusterAccuracy, ClusterState};
 
 /// Per-stratum sampling state on top of the shared [`ClusterState`].
 #[derive(Debug, Clone, Default)]
@@ -98,7 +98,7 @@ pub struct StratifiedController {
     pilot_spend: u64,
     /// Whether the Neyman allocation has fired.
     allocated: bool,
-    stats: AdaptiveStats,
+    stats: SamplingStats,
     telemetry: Telemetry,
 }
 
@@ -134,7 +134,7 @@ impl StratifiedController {
             primed: false,
             pilot_spend: 0,
             allocated: false,
-            stats: AdaptiveStats::default(),
+            stats: SamplingStats::default(),
             telemetry: Telemetry::disabled(),
         }
     }
@@ -183,7 +183,7 @@ impl StratifiedController {
     }
 
     /// The telemetry collected so far.
-    pub fn stats(&self) -> &AdaptiveStats {
+    pub fn stats(&self) -> &SamplingStats {
         &self.stats
     }
 
@@ -214,7 +214,7 @@ impl StratifiedController {
 
     /// Consumes the controller, returning telemetry and the accuracy
     /// report.
-    pub fn into_parts(self) -> (AdaptiveStats, AccuracyReport) {
+    pub fn into_parts(self) -> (SamplingStats, AccuracyReport) {
         let report = self.report();
         (self.stats, report)
     }

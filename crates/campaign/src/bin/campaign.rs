@@ -12,7 +12,10 @@
 //! executor, emits the canonical JSONL artefact (plus a `.timings.jsonl`
 //! sidecar) under the store root, and reports how many cells were actually
 //! simulated vs served from the content-addressed cache. A second
-//! identical invocation completes with `computed=0`.
+//! identical invocation completes with `computed=0`. A sweep behind a
+//! table or figure of the paper then prints that table and writes it to
+//! `<store>/<sweep>.<scale>.txt`; `--sweep all --sweep adaptive --sweep
+//! hetero` reproduces the whole evaluation.
 
 use std::path::PathBuf;
 
@@ -175,10 +178,7 @@ fn cmd_run(args: &Args, scale: RunScale) {
         let specs = sweep.specs(scale.scale_config());
         let label = format!("{}.{}", sweep.name(), scale.name());
         let report = campaign.run_labeled(&label, &specs);
-        let out = args
-            .out
-            .clone()
-            .unwrap_or_else(|| root.join(format!("{}.{}.jsonl", sweep.name(), scale.name())));
+        let out = args.out.clone().unwrap_or_else(|| root.join(format!("{label}.jsonl")));
         let emitted = match report.write_jsonl(&out) {
             Ok(()) => out.display().to_string(),
             Err(e) => {
@@ -201,6 +201,14 @@ fn cmd_run(args: &Args, scale: RunScale) {
             emitted,
             telemetry_note,
         );
+        if let Some(table) = sweep.render(&report) {
+            print!("{table}");
+            let path = root.join(format!("{label}.txt"));
+            if let Err(e) = std::fs::write(&path, &table) {
+                eprintln!("error: cannot write {}: {e}", path.display());
+                failures += 1;
+            }
+        }
     }
     if failures > 0 {
         std::process::exit(1);

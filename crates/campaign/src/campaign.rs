@@ -61,27 +61,11 @@ impl Campaign {
         self.telemetry_dir.as_deref()
     }
 
-    /// The standard configuration: persistent store at the default root,
-    /// executor sized from the environment.
-    pub fn open_default() -> Self {
-        Self::new(ResultStore::open_default(), Executor::from_env())
-    }
-
     /// A campaign with no persistence — in-memory sharing only. The right
     /// choice for test binaries that want reference reuse without
     /// touching `results/`.
     pub fn in_memory() -> Self {
         Self::new(ResultStore::disabled(), Executor::from_env())
-    }
-
-    /// The underlying store.
-    pub fn store(&self) -> &ResultStore {
-        &self.store
-    }
-
-    /// The underlying executor.
-    pub fn executor(&self) -> &Executor {
-        &self.executor
     }
 
     /// Runs every cell, fanning out across the executor's workers, and
@@ -148,11 +132,6 @@ impl Campaign {
             outcomes,
             wall_seconds: started.elapsed().as_secs_f64(),
         }
-    }
-
-    /// Runs a single cell (a one-element campaign).
-    pub fn run_one(&self, spec: &CellSpec) -> CellOutcome {
-        self.ctx.compute(&self.store, spec)
     }
 
     /// The benchmark's program (generated once per scale and shared).

@@ -15,8 +15,9 @@
 //! * [`Campaign`] — the driver tying those together, plus shared in-memory
 //!   program/reference caches so concurrent cells never duplicate a
 //!   detailed reference run;
-//! * [`Sweep`] — the named cell lists behind every table and figure, used
-//!   by both the figure binaries and the `campaign` CLI.
+//! * [`Sweep`] — the named cell lists behind every table and figure, and
+//!   [`Sweep::render`], which prints a sweep's table from its outcomes;
+//!   `campaign run --sweep NAME` runs and renders one.
 //!
 //! Determinism contract: the *canonical* record stream
 //! ([`CampaignReport::jsonl`]) contains only deterministic quantities
@@ -50,6 +51,7 @@
 pub mod campaign;
 pub mod context;
 pub mod executor;
+mod figures;
 pub mod hash;
 pub mod json;
 pub mod record;
@@ -66,10 +68,4 @@ pub use record::{
 };
 pub use spec::{CellKind, CellSpec, RunScale, UnknownScaleError};
 pub use store::{code_fingerprint, ResultStore};
-pub use sweeps::{
-    adaptive_specs, adaptive_workloads, error_speedup_specs, hetero_specs, sensitivity_configs,
-    sensitivity_specs, table1_specs, variation_specs, Sweep, SweepPart, ADAPTIVE_KERNELS,
-    ADAPTIVE_TARGETS, ADAPTIVE_WORKERS, FIG1_NOISE_SEED, HETERO_KERNELS, HETERO_WORKERS,
-    HIGH_PERF_THREADS, LOW_POWER_THREADS, SENSITIVITY_THREADS, STRATIFIED_BUDGETS,
-    STRATIFIED_PILOT,
-};
+pub use sweeps::{adaptive_specs, Sweep, ADAPTIVE_TARGETS, STRATIFIED_BUDGETS, STRATIFIED_PILOT};

@@ -609,23 +609,6 @@ pub struct CellOutcome {
     pub cached: bool,
 }
 
-impl CellOutcome {
-    /// Reconstructs the evaluation outcome the bench layer works with.
-    /// Returns `None` for reference/variation cells.
-    pub fn experiment_outcome(&self) -> Option<ExperimentOutcome> {
-        let m = self.record.metrics.as_eval()?;
-        Some(ExperimentOutcome {
-            error_percent: m.error_percent,
-            speedup: self.timing.speedup.unwrap_or(0.0),
-            predicted_cycles: m.predicted_cycles,
-            reference_cycles: m.reference_cycles,
-            sampled_wall_seconds: self.timing.wall_seconds,
-            reference_wall_seconds: self.timing.reference_wall_seconds.unwrap_or(0.0),
-            detail_fraction: m.detail_fraction,
-        })
-    }
-}
-
 impl StoredCell {
     /// Serializes the store-file content.
     pub fn to_json(&self) -> String {
@@ -1112,31 +1095,5 @@ mod tests {
             }
         }
         assert_eq!(optional_seen.len(), OPTIONAL_KEYS.len(), "every optional key exercised");
-    }
-
-    #[test]
-    fn experiment_outcome_reconstruction() {
-        let outcome = CellOutcome {
-            spec: crate::spec::CellSpec::sampled(
-                taskpoint_workloads::Benchmark::Spmv,
-                ScaleConfig::quick(),
-                tasksim::MachineConfig::low_power(),
-                4,
-                taskpoint::TaskPointConfig::lazy(),
-            ),
-            record: eval_record(),
-            timing: CellTiming {
-                wall_seconds: 0.5,
-                setup_seconds: Some(0.01),
-                reference_wall_seconds: Some(10.0),
-                speedup: Some(20.0),
-                detailed_instr_per_sec: None,
-            },
-            cached: false,
-        };
-        let o = outcome.experiment_outcome().unwrap();
-        assert_eq!(o.predicted_cycles, 1020);
-        assert_eq!(o.speedup, 20.0);
-        assert_eq!(o.reference_wall_seconds, 10.0);
     }
 }

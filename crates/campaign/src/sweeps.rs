@@ -1,9 +1,7 @@
 //! Named sweeps: the paper's evaluation matrix as cell-spec generators.
 //!
 //! Each sweep is the cell list behind one table or figure (or the CI smoke
-//! set). The bench crate's figure binaries and the `campaign` CLI both
-//! build their specs here, so a figure regenerated interactively and a
-//! sweep run by the CLI hit the same cache entries.
+//! set); `campaign run` runs it and prints its table ([`Sweep::render`]).
 
 use taskpoint::{SamplingPolicy, TaskPointConfig};
 use taskpoint_workloads::{Benchmark, ExternalWorkload, ScaleConfig};
@@ -12,17 +10,17 @@ use tasksim::{CoreGroupConfig, MachineConfig};
 use crate::spec::CellSpec;
 
 /// Threads used by the high-performance-machine figures (7 and 9).
-pub const HIGH_PERF_THREADS: [u32; 4] = [8, 16, 32, 64];
+const HIGH_PERF_THREADS: [u32; 4] = [8, 16, 32, 64];
 /// Threads used by the low-power-machine figures (8 and 10).
-pub const LOW_POWER_THREADS: [u32; 4] = [1, 2, 4, 8];
+const LOW_POWER_THREADS: [u32; 4] = [1, 2, 4, 8];
 /// Threads used by the Fig. 6 sensitivity analysis.
-pub const SENSITIVITY_THREADS: [u32; 2] = [32, 64];
+const SENSITIVITY_THREADS: [u32; 2] = [32, 64];
 /// Noise seed of the Fig. 1 "native execution" stand-in.
-pub const FIG1_NOISE_SEED: u64 = 0xF161;
+const FIG1_NOISE_SEED: u64 = 0xF161;
 
 /// Which parameter Fig. 6 sweeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SweepPart {
+pub(crate) enum SweepPart {
     /// Fig. 6a: warmup size W (H=10, P=∞).
     Warmup,
     /// Fig. 6b: history size H (W=min(2,H), P=∞).
@@ -32,7 +30,7 @@ pub enum SweepPart {
 }
 
 /// The labelled controller configurations of one Fig. 6 part.
-pub fn sensitivity_configs(part: SweepPart) -> Vec<(String, TaskPointConfig)> {
+pub(crate) fn sensitivity_configs(part: SweepPart) -> Vec<(String, TaskPointConfig)> {
     match part {
         SweepPart::Warmup => (0..=10u64)
             .map(|w| (w.to_string(), TaskPointConfig::lazy().with_warmup(w).with_history(10)))
@@ -61,7 +59,7 @@ pub fn sensitivity_configs(part: SweepPart) -> Vec<(String, TaskPointConfig)> {
 
 /// Sampled cells of one error/speedup figure: every benchmark × every
 /// thread count under `config` on `machine`.
-pub fn error_speedup_specs(
+fn error_speedup_specs(
     scale: ScaleConfig,
     machine: &MachineConfig,
     threads: &[u32],
@@ -78,7 +76,7 @@ pub fn error_speedup_specs(
 
 /// Sampled cells of one Fig. 6 part: every labelled config × the
 /// sensitivity benchmarks × 32/64 threads, grouped by config.
-pub fn sensitivity_specs(scale: ScaleConfig, part: SweepPart) -> Vec<CellSpec> {
+fn sensitivity_specs(scale: ScaleConfig, part: SweepPart) -> Vec<CellSpec> {
     let machine = MachineConfig::high_performance();
     let mut specs = Vec::new();
     for (_, config) in sensitivity_configs(part) {
@@ -93,7 +91,7 @@ pub fn sensitivity_specs(scale: ScaleConfig, part: SweepPart) -> Vec<CellSpec> {
 
 /// Variation cells (Figs. 1 and 5): every benchmark at 8 threads on
 /// `machine`, with or without the noise model.
-pub fn variation_specs(
+fn variation_specs(
     scale: ScaleConfig,
     machine: &MachineConfig,
     noise_seed: Option<u64>,
@@ -111,9 +109,9 @@ pub fn variation_specs(
 }
 
 /// ROB sizes of the custom-machine design-space grid.
-pub const DESIGN_SPACE_ROBS: [u32; 3] = [64, 168, 256];
+const DESIGN_SPACE_ROBS: [u32; 3] = [64, 168, 256];
 /// L2 sizes (KiB) of the custom-machine design-space grid.
-pub const DESIGN_SPACE_L2_KB: [u64; 3] = [512, 2048, 4096];
+const DESIGN_SPACE_L2_KB: [u64; 3] = [512, 2048, 4096];
 
 /// Exploration cells of the custom-machine design-space sweep: a 3×3
 /// ROB × L2 grid of variants of the high-performance machine, each taken
@@ -122,7 +120,7 @@ pub const DESIGN_SPACE_L2_KB: [u64; 3] = [512, 2048, 4096];
 /// running cholesky at 8 threads under lazy sampling. No reference cells
 /// — ranking designs cheaply is the entire point (the full machine config
 /// is content-hashed, so every variant gets its own cache entry).
-pub fn design_space_specs(scale: ScaleConfig) -> Vec<CellSpec> {
+fn design_space_specs(scale: ScaleConfig) -> Vec<CellSpec> {
     let mut specs = Vec::new();
     for rob in DESIGN_SPACE_ROBS {
         for l2_kb in DESIGN_SPACE_L2_KB {
@@ -151,10 +149,10 @@ pub fn design_space_specs(scale: ScaleConfig) -> Vec<CellSpec> {
 }
 
 /// Kernel workloads of the `hetero` sweep.
-pub const HETERO_KERNELS: [Benchmark; 2] = [Benchmark::Cholesky, Benchmark::Spmv];
+const HETERO_KERNELS: [Benchmark; 2] = [Benchmark::Cholesky, Benchmark::Spmv];
 
 /// Simulated worker count of the `hetero` sweep (2 big + 2 little cores).
-pub const HETERO_WORKERS: u32 = 4;
+const HETERO_WORKERS: u32 = 4;
 
 /// Cells of the `hetero` sweep: for each kernel, a full-detail reference
 /// and a lazy-sampled run on the big.LITTLE machine, plus a homogeneous
@@ -162,7 +160,7 @@ pub const HETERO_WORKERS: u32 = 4;
 /// The heterogeneous cells carry per-group metrics in their JSONL
 /// records; the homogeneous baseline proves the same record shape stays
 /// group-free.
-pub fn hetero_specs(scale: ScaleConfig) -> Vec<CellSpec> {
+fn hetero_specs(scale: ScaleConfig) -> Vec<CellSpec> {
     let hetero = MachineConfig::big_little(2, 2);
     let baseline = MachineConfig::high_performance();
     let mut specs = Vec::new();
@@ -181,7 +179,7 @@ pub fn hetero_specs(scale: ScaleConfig) -> Vec<CellSpec> {
 }
 
 /// Simulated worker counts of the `ingested` sweep.
-pub const INGESTED_WORKERS: u32 = 2;
+const INGESTED_WORKERS: u32 = 2;
 
 /// Cells of the `ingested` sweep: for every external (fixture-trace)
 /// workload, a full-detail reference plus lazy- and periodic-sampled runs
@@ -191,7 +189,7 @@ pub const INGESTED_WORKERS: u32 = 2;
 ///
 /// External workloads replay fixed recordings, so `scale` only keys the
 /// cache entries; it does not change the simulated work.
-pub fn ingested_specs(scale: ScaleConfig) -> Vec<CellSpec> {
+fn ingested_specs(scale: ScaleConfig) -> Vec<CellSpec> {
     let machine = MachineConfig::low_power();
     let mut specs = Vec::new();
     for workload in ExternalWorkload::ALL {
@@ -217,16 +215,16 @@ pub const STRATIFIED_PILOT: u64 = 4;
 pub const STRATIFIED_BUDGETS: [u64; 2] = [64, 256];
 
 /// Kernel workloads of the `adaptive` sweep.
-pub const ADAPTIVE_KERNELS: [Benchmark; 2] = [Benchmark::Spmv, Benchmark::Cholesky];
+const ADAPTIVE_KERNELS: [Benchmark; 2] = [Benchmark::Spmv, Benchmark::Cholesky];
 
 /// Simulated worker count of the `adaptive` sweep's kernel cells.
-pub const ADAPTIVE_WORKERS: u32 = 4;
+const ADAPTIVE_WORKERS: u32 = 4;
 
 /// The benchmark/worker pairs the `adaptive` sweep covers: the kernel set
 /// plus every external (ingested fixture) workload. External cells use
 /// [`INGESTED_WORKERS`] so their reference/lazy/periodic cells coincide —
 /// and share cache entries — with the `ingested` sweep.
-pub fn adaptive_workloads() -> Vec<(Benchmark, u32)> {
+fn adaptive_workloads() -> Vec<(Benchmark, u32)> {
     let mut workloads: Vec<(Benchmark, u32)> =
         ADAPTIVE_KERNELS.into_iter().map(|b| (b, ADAPTIVE_WORKERS)).collect();
     workloads.extend(ExternalWorkload::ALL.map(|w| (Benchmark::External(w), INGESTED_WORKERS)));
@@ -260,7 +258,7 @@ pub fn adaptive_specs(scale: ScaleConfig) -> Vec<CellSpec> {
 
 /// Reference cells of Table I: every benchmark at 1 and 64 threads on the
 /// high-performance machine.
-pub fn table1_specs(scale: ScaleConfig) -> Vec<CellSpec> {
+fn table1_specs(scale: ScaleConfig) -> Vec<CellSpec> {
     let machine = MachineConfig::high_performance();
     let mut specs = Vec::new();
     for bench in Benchmark::ALL {
@@ -455,29 +453,26 @@ impl Sweep {
             Sweep::Hetero => hetero_specs(scale),
             Sweep::Ingested => ingested_specs(scale),
             Sweep::Adaptive => adaptive_specs(scale),
-            Sweep::All => {
-                // `smoke` is a CI subset of other sweeps; `design-space`,
-                // `hetero`, `ingested` and `adaptive` are not paper
-                // tables/figures: none joins the union.
-                let mut specs = Vec::new();
-                for sweep in Sweep::ALL {
-                    if !matches!(
-                        sweep,
-                        Sweep::All
-                            | Sweep::Smoke
-                            | Sweep::DesignSpace
-                            | Sweep::Hetero
-                            | Sweep::Ingested
-                            | Sweep::Adaptive
-                    ) {
-                        specs.extend(sweep.specs(scale));
-                    }
-                }
-                specs
-            }
+            Sweep::All => ALL_MEMBERS.into_iter().flat_map(|s| s.specs(scale)).collect(),
         }
     }
 }
+
+/// The sweeps [`Sweep::All`] concatenates, in order: every paper table and
+/// figure. `smoke` is a CI subset of them; `design-space`, `hetero`,
+/// `ingested` and `adaptive` are not paper tables or figures.
+pub(crate) const ALL_MEMBERS: [Sweep; 10] = [
+    Sweep::Table1,
+    Sweep::Fig1,
+    Sweep::Fig5,
+    Sweep::Fig6a,
+    Sweep::Fig6b,
+    Sweep::Fig6c,
+    Sweep::Fig7,
+    Sweep::Fig8,
+    Sweep::Fig9,
+    Sweep::Fig10,
+];
 
 #[cfg(test)]
 mod tests {

@@ -26,62 +26,11 @@
 //!   buckets), or by a task whose type has no samples at all. It clears
 //!   the valid histories and re-warms one instance per thread.
 
-use std::collections::HashMap;
-
+pub use taskpoint_accuracy::{Phase, ResampleCause, SamplingStats};
 use taskpoint_accuracy::{SamplingPolicy, TaskPointConfig};
 use tasksim::{ExecMode, ModeController, SimMode, TaskReport, TaskStart};
 
 use crate::history::TypeHistories;
-
-/// The controller's execution phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Phase {
-    /// Initial warmup: `W` detailed instances per thread.
-    InitialWarmup,
-    /// Measuring valid samples in detailed mode.
-    Sampling,
-    /// Fast-forwarding at per-type IPC.
-    FastForward,
-    /// Re-warming after a resample trigger: one detailed instance per
-    /// thread.
-    Rewarm,
-}
-
-/// Why a resampling was triggered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ResampleCause {
-    /// Periodic policy: a thread fast-forwarded `P` instances.
-    Policy,
-    /// First instance of a previously unknown task type (paper Fig. 4b).
-    NewTaskType,
-    /// The number of concurrently executing threads changed buckets
-    /// (paper Fig. 4a).
-    ConcurrencyChange,
-    /// A task's type had no valid and no all-history samples.
-    EmptyHistories,
-}
-
-/// Telemetry of one sampled run.
-#[derive(Debug, Clone, Default)]
-pub struct SamplingStats {
-    /// `(simulated time, new phase)` transitions in order.
-    pub phase_log: Vec<(u64, Phase)>,
-    /// `(simulated time, cause)` of every resample.
-    pub resamples: Vec<(u64, ResampleCause)>,
-    /// Valid samples measured, per task type.
-    pub valid_samples: HashMap<u32, u64>,
-    /// Tasks fast-forwarded.
-    pub fast_tasks: u64,
-    /// Tasks simulated in detail.
-    pub detailed_tasks: u64,
-}
-
-impl SamplingStats {
-    /// Number of resamples attributed to `cause`.
-    pub fn resamples_by(&self, cause: ResampleCause) -> usize {
-        self.resamples.iter().filter(|(_, c)| *c == cause).count()
-    }
-}
 
 /// The TaskPoint mode controller. Create one per simulation run.
 #[derive(Debug)]

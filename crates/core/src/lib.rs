@@ -64,10 +64,10 @@ pub use metrics::ExperimentOutcome;
 pub use simulate::{run, RunOutcome};
 // Observability handle, re-exported for the same reason.
 pub use tasksim::{Telemetry, TelemetryReport};
-// The configuration (defined next to the accuracy controllers that also
-// take it) and the statistical layer underneath the adaptive and
-// stratified policies, re-exported so downstream crates (campaign, bench)
-// need not depend on `taskpoint-accuracy` directly.
+// The configuration and run statistics (defined next to the accuracy
+// controllers that also take and fill them) and the statistical layer
+// underneath the adaptive and stratified policies, re-exported so the
+// campaign crate need not depend on `taskpoint-accuracy` directly.
 pub use taskpoint_accuracy::{
     concurrency_band, neyman_allocate, AccuracyReport, AdaptiveController, BandAccuracy,
     ClusterAccuracy, ClusterMap, ConfigError, SamplingPolicy, StratifiedController, Stratum,

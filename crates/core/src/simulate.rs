@@ -7,8 +7,7 @@
 //! sampled run against it.
 
 use taskpoint_accuracy::{
-    AccuracyReport, AdaptiveController, AdaptiveStats, SamplingPolicy, StratifiedController,
-    TaskPointConfig,
+    AccuracyReport, AdaptiveController, SamplingPolicy, StratifiedController, TaskPointConfig,
 };
 use tasksim::{SimResult, Simulation};
 
@@ -19,9 +18,8 @@ use crate::controller::{SamplingStats, TaskPointController};
 pub struct RunOutcome {
     /// The simulation result (predicted cycles, detail split, caches).
     pub result: SimResult,
-    /// The controller's telemetry in the common shape (adaptive and
-    /// stratified runs have no global phases or resamples; those logs
-    /// stay empty).
+    /// The controller's telemetry (adaptive and stratified runs have no
+    /// global phases or resamples; those logs stay empty).
     pub stats: SamplingStats,
     /// The per-cluster accuracy report of the adaptive and stratified
     /// policies; `None` for lazy and periodic sampling.
@@ -88,19 +86,7 @@ pub fn run(sim: Simulation<'_>, config: TaskPointConfig) -> RunOutcome {
             return RunOutcome { result, stats: controller.into_stats(), accuracy: None };
         }
     };
-    RunOutcome { result, stats: sampling_stats(stats), accuracy: Some(report) }
-}
-
-/// Folds an adaptive or stratified run's telemetry into the common
-/// [`SamplingStats`] shape (no global phases or resamples).
-fn sampling_stats(stats: AdaptiveStats) -> SamplingStats {
-    SamplingStats {
-        phase_log: Vec::new(),
-        resamples: Vec::new(),
-        valid_samples: stats.valid_samples,
-        fast_tasks: stats.fast_tasks,
-        detailed_tasks: stats.detailed_tasks,
-    }
+    RunOutcome { result, stats, accuracy: Some(report) }
 }
 
 #[cfg(test)]
